@@ -6,8 +6,13 @@ significant digits, complex values are two-element [re, im] arrays, CSV
 files are comma-separated with LF line endings.  Identical configuration and
 seed produce byte-identical outputs.
 
-Exit codes: 0 success, 1 failed invariants / no surface wave / empty scan
-interval, 2 unparseable or invalid configuration.
+The whole configuration is validated once, against the schema in
+`phasewave.config`, before any physics runs.  Exit codes: 0 success; 2 an
+unreadable file, malformed JSON, or a schema problem (an unknown, missing or
+mistyped field at any level, `sim` and `sim.init` included, or a section the
+subcommand needs); 1 a physics or value-range failure (a failed invariant,
+an inadmissible state or parameter, no surface wave, an empty scan
+interval).
 """
 
 from __future__ import annotations
@@ -22,12 +27,15 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .equilibrium import (
-    FluidState,
-    make_phase_boundary,
-    solve_reversible_boundary,
-    vdw_eos,
+from .config import (
+    ConfigError,
+    boundary_and_eos,
+    build_boundary,
+    fluid_state,
+    load_config,
+    sim_config,
 )
+from .equilibrium import jump_residuals, make_phase_boundary, mass_flux_residual
 from .errors import NoRootError, PhasewaveError
 from .kernel import (
     alpha0,
@@ -35,32 +43,52 @@ from .kernel import (
     build_kernel,
     final_simplification_residual,
     hunter_residual,
-    kernel_constants,
     oracle_vs_closed,
 )
 from .lopatinskii import (
     dd1_factorization_residual,
     find_root,
-    gamma_alternative_forms,
+    gamma_forms_residual,
     gamma_linear_residual,
     lemma4_residuals,
     lopatinskii_det,
+    root_function,
     root_relation_residual,
+    sigma_methods_residual,
     sigma_r3_residual,
-    sigma_vector,
 )
 from .modes import (
     Frequency,
+    dispersion_residual,
     eigen_residual,
     elliptic_eta0_max,
     left_eigen_residual,
     normal_modes,
 )
-from .simulate import InitSpec, SimConfig, evolve, physical_reconstruction
+from .simulate import evolve, physical_reconstruction
 
 
-class ConfigError(ValueError):
-    """Configuration file cannot be used (exit code 2)."""
+def _eta_t(cfg: dict) -> np.ndarray:
+    return np.asarray(cfg["eta_t"], dtype=float)
+
+
+def _determinants(pb, eta: Frequency):
+    """Raw and closed Lopatinskii determinants from one shared ModeSet."""
+    modes = normal_modes(pb, eta)
+    return (
+        lopatinskii_det(pb, eta, method="raw", modes=modes),
+        lopatinskii_det(pb, eta, method="closed", modes=modes),
+    )
+
+
+def _root(cfg: dict, command: str):
+    """The surface-wave root, or None after reporting that there is none."""
+    pb = build_boundary(cfg)
+    try:
+        return find_root(pb, _eta_t(cfg))
+    except NoRootError as exc:
+        print(f"{command}: no surface wave ({exc})")
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -91,18 +119,14 @@ def _to_json(obj, indent: int = 0) -> str:
             return "[" + ", ".join(_fmt(v) if isinstance(v, float) else str(v) for v in obj) + "]"
         items = [f"{pad}  {_to_json(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
+    if obj is None or isinstance(obj, (bool, str)):
+        return json.dumps(obj)
     if isinstance(obj, (complex, np.complexfloating)):
         return f"[{_fmt(obj.real)}, {_fmt(obj.imag)}]"
     if isinstance(obj, (float, np.floating)):
         return _fmt(float(obj))
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if obj is None:
-        return "null"
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
@@ -115,196 +139,6 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
     for row in rows:
         lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
-# ---------------------------------------------------------------------------
-# Configuration parsing (strict: unknown fields rejected)
-# ---------------------------------------------------------------------------
-
-
-def _require_keys(obj: dict, allowed: set, required: set, where: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"unknown field(s) {sorted(unknown)} in {where}")
-    missing = required - set(obj)
-    if missing:
-        raise ConfigError(f"missing field(s) {sorted(missing)} in {where}")
-
-
-def _finite_number(val, where: str) -> float:
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{where} must be a number")
-    val = float(val)
-    if not math.isfinite(val):
-        raise ConfigError(f"{where} must be finite")
-    return val
-
-
-def _validate_state_schema(obj, where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object")
-    _require_keys(obj, {"rho", "u", "c2", "pp"}, {"rho", "u", "c2", "pp"}, where)
-    for key in obj:
-        _finite_number(obj[key], f"{where}.{key}")
-
-
-def _state_from_cfg(obj: dict, where: str) -> FluidState:
-    # Schema was validated at load time; invariant violations here are
-    # physics failures, not configuration errors.
-    return FluidState(**{key: float(obj[key]) for key in ("rho", "u", "c2", "pp")})
-
-
-def load_config(path: str) -> dict:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    try:
-        cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("top-level configuration must be an object")
-    allowed = {
-        "d",
-        "left",
-        "right",
-        "mu",
-        "eos",
-        "brackets",
-        "mass_flux",
-        "eta_t",
-        "scan",
-        "sim",
-        "output_dir",
-        "seed",
-    }
-    _require_keys(cfg, allowed, set(), "configuration")
-    if "eos" in cfg:
-        _require_keys(cfg, allowed, {"eos", "brackets", "d"}, "configuration")
-        eos = cfg["eos"]
-        if not isinstance(eos, dict):
-            raise ConfigError("eos must be an object")
-        _require_keys(eos, {"a", "b", "RT"}, {"a", "b", "RT"}, "eos")
-        for key in eos:
-            _finite_number(eos[key], f"eos.{key}")
-        br = cfg["brackets"]
-        if (
-            not isinstance(br, list)
-            or len(br) != 2
-            or any(not isinstance(b, list) or len(b) != 2 for b in br)
-        ):
-            raise ConfigError("brackets must be [[lo, hi], [lo, hi]]")
-        for b in br:
-            for v in b:
-                _finite_number(v, "brackets")
-        if "mass_flux" in cfg:
-            _finite_number(cfg["mass_flux"], "mass_flux")
-    else:
-        _require_keys(cfg, allowed, {"d", "left", "right", "mu"}, "configuration")
-        _finite_number(cfg["mu"], "mu")
-        _validate_state_schema(cfg["left"], "left")
-        _validate_state_schema(cfg["right"], "right")
-    if not isinstance(cfg["d"], int) or isinstance(cfg["d"], bool) or cfg["d"] < 2:
-        raise ConfigError("d must be an integer >= 2")
-    if "eta_t" in cfg:
-        et = cfg["eta_t"]
-        if not isinstance(et, list) or not et:
-            raise ConfigError("eta_t must be a nonempty array")
-        for v in et:
-            _finite_number(v, "eta_t")
-        if len(et) != cfg["d"] - 1:
-            raise ConfigError(f"eta_t must have length d-1={cfg['d'] - 1}")
-    if "scan" in cfg:
-        sc = cfg["scan"]
-        if not isinstance(sc, dict):
-            raise ConfigError("scan must be an object")
-        _require_keys(
-            sc,
-            {"eta0_min", "eta0_max", "steps"},
-            {"eta0_min", "eta0_max", "steps"},
-            "scan",
-        )
-        _finite_number(sc["eta0_min"], "scan.eta0_min")
-        _finite_number(sc["eta0_max"], "scan.eta0_max")
-        if not isinstance(sc["steps"], int) or sc["steps"] < 2:
-            raise ConfigError("scan.steps must be an integer >= 2")
-    if "sim" in cfg:
-        sm = cfg["sim"]
-        if not isinstance(sm, dict):
-            raise ConfigError("sim must be an object")
-        allowed_sim = {
-            "dk",
-            "N",
-            "dt",
-            "T",
-            "init",
-            "output_every",
-            "blowup_factor",
-            "snapshots",
-            "physical",
-        }
-        _require_keys(sm, allowed_sim, {"dk", "N", "dt", "T", "init"}, "sim")
-        for key in ("dk", "dt", "T"):
-            _finite_number(sm[key], f"sim.{key}")
-        if not isinstance(sm["N"], int) or sm["N"] < 8:
-            raise ConfigError("sim.N must be an integer >= 8")
-        init = sm["init"]
-        if not isinstance(init, dict) or "name" not in init:
-            raise ConfigError("sim.init must be an object with a name")
-        allowed_init = {"name", "A", "k0", "s", "seed"}
-        _require_keys(init, allowed_init, {"name"}, "sim.init")
-        if init["name"] not in {"single_mode", "gaussian_bump", "random_smooth"}:
-            raise ConfigError(f"unknown initial profile {init['name']!r}")
-    if "seed" in cfg and (not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool)):
-        raise ConfigError("seed must be an integer")
-    if "output_dir" in cfg and not isinstance(cfg["output_dir"], str):
-        raise ConfigError("output_dir must be a string")
-    return cfg
-
-
-def build_boundary(cfg: dict):
-    if "eos" in cfg:
-        eos = vdw_eos(cfg["eos"]["a"], cfg["eos"]["b"], cfg["eos"]["RT"])
-        return solve_reversible_boundary(
-            eos,
-            tuple(cfg["brackets"][0]),
-            tuple(cfg["brackets"][1]),
-            cfg["d"],
-            mass_flux=cfg.get("mass_flux"),
-        )
-    left = _state_from_cfg(cfg["left"], "left")
-    right = _state_from_cfg(cfg["right"], "right")
-    return make_phase_boundary(left, right, cfg["d"], float(cfg["mu"]))
-
-
-def _sim_config(cfg: dict) -> SimConfig:
-    sm = cfg["sim"]
-    init = sm["init"]
-    spec = InitSpec(
-        name=init["name"],
-        amplitude=float(init.get("A", 1.0)),
-        k0=float(init.get("k0", 1.0)),
-        width=float(init.get("s", 1.0)),
-        seed=init.get("seed"),
-    )
-    return SimConfig(
-        dk=float(sm["dk"]),
-        N=int(sm["N"]),
-        dt=float(sm["dt"]),
-        T=float(sm["T"]),
-        init=spec,
-        output_every=int(sm.get("output_every", 10)),
-        blowup_factor=float(sm.get("blowup_factor", 1e6)),
-        snapshots=bool(sm.get("snapshots", False)),
-        physical=bool(sm.get("physical", False)),
-    )
-
-
-def _eta_t(cfg: dict) -> np.ndarray:
-    if "eta_t" not in cfg:
-        raise ConfigError("this command requires an eta_t vector")
-    return np.asarray(cfg["eta_t"], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -330,20 +164,25 @@ def cmd_check(cfg: dict, outdir: Path, seed: int) -> int:
         print(f"check: FAIL ({name})")
         return 1
 
-    if "eos" not in cfg:
+    if "eos" in cfg:
         try:
-            left = _state_from_cfg(cfg["left"], "left")
-            right = _state_from_cfg(cfg["right"], "right")
+            pb, eos = boundary_and_eos(cfg)
+        except PhasewaveError as exc:
+            return fail(f"equilibrium-solve ({exc})")
+        mom, rev = jump_residuals(eos, pb.left.rho, pb.right.rho, pb.j)
+        scale = max(1.0, abs(pb.left.p))
+        checks.append(_invariant("momentum-jump", abs(mom) / scale, 1e-12))
+        checks.append(_invariant("enthalpy-jump", abs(rev) / scale, 1e-12))
+    else:
+        try:
+            left, right = fluid_state(cfg, "left"), fluid_state(cfg, "right")
         except PhasewaveError as exc:
             # State-invariant violations are physics failures, not parse errors.
             return fail(f"fluid-state ({exc})")
-        j_l, j_r = left.rho * left.u, right.rho * right.u
-        res = abs(j_l - j_r) / abs(j_l)
-        checks.append(_invariant("mass-flux", res, 1e-10))
+        res = mass_flux_residual(left, right)
         if res > 1e-10:
-            _write_json(outdir / "check.json", {"pass": False, "invariants": checks})
-            print("check: FAIL (mass-flux)")
-            return 1
+            return fail("mass-flux", res, 1e-10)
+        checks.append(_invariant("mass-flux", res, 1e-10))
         checks.append(
             _invariant("jump-rho-nonzero", 0.0 if right.rho != left.rho else math.inf, 0.5)
         )
@@ -351,18 +190,6 @@ def cmd_check(cfg: dict, outdir: Path, seed: int) -> int:
             _invariant("jump-u-nonzero", 0.0 if right.u != left.u else math.inf, 0.5)
         )
         pb = make_phase_boundary(left, right, cfg["d"], float(cfg["mu"]))
-    else:
-        try:
-            pb = build_boundary(cfg)
-        except PhasewaveError as exc:
-            return fail(f"equilibrium-solve ({exc})")
-        from .equilibrium import jump_residuals, vdw_eos as _vdw
-
-        eos = _vdw(cfg["eos"]["a"], cfg["eos"]["b"], cfg["eos"]["RT"])
-        mom, rev = jump_residuals(eos, pb.left.rho, pb.right.rho, pb.j)
-        scale = max(1.0, abs(pb.left.p))
-        checks.append(_invariant("momentum-jump", abs(mom) / scale, 1e-12))
-        checks.append(_invariant("enthalpy-jump", abs(rev) / scale, 1e-12))
 
     eta_t = _eta_t(cfg)
     e0_max = elliptic_eta0_max(pb, eta_t)
@@ -376,18 +203,7 @@ def cmd_check(cfg: dict, outdir: Path, seed: int) -> int:
             for fam in ("-", "+"):
                 eig_res = max(eig_res, eigen_residual(modes, j, fam))
                 left_res = max(left_res, left_eigen_residual(modes, j, fam))
-        for sgn, beta, state in (
-            (1.0, modes.beta_minus[0], pb.left),
-            (-1.0, modes.beta_minus[1], pb.right),
-        ):
-            ht2 = float(eta_t @ eta_t)
-            val = (
-                (state.c2 - state.u**2) * beta**2
-                + sgn * 2j * state.u * e0 * beta
-                + e0 * e0
-                - state.c2 * ht2
-            )
-            disp_res = max(disp_res, abs(val) / abs(state.c2 * ht2))
+        disp_res = max(disp_res, dispersion_residual(modes))
         conj_res = max(
             conj_res,
             abs(modes.beta_plus[0] + np.conj(modes.beta_minus[0])),
@@ -400,26 +216,15 @@ def cmd_check(cfg: dict, outdir: Path, seed: int) -> int:
 
     scan_dev = 0.0
     for e0 in np.linspace(0.05, 0.95, 20) * e0_max:
-        eta = Frequency(float(e0), eta_t)
-        raw = lopatinskii_det(pb, eta, method="raw")
-        closed = lopatinskii_det(pb, eta, method="closed")
+        raw, closed = _determinants(pb, Frequency(float(e0), eta_t))
         scan_dev = max(scan_dev, abs(raw - closed) / max(abs(raw), abs(closed)))
     checks.append(_invariant("delta-raw-vs-closed", scan_dev, 1e-10))
 
     root = find_root(pb, eta_t)
     checks.append(_invariant("root-relation", root_relation_residual(root), 1e-12))
     checks.append(_invariant("gamma-linear-relation", gamma_linear_residual(root), 1e-10))
-    h1, h2alt = gamma_alternative_forms(root)
-    gform = max(
-        abs(root.gamma1 - h1) / abs(root.gamma1), abs(root.gamma2 - h2alt) / abs(root.gamma2)
-    )
-    checks.append(_invariant("gamma-forms", gform, 1e-12))
-    s_min = sigma_vector(root, method="minors").sigma_star
-    s_cls = sigma_vector(root, method="closed").sigma_star
-    sig_dev = float(
-        np.max(np.abs(s_min - s_cls)) / np.max(np.abs(s_cls))
-    )
-    checks.append(_invariant("sigma-minors-vs-closed", sig_dev, 1e-10))
+    checks.append(_invariant("gamma-forms", gamma_forms_residual(root), 1e-12))
+    checks.append(_invariant("sigma-minors-vs-closed", sigma_methods_residual(root), 1e-10))
     checks.append(_invariant("lemma4-identities", float(np.max(lemma4_residuals(root))), 1e-10))
     checks.append(_invariant("sigma-r3-relation", sigma_r3_residual(root), 1e-10))
     checks.append(_invariant("dd1-factorizations", dd1_factorization_residual(root), 1e-10))
@@ -449,13 +254,8 @@ def cmd_check(cfg: dict, outdir: Path, seed: int) -> int:
 
 def cmd_scan(cfg: dict, outdir: Path, seed: int) -> int:
     pb = build_boundary(cfg)
-    try:
-        eta_t = _eta_t(cfg)
-    except ConfigError:
-        raise
-    if "scan" not in cfg:
-        raise ConfigError("scan section missing")
-    if not float(np.asarray(eta_t) @ np.asarray(eta_t)) > 0.0:
+    eta_t = _eta_t(cfg)
+    if not float(eta_t @ eta_t) > 0.0:
         print("scan: empty elliptic interval (zero tangential wavevector)")
         return 1
     sc = cfg["scan"]
@@ -464,41 +264,31 @@ def cmd_scan(cfg: dict, outdir: Path, seed: int) -> int:
     if not (0.0 <= lo < hi < e0_max):
         print(f"scan: range [{lo}, {hi}] not inside the elliptic interval [0, {e0_max})")
         return 1
-    grid = np.linspace(lo, hi, int(sc["steps"]))
-    rows = []
-    prev_sign = None
-    bracket = None
+    grid = np.linspace(lo, hi, sc["steps"])
+    F = root_function(pb, eta_t)
+    rows, signs = [], []
     for e0 in grid:
-        eta = Frequency(float(e0), eta_t)
-        raw = lopatinskii_det(pb, eta, method="raw")
-        closed = lopatinskii_det(pb, eta, method="closed")
+        raw, closed = _determinants(pb, Frequency(float(e0), eta_t))
         rows.append([float(e0), raw.real, raw.imag, closed.real, closed.imag])
-        vl, vr = pb.left, pb.right
         # Sign of the root factor, tracked to flag the surface-wave bracket.
-        modes = normal_modes(pb, eta)
-        F = vl.u * vr.u * modes.a_l * modes.a_r + vl.c2 * vr.c2 * e0 * e0
-        sign = math.copysign(1.0, F)
-        if prev_sign is not None and sign != prev_sign and bracket is None:
-            bracket = (prev_e0, float(e0))
-        prev_sign, prev_e0 = sign, float(e0)
+        signs.append(math.copysign(1.0, F(float(e0))))
     _write_csv(
         outdir / "scan.csv",
         ["eta0", "re_delta_raw", "im_delta_raw", "re_delta_closed", "im_delta_closed"],
         rows,
     )
-    if bracket is not None:
-        print(f"scan: root function changes sign in [{_fmt(bracket[0])}, {_fmt(bracket[1])}]")
+    change = next((i for i in range(1, len(grid)) if signs[i] != signs[i - 1]), None)
+    if change is not None:
+        lo, hi = _fmt(grid[change - 1]), _fmt(grid[change])
+        print(f"scan: root function changes sign in [{lo}, {hi}]")
     else:
         print("scan: no sign change of the root function in the scanned range")
     return 0
 
 
 def cmd_root(cfg: dict, outdir: Path, seed: int) -> int:
-    pb = build_boundary(cfg)
-    try:
-        root = find_root(pb, _eta_t(cfg))
-    except NoRootError as exc:
-        print(f"root: no surface wave ({exc})")
+    root = _root(cfg, "root")
+    if root is None:
         return 1
     report = {
         "eta0": float(root.eta.eta0),
@@ -513,14 +303,11 @@ def cmd_root(cfg: dict, outdir: Path, seed: int) -> int:
 
 
 def cmd_coeffs(cfg: dict, outdir: Path, seed: int) -> int:
-    pb = build_boundary(cfg)
-    try:
-        root = find_root(pb, _eta_t(cfg))
-    except NoRootError as exc:
-        print(f"coeffs: no surface wave ({exc})")
+    root = _root(cfg, "coeffs")
+    if root is None:
         return 1
-    kc = kernel_constants(root)
     kernel = build_kernel(root)
+    kc = kernel.constants
     a_closed = alpha0(root, "closed")
     a_abstract = alpha0(root, "abstract")
     a_fd = alpha0(root, "fd_delta")
@@ -556,19 +343,12 @@ def cmd_coeffs(cfg: dict, outdir: Path, seed: int) -> int:
 
 
 def cmd_simulate(cfg: dict, outdir: Path, seed: int) -> int:
-    pb = build_boundary(cfg)
-    if "sim" not in cfg:
-        raise ConfigError("sim section missing")
-    sim_cfg = _sim_config(cfg)
-    eta_t = _eta_t(cfg)
-    try:
-        root = find_root(pb, eta_t)
-    except NoRootError as exc:
-        print(f"simulate: no surface wave ({exc})")
+    root = _root(cfg, "simulate")
+    if root is None:
         return 1
-    kc = kernel_constants(root)
+    sim_cfg = sim_config(cfg)
     kernel = build_kernel(root)
-    result = evolve(kernel, kc.alpha0, sim_cfg, default_seed=seed)
+    result = evolve(kernel, kernel.constants.alpha0, sim_cfg, default_seed=seed)
     _write_csv(
         outdir / "diag.csv",
         ["tau", "mean_re", "mean_im", "l2", "h2", "max_abs"],
@@ -579,10 +359,11 @@ def cmd_simulate(cfg: dict, outdir: Path, seed: int) -> int:
     )
     if sim_cfg.snapshots:
         k = result.field.wavenumbers()
-        rows = []
-        for tau, what in result.snapshots:
-            for kn, wn in zip(k, what):
-                rows.append([tau, float(kn), wn.real, wn.imag])
+        rows = [
+            [tau, float(kn), wn.real, wn.imag]
+            for tau, what in result.snapshots
+            for kn, wn in zip(k, what)
+        ]
         _write_csv(outdir / "snapshots.csv", ["tau", "k", "re_what", "im_what"], rows)
     if sim_cfg.physical:
         x, w = physical_reconstruction(result.field)
@@ -604,12 +385,13 @@ def cmd_simulate(cfg: dict, outdir: Path, seed: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Each subcommand with the optional sections it needs.
 _COMMANDS = {
-    "check": cmd_check,
-    "scan": cmd_scan,
-    "root": cmd_root,
-    "coeffs": cmd_coeffs,
-    "simulate": cmd_simulate,
+    "check": (cmd_check, ("eta_t",)),
+    "scan": (cmd_scan, ("eta_t", "scan")),
+    "root": (cmd_root, ("eta_t",)),
+    "coeffs": (cmd_coeffs, ("eta_t",)),
+    "simulate": (cmd_simulate, ("eta_t", "sim")),
 }
 
 
@@ -626,26 +408,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
     args = parser.parse_args(argv)
+    command, needs = _COMMANDS[args.command]
 
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    outdir = Path(args.out if args.out is not None else cfg.get("output_dir", "."))
-    try:
+        missing = [key for key in needs if key not in cfg]
+        if missing:
+            raise ConfigError(f"{args.command} needs the missing field(s) {missing}")
+        outdir = Path(args.out if args.out is not None else cfg.get("output_dir", "."))
         outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"config error: cannot create output dir: {exc}", file=sys.stderr)
-        return 2
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-
-    try:
-        return _COMMANDS[args.command](cfg, outdir, seed)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+
+    try:
+        return command(cfg, outdir, seed)
     except PhasewaveError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1

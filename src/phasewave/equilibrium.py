@@ -148,6 +148,12 @@ class PhaseBoundary:
     jump_p: float
 
 
+def mass_flux_residual(left: FluidState, right: FluidState) -> float:
+    """Relative mismatch |rho_l*u_l - rho_r*u_r| / |rho_l*u_l| of the two mass fluxes."""
+    j_l = left.rho * left.u
+    return abs(j_l - right.rho * right.u) / abs(j_l)
+
+
 def make_phase_boundary(
     left: FluidState,
     right: FluidState,
@@ -168,13 +174,11 @@ def make_phase_boundary(
     if not math.isfinite(mu):
         raise ParameterError(f"mu must be finite, got {mu}")
 
-    j_l = left.rho * left.u
-    j_r = right.rho * right.u
-    if abs(j_l - j_r) > tol * abs(j_l):
+    j = left.rho * left.u
+    if mass_flux_residual(left, right) > tol:
         raise InconsistencyError(
-            f"mass-flux mismatch: rho_l*u_l={j_l} vs rho_r*u_r={j_r}"
+            f"mass-flux mismatch: rho_l*u_l={j} vs rho_r*u_r={right.rho * right.u}"
         )
-    j = j_l
 
     jump_rho = right.rho - left.rho
     jump_u = right.u - left.u

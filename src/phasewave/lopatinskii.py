@@ -180,6 +180,14 @@ def sigma_vector(root: RootData, method: str = "closed") -> SigmaData:
     raise ValueError(f"unknown method {method!r}")
 
 
+def sigma_methods_residual(root: RootData) -> float:
+    """Largest gap between sigma* from minors and from the closed form,
+    relative to max |sigma*|."""
+    s_min = sigma_vector(root, method="minors").sigma_star
+    s_cls = sigma_vector(root, method="closed").sigma_star
+    return float(np.max(np.abs(s_min - s_cls)) / np.max(np.abs(s_cls)))
+
+
 def _gamma_pair(pb: PhaseBoundary, eta: Frequency, modes: ModeSet) -> Tuple[complex, complex]:
     vl, vr = pb.left, pb.right
     e0 = eta.eta0
@@ -206,6 +214,14 @@ def gamma_alternative_forms(root: RootData) -> Tuple[complex, complex]:
     return complex(g1), complex(g2)
 
 
+def gamma_forms_residual(root: RootData) -> float:
+    """Largest relative gap between the two printed forms of gamma_1, gamma_2."""
+    h1, h2 = gamma_alternative_forms(root)
+    return max(
+        abs(root.gamma1 - h1) / abs(root.gamma1), abs(root.gamma2 - h2) / abs(root.gamma2)
+    )
+
+
 def gamma_coefficients(root: RootData) -> Tuple[complex, complex]:
     """Coefficients expressing J(v)eta in the span of H R_1^-, H R_2^-.
 
@@ -213,15 +229,15 @@ def gamma_coefficients(root: RootData) -> Tuple[complex, complex]:
     relation J(v)eta + gamma1 H R_1^- + gamma2 H R_2^- = 0 is the caller's
     acceptance test.
     """
-    g1, g2 = _gamma_pair(root.pb, root.eta, root.modes)
-    h1, h2 = gamma_alternative_forms(root)
-    if abs(g1 - h1) > 1e-9 * abs(g1) or abs(g2 - h2) > 1e-9 * abs(g2):
+    if gamma_forms_residual(root) > 1e-9:
         raise InconsistencyError("the two gamma forms disagree; not at a root?")
-    return g1, g2
+    return root.gamma1, root.gamma2
 
 
-def _root_function(pb: PhaseBoundary, eta_t: np.ndarray):
-    """F(eta0) whose zero in the elliptic interval locates the surface wave."""
+def root_function(pb: PhaseBoundary, eta_t: np.ndarray):
+    """F(eta0) = u_l u_r a_l a_r + c_l^2 c_r^2 eta0^2, the factor of the
+    Lopatinskii determinant whose zero in the elliptic interval locates the
+    surface wave."""
     vl, vr = pb.left, pb.right
     ht2 = float(np.atleast_1d(eta_t) @ np.atleast_1d(eta_t))
 
@@ -252,7 +268,7 @@ def find_root(pb: PhaseBoundary, eta_t: np.ndarray) -> RootData:
     if not float(eta_t @ eta_t) > 0.0:
         raise DegeneracyError("tangential wavevector must be nonzero")
     e0_max = elliptic_eta0_max(pb, eta_t)
-    F = _root_function(pb, eta_t)
+    F = root_function(pb, eta_t)
 
     grid = np.linspace(0.0, e0_max, 129)
     vals = np.array([F(x) for x in grid])

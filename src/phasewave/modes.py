@@ -58,11 +58,6 @@ def elliptic_eta0_max(pb: PhaseBoundary, eta_t: np.ndarray) -> float:
     )
 
 
-def is_elliptic(pb: PhaseBoundary, eta: Frequency) -> bool:
-    """Whether (eta0, eta_t) lies strictly inside the elliptic region."""
-    return abs(eta.eta0) < elliptic_eta0_max(pb, eta.eta_t)
-
-
 @dataclass(frozen=True, eq=False)
 class TangentFrame:
     """Tangential basis attached to eta_t, with its determinant and Upsilon.
@@ -402,10 +397,7 @@ class BoundaryOperators:
 def _h_side(state: FluidState, mu: float, d: int) -> np.ndarray:
     """One side of H: the normal flux Jacobian stacked over the entropy row."""
     Ad = flux_jacobians(state, d)[d - 1]
-    g0 = np.zeros(d + 1)
-    g0[0] = mu - state.u**2
-    g0[-1] = state.u
-    return np.vstack([Ad, g0 @ Ad])
+    return np.vstack([Ad, dg0(state, mu, d) @ Ad])
 
 
 def boundary_operators(pb: PhaseBoundary, eta: Frequency) -> BoundaryOperators:
@@ -432,6 +424,22 @@ def eigen_residual(modes: ModeSet, j: int, family: str) -> float:
     M = mode_matrix(state, eta, beta, side)
     denom = np.linalg.norm(r) * np.linalg.norm(M)
     return float(np.linalg.norm(M @ r) / denom)
+
+
+def dispersion_residual(modes: ModeSet) -> float:
+    """Largest relative residual of the acoustic decay rates in their dispersion relation.
+
+    beta_1^- (left, folded side) and beta_2^- (right) must be roots of
+    (c^2 - u^2) beta^2 +- 2i u eta0 beta + eta0^2 - c^2 |eta_t|^2, with the
+    + sign on the left; each residual is relative to c^2 |eta_t|^2.
+    """
+    pb, e0, ht2 = modes.pb, modes.eta.eta0, modes.eta.ht2
+    worst = 0.0
+    sides = ((1.0, modes.beta_minus[0], pb.left), (-1.0, modes.beta_minus[1], pb.right))
+    for sgn, beta, s in sides:
+        val = (s.c2 - s.u**2) * beta**2 + sgn * 2j * s.u * e0 * beta + e0 * e0 - s.c2 * ht2
+        worst = max(worst, abs(val) / abs(s.c2 * ht2))
+    return worst
 
 
 def left_eigen_residual(modes: ModeSet, j: int, family: str) -> float:

@@ -1,0 +1,148 @@
+"""Exit-code table of the CLI: 0 success, 2 schema problems, 1 physics or
+value-range failures.
+
+Schema problems are unknown, missing or mistyped fields at any level of the
+configuration (`sim` and `sim.init` included) and sections a subcommand
+needs but the file lacks; every one is reported before any physics runs.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from phasewave.cli import main
+
+RAW = {
+    "d": 2,
+    "left": {"rho": 1.0, "u": 0.9, "c2": 4.0, "pp": 0.5},
+    "right": {"rho": 0.45, "u": 2.0, "c2": 9.0, "pp": 0.5},
+    "mu": 1.0,
+    "eta_t": [1.0],
+    "scan": {"eta0_min": 0.05, "eta0_max": 1.7, "steps": 5},
+    "sim": {
+        "dk": 0.1,
+        "N": 16,
+        "dt": 0.01,
+        "T": 0.02,
+        "init": {"name": "single_mode", "A": 0.001, "k0": 1.0},
+    },
+    "seed": 7,
+}
+EOS = {
+    "d": 2,
+    "eos": {"a": 3.0, "b": 1.0 / 3.0, "RT": 0.9},
+    "brackets": [[5e-4, 0.01], [2.3, 2.99]],
+    "eta_t": [1.0],
+}
+DELETE = object()
+
+
+def run(tmp_path: Path, command: str, base: dict = RAW, **changes):
+    """Run `command` on `base` with dotted-path changes; DELETE removes a key."""
+    cfg = json.loads(json.dumps(base))
+    for dotted, value in changes.items():
+        *parents, last = dotted.split("__")
+        node = cfg
+        for key in parents:
+            node = node[key]
+        if value is DELETE:
+            del node[last]
+        else:
+            node[last] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    return main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+
+
+def test_success_exits_zero(tmp_path):
+    assert run(tmp_path, "scan") == 0
+
+
+def test_malformed_json_exits_two(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"d": 2,')
+    assert main(["root", "--config", str(path)]) == 2
+
+
+# Double underscores separate the levels of a dotted path.
+SCHEMA_ROWS = [
+    # unknown fields, one per level
+    ("check", RAW, {"extra": 1}),
+    ("check", RAW, {"left__viscosity": 0.1}),
+    ("check", EOS, {"eos__c": 1.0}),
+    ("check", RAW, {"scan__extra": 1}),
+    ("check", RAW, {"sim__extra": 1}),
+    ("check", RAW, {"sim__init__extra": 1}),
+    # missing fields, one per level
+    ("check", RAW, {"mu": DELETE}),
+    ("check", RAW, {"right__pp": DELETE}),
+    ("check", EOS, {"eos__RT": DELETE}),
+    ("check", EOS, {"brackets": DELETE}),
+    ("check", RAW, {"scan__steps": DELETE}),
+    ("check", RAW, {"sim__T": DELETE}),
+    ("check", RAW, {"sim__init__name": DELETE}),
+    # mistyped fields, one per level
+    ("check", RAW, {"d": 2.0}),
+    ("check", RAW, {"left__rho": "1.0"}),
+    ("check", EOS, {"eos__a": "3"}),
+    ("check", EOS, {"brackets": [[5e-4, 0.01]]}),
+    ("check", RAW, {"eta_t": [1.0, 2.0]}),
+    ("check", RAW, {"scan__eta0_min": "low"}),
+    ("check", RAW, {"sim__dt": True}),
+    ("check", RAW, {"sim__init__name": "square_wave"}),
+    ("check", RAW, {"seed": 1.5}),
+    # type limits that are part of the schema
+    ("simulate", RAW, {"sim__N": 4}),
+    ("scan", RAW, {"scan__steps": 2.0}),
+    # a section the subcommand needs
+    ("check", RAW, {"eta_t": DELETE}),
+    ("scan", RAW, {"eta_t": DELETE}),
+    ("root", RAW, {"eta_t": DELETE}),
+    ("coeffs", RAW, {"eta_t": DELETE}),
+    ("simulate", RAW, {"eta_t": DELETE}),
+    ("scan", RAW, {"scan": DELETE}),
+    ("simulate", RAW, {"sim": DELETE}),
+]
+
+
+@pytest.mark.parametrize("command, base, changes", SCHEMA_ROWS)
+def test_schema_problem_exits_two(tmp_path, command, base, changes):
+    assert run(tmp_path, command, base, **changes) == 2
+
+
+# Inputs that crashed or were silently coerced before the `sim` schema
+# covered every field.
+SIM_ROWS = [
+    ("sim.init.A", {"sim__init__A": "x"}),
+    ("sim.output_every", {"sim__output_every": "x"}),
+    ("sim.blowup_factor", {"sim__blowup_factor": None}),
+    ("sim.snapshots", {"sim__snapshots": "false"}),
+    ("sim.output_every", {"sim__output_every": 2.7}),
+    ("sim.init.seed", {"sim__init__seed": 1.5}),
+    ("sim.init.seed", {"sim__init__seed": "abc"}),
+]
+
+
+@pytest.mark.parametrize("field, changes", SIM_ROWS)
+def test_sim_field_exits_two_and_is_named(tmp_path, capsys, field, changes):
+    assert run(tmp_path, "simulate", **changes) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "scan"])
+def test_inadmissible_state_exits_one(tmp_path, command):
+    assert run(tmp_path, command, left__rho=-1) == 1
+    if command == "check":
+        report = json.loads((tmp_path / "out" / "check.json").read_text())
+        assert report["pass"] is False
+        assert any(item["name"].startswith("fluid-state") for item in report["invariants"])
+
+
+def test_nonpositive_wavenumber_step_exits_one(tmp_path):
+    assert run(tmp_path, "simulate", sim__dk=-0.1) == 1
+
+
+@pytest.mark.parametrize("command", ["check", "root"])
+def test_nonpositive_temperature_exits_one(tmp_path, command):
+    assert run(tmp_path, command, EOS, eos__RT=-1) == 1

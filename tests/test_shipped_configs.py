@@ -1,0 +1,56 @@
+"""The CLI on the shipped configurations: work per subcommand and rerun
+byte-identity of every output file."""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+import phasewave.modes
+from phasewave.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.fixture
+def normal_modes_calls(monkeypatch):
+    """Count `normal_modes` calls through every package module that uses it."""
+    calls = []
+    original = phasewave.modes.normal_modes
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("phasewave") and getattr(module, "normal_modes", None) is original:
+            monkeypatch.setattr(module, "normal_modes", counting)
+    return calls
+
+
+def test_scan_builds_one_mode_set_per_point(tmp_path, normal_modes_calls):
+    config = CONFIGS / "fixture_a.json"
+    steps = json.loads(config.read_text())["scan"]["steps"]
+    assert main(["scan", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert len(normal_modes_calls) == steps == 100
+
+
+def test_check_builds_one_mode_set_per_frequency(tmp_path, normal_modes_calls):
+    # 8 sampled frequencies, 20 raw-vs-closed points, 1 at the root.
+    config = CONFIGS / "fixture_a.json"
+    assert main(["check", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert len(normal_modes_calls) == 29
+
+
+@pytest.mark.parametrize("config", ["fixture_a", "vdw"])
+@pytest.mark.parametrize("command", ["check", "scan", "root"])
+def test_rerun_byte_identical(tmp_path, command, config):
+    path = CONFIGS / f"{config}.json"
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert main([command, "--config", str(path), "--out", str(first)]) == 0
+    assert main([command, "--config", str(path), "--out", str(second)]) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert names and names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes()
