@@ -18,7 +18,7 @@ Hunter's stability condition q(1, 0+) = conj(q(1, 0-)) holds by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Tuple
 
 import numpy as np
@@ -494,12 +494,9 @@ def corollary_closed(root: RootData, kc: KernelConstants, k: float, kp: float) -
 
 @dataclass(eq=False)
 class Kernel:
-    """Completed kernel with its constants and a cached grid evaluator."""
+    """Completed kernel with its constants."""
 
     constants: KernelConstants
-    _grid_cache: Dict[Tuple[float, int], np.ndarray] = field(
-        default_factory=dict, repr=False
-    )
 
     def q(self, k: float, kp: float) -> complex:
         return kernel_eval(self, k, kp)

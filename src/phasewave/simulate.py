@@ -8,9 +8,14 @@ The reduced equation for the Hermitian-symmetric spectrum what(tau, k) is
 with a1 = q/(4 pi) the quadratic kernel.  The spectrum lives on the uniform
 symmetric grid k_n = n*dk, n = -N..N; the convolution is a plain truncated
 rectangle rule (out-of-grid factors are zero) and time stepping is classical
-RK4.  The kernel is piecewise homogeneous rather than translation-diagonal,
-so an FFT offers no shortcut; the O(N^2) matrix form below is fast enough at
-desk scale and keeps the summation order fixed for bit reproducibility.
+RK4.  The kernel is homogeneous of degree zero, so the sum splits over three
+regions of the (k - k_m, k_m) plane, each fixed by the one constant Q_nat:
+both arguments positive (q = Q_nat, a self-convolution of the positive half),
+the two mixed-sign regions (q = conj(Q_nat)(1 + k'/k), which coincide after
+reindexing and give two cross-correlations), and the two axes
+(q = Re Q_nat).  The right side is therefore built from three 1-D
+correlations on the half spectrum n = 0..N, in O(N) memory, and its negative
+half is the exact conjugate mirror; no kernel matrix is formed.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import DegeneracyError, ParameterError
-from .kernel import Kernel, kernel_constants, q_grid
+from .kernel import Kernel, kernel_constants
 from .lopatinskii import find_root
 
 
@@ -132,48 +137,49 @@ def init_field(config: SimConfig, default_seed: int = 0) -> SpectralField:
     return SpectralField(dk=dk, what=hermitian_symmetrize(w))
 
 
-def _kernel_matrix(kernel: Kernel, dk: float, N: int) -> np.ndarray:
-    """Cached matrix Q[n, m] = q(k_n - k_m, k_m) on the simulation grid."""
-    key = (float(dk), int(N))
-    mat = kernel._grid_cache.get(key)
-    if mat is None:
-        k = dk * np.arange(-N, N + 1)
-        mat = q_grid(kernel, k[:, None] - k[None, :], k[None, :] * np.ones((2 * N + 1, 1)))
-        kernel._grid_cache[key] = mat
-    return mat
-
-
 def convolution_rhs(field: SpectralField, kernel: Kernel, alpha0: float) -> SpectralField:
     """Right-hand side of the reduced amplitude equation on the grid.
 
-    Out-of-grid spectral factors are treated as zero.  The output is exactly
-    zero at k = 0 and is re-symmetrized to kill round-off asymmetry.
+    Only the half spectrum n = 0..N of the Hermitian field is read.  In index
+    units, with p_m = what_m for m >= 1, p_0 = 0 and w0 = what_0, the kernel's
+    three regions give for n >= 1
+
+        conv_n = Q_nat (p*p)_n
+                 + 2 conj(Q_nat) sum_{j>=1} (1 - j/(n+j)) p_{n+j} conj(p_j)
+                 + 2 Re(Q_nat) w0 p_n,
+
+    where j/(n+j) p_{n+j} conj(p_j) = v_{n+j} conj(j p_j) with v_m = p_m/m.
+    Out-of-grid spectral factors are zero.  The output is exactly zero at
+    k = 0 and rhs(-k) = conj(rhs(k)) holds exactly by construction.
     """
-    if alpha0 == 0.0:
+    a0 = complex(alpha0)
+    if a0.imag != 0.0 or not np.isfinite(a0.real):
+        raise ParameterError(f"alpha0 must be a finite real number, got {alpha0!r}")
+    if a0.real == 0.0:
         raise DegeneracyError("alpha0 must be nonzero")
     N, dk = field.N, field.dk
-    w = field.what
-    qmat = _kernel_matrix(kernel, dk, N)
-    wpad = np.zeros(4 * N + 1, dtype=complex)
-    wpad[N : 3 * N + 1] = w
-    # shifted[n, m] = what(k_n - k_m) via a strided window view, no gather copy
-    shifted = np.lib.stride_tricks.sliding_window_view(wpad, 2 * N + 1)[:, ::-1]
-    conv = (qmat * shifted) @ w * (dk / (4.0 * np.pi))
-    k = field.wavenumbers()
-    rhs = (-1j * k / alpha0) * conv
-    rhs[N] = 0.0
-    return SpectralField(dk=dk, what=hermitian_symmetrize(rhs))
+    Qn = kernel.constants.Q_nat
+    p = field.what[N:].copy()
+    w0 = p[0]
+    p[0] = 0.0
+    idx = np.arange(N + 1)
+    v = p / np.maximum(idx, 1)
+    mixed = np.correlate(p, p, "full")[N:] - np.correlate(v, idx * p, "full")[N:]
+    conv = Qn * np.convolve(p, p)[: N + 1] + 2.0 * np.conj(Qn) * mixed + 2.0 * Qn.real * w0 * p
+    half = -1j * idx * dk / a0.real * conv * (dk / (4.0 * np.pi))
+    half[0] = 0.0
+    return SpectralField(dk=dk, what=np.concatenate((np.conj(half[:0:-1]), half)))
 
 
 def rk4_step(field: SpectralField, kernel: Kernel, alpha0: float, dt: float) -> SpectralField:
-    """One classical fourth-order step; Hermitian symmetry re-enforced."""
+    """One classical fourth-order step; every stage is exactly Hermitian."""
     w = field.what
     k1 = convolution_rhs(field, kernel, alpha0).what
     k2 = convolution_rhs(SpectralField(field.dk, w + 0.5 * dt * k1), kernel, alpha0).what
     k3 = convolution_rhs(SpectralField(field.dk, w + 0.5 * dt * k2), kernel, alpha0).what
     k4 = convolution_rhs(SpectralField(field.dk, w + dt * k3), kernel, alpha0).what
     new = w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return SpectralField(dk=field.dk, what=hermitian_symmetrize(new))
+    return SpectralField(dk=field.dk, what=new)
 
 
 @dataclass(frozen=True)
@@ -246,14 +252,14 @@ def evolve(kernel: Kernel, alpha0: float, config: SimConfig, default_seed: int =
 
 
 def physical_reconstruction(field: SpectralField) -> Tuple[np.ndarray, np.ndarray]:
-    """Direct inverse transform onto 2N+1 physical points.
+    """Inverse transform onto 2N+1 physical points, as one inverse DFT.
 
-    Returns (x, w) with x_m = m * 2 pi / ((2N+1) dk); w is real up to
-    round-off for a Hermitian spectrum and the real part is returned.
+    Returns (x, w) with x_m = m * 2 pi / ((2N+1) dk), m = -N..N, and
+    w(x_m) = dk sum_n what_n exp(i k_n x_m); w is real up to round-off for a
+    Hermitian spectrum and the real part is returned.
     """
     N, dk = field.N, field.dk
-    m = np.arange(-N, N + 1)
-    x = m * (2.0 * np.pi / ((2 * N + 1) * dk))
-    k = field.wavenumbers()
-    w = (np.exp(1j * np.outer(x, k)) @ field.what) * dk
+    size = 2 * N + 1
+    x = np.arange(-N, N + 1) * (2.0 * np.pi / (size * dk))
+    w = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(field.what))) * (size * dk)
     return x, np.real(w)

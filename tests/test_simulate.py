@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from phasewave import (
     rk4_step,
     run_simulation,
 )
-from phasewave.kernel import kernel_constants
+from phasewave.kernel import kernel_constants, q_grid
 from phasewave.simulate import (
     InitSpec,
     SimConfig,
@@ -40,6 +42,21 @@ def _cfg(**kw):
     )
     base.update(kw)
     return SimConfig(**base)
+
+
+def _brute_force_rhs(field, kern, a0v):
+    """The RHS as a direct sum over all (2N+1)^2 grid pairs with `q_grid`
+    values, out-of-grid factors zero.  O(N^2) memory; an oracle only."""
+    N, dk, w = field.N, field.dk, field.what
+    k = field.wavenumbers()
+    n = np.arange(-N, N + 1)
+    shift = n[:, None] - n[None, :]
+    factor = np.where(np.abs(shift) <= N, w[np.clip(shift, -N, N) + N], 0.0)
+    q = q_grid(kern, k[:, None] - k[None, :], k[None, :])
+    conv = (q * factor) @ w * (dk / (4.0 * np.pi))
+    rhs = (-1j * k / a0v) * conv
+    rhs[N] = 0.0
+    return rhs
 
 
 class TestInitField:
@@ -139,6 +156,48 @@ class TestConvolutionRhs:
         ref[N] = 0.0
         ref = hermitian_symmetrize(ref)
         assert np.max(np.abs(fast - ref)) <= 1e-15 * max(np.max(np.abs(ref)), 1e-30)
+
+    @pytest.mark.parametrize("N", [64, 256])
+    @pytest.mark.parametrize("profile", ["random_smooth", "gaussian_bump", "evolved"])
+    def test_matches_vectorized_brute_force_at_scale(self, kernel_and_alpha, N, profile):
+        kern, a0v = kernel_and_alpha
+        bump = InitSpec("gaussian_bump", amplitude=0.5, k0=1.0, width=0.5)
+        if profile == "random_smooth":
+            f = init_field(_cfg(dk=0.05, N=N, init=InitSpec("random_smooth", amplitude=1.0, seed=5)))
+        elif profile == "gaussian_bump":
+            f = init_field(_cfg(dk=0.05, N=N, init=bump))
+        else:
+            f = evolve(kern, a0v, _cfg(dk=0.05, N=N, T=0.5, init=bump, output_every=10**9)).field
+        ref = _brute_force_rhs(f, kern, a0v)
+        got = convolution_rhs(f, kern, a0v).what
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, complex(537.6, np.nan), complex(537.6, -1.4e-14)]
+    )
+    def test_nonfinite_or_complex_alpha_rejected(self, kernel_and_alpha, bad):
+        kern, _ = kernel_and_alpha
+        with pytest.raises(ParameterError, match="alpha0"):
+            convolution_rhs(init_field(_cfg()), kern, bad)
+
+    def test_complex_alpha_with_zero_imaginary_part_accepted(self, kernel_and_alpha):
+        kern, a0v = kernel_and_alpha
+        f = init_field(_cfg(init=InitSpec("random_smooth", amplitude=1.0, seed=2)))
+        got = convolution_rhs(f, kern, complex(a0v, 0.0)).what
+        assert np.array_equal(got, convolution_rhs(f, kern, a0v).what)
+
+    def test_large_grid_in_linear_memory(self, kernel_and_alpha):
+        # A dense (2N+1)^2 kernel matrix at N=8192 would take about 4 GiB.
+        kern, a0v = kernel_and_alpha
+        f = init_field(_cfg(dk=0.01, N=8192, init=InitSpec("random_smooth", amplitude=1.0, seed=2)))
+        tracemalloc.start()
+        try:
+            rhs = convolution_rhs(f, kern, a0v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(rhs.what))
+        assert peak < 8 * 2**20
 
 
 class TestRk4:
@@ -253,6 +312,21 @@ class TestRunSimulation:
             res = evolve(kern, a0v, cfg)
         assert res.breaking_tau is not None
         assert not np.all(np.isfinite(res.field.what))
+
+    def test_evolve_keeps_exact_hermitian_symmetry(self, kernel_and_alpha):
+        kern, a0v = kernel_and_alpha
+        cfg = _cfg(N=64, T=1.0, init=InitSpec("random_smooth", amplitude=0.5, seed=9))
+        res = evolve(kern, a0v, cfg)
+        assert np.all(np.isfinite(res.field.what))
+        assert res.field.hermitian_deviation() == 0.0
+
+    def test_physical_reconstruction_matches_direct_sum(self):
+        f = init_field(_cfg(N=32, init=InitSpec("random_smooth", amplitude=1.0, seed=4)))
+        x, w = physical_reconstruction(f)
+        direct = np.real(np.exp(1j * np.outer(x, f.wavenumbers())) @ f.what) * f.dk
+        # Both routes carry round-off only; 1e-13 of the peak allows for the
+        # direct sum's own error over 2N+1 terms.
+        assert np.max(np.abs(w - direct)) <= 1e-13 * np.max(np.abs(direct))
 
     def test_physical_reconstruction_real(self, kernel_and_alpha):
         f = init_field(_cfg(init=InitSpec("gaussian_bump", amplitude=0.2, k0=1.0, width=0.4)))
