@@ -237,14 +237,13 @@ def _newton2(
     j: float,
     bl: Tuple[float, float],
     br: Tuple[float, float],
-    max_iter: int = 200,
-    max_halvings: int = 40,
 ) -> Tuple[float, float]:
     """Damped Newton for the 2x2 jump system at fixed mass flux.
 
-    Steps are halved (up to `max_halvings`) until the residual norm decreases,
-    and iterates are clamped to the brackets.  Convergence is declared when
-    the residual norm drops below 1e-13 times the pressure scale.
+    At most 200 steps; each is halved (up to 40 times) until the residual
+    norm decreases, and iterates are clamped to the brackets.  Convergence is
+    declared when the residual norm drops below 1e-13 times the pressure
+    scale.
     """
     scale = max(1.0, abs(eos.pressure(0.5 * (bl[0] + bl[1]))))
     x = np.array([rho_l, rho_r], dtype=float)
@@ -255,7 +254,7 @@ def _newton2(
         )
 
     res = np.array(jump_residuals(eos, x[0], x[1], j))
-    for _ in range(max_iter):
+    for _ in range(200):
         if np.linalg.norm(res) < 1e-13 * scale:
             return float(x[0]), float(x[1])
         c2l, c2r = eos.sound_speed_sq(x[0]), eos.sound_speed_sq(x[1])
@@ -270,7 +269,7 @@ def _newton2(
         except np.linalg.LinAlgError as exc:
             raise NoSolutionError("singular Jacobian in jump-condition solve") from exc
         lam = 1.0
-        for _ in range(max_halvings):
+        for _ in range(40):
             trial = clamp(x + lam * step)
             trial_res = np.array(jump_residuals(eos, trial[0], trial[1], j))
             if np.linalg.norm(trial_res) < np.linalg.norm(res):
@@ -286,7 +285,13 @@ def _newton2(
     )
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float, steps: int = 200) -> float:
+def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """A zero of f in [lo, hi], where f(lo) and f(hi) differ in sign.
+
+    Halves the bracket until lo and hi are adjacent floats, when the midpoint
+    rounds onto one of them; that midpoint is returned, or any point where f
+    is exactly zero on the way.
+    """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
@@ -294,16 +299,17 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float, steps: int = 200)
         return hi
     if flo * fhi > 0.0:
         raise NoSolutionError(f"no sign change in bracket [{lo}, {hi}]")
-    for _ in range(steps):
+    while True:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
         fm = f(mid)
         if fm == 0.0:
             return mid
         if flo * fm < 0.0:
-            hi, fhi = mid, fm
+            hi = mid
         else:
             lo, flo = mid, fm
-    return 0.5 * (lo + hi)
 
 
 def _maxwell_pair(
@@ -363,15 +369,16 @@ def solve_reversible_boundary(
 ) -> PhaseBoundary:
     """Solve the reversible jump conditions for a two-phase configuration.
 
-    The static (zero-flux) coexistence pair anchors a continuation in the
-    mass flux: at each flux value the 2x2 system
+    The static (zero-flux) coexistence pair, found by nested bisection, is
+    the starting point of one damped Newton solve of the 2x2 system
         [p + j^2/rho] = 0,   [g + j^2/(2 rho^2)] = 0
-    is re-solved by damped Newton inside the brackets.  The dynamic solutions
+    at the target mass flux, inside the brackets.  The dynamic solutions
     form a one-parameter family in the flux; `mass_flux` selects the member
     (a deterministic subsonic default is used when omitted).
 
-    Raises NoSolutionError when no coexistence pair is bracketed and
-    DomainError when the converged states are not strictly subsonic.
+    Raises NoSolutionError when no coexistence pair is bracketed or the
+    Newton solve stalls, and DomainError when the converged states are not
+    strictly subsonic.
     """
     bl = (float(min(rho_l_bracket)), float(max(rho_l_bracket)))
     br = (float(min(rho_r_bracket)), float(max(rho_r_bracket)))
@@ -384,7 +391,7 @@ def solve_reversible_boundary(
     rho_l, rho_r = _maxwell_pair(eos, bl, br)
 
     if mass_flux is None:
-        # Stay well below the smaller acoustic impedance so the continued
+        # Stay well below the smaller acoustic impedance so the dynamic
         # solution remains subsonic on both sides.
         mass_flux = 0.35 * min(
             rho_l * math.sqrt(eos.sound_speed_sq(rho_l)),
@@ -394,23 +401,7 @@ def solve_reversible_boundary(
     if j <= 0.0:
         raise ParameterError(f"mass flux must be positive, got {j}")
 
-    n_steps = 8
-    step = 0
-    j_cur = 0.0
-    dj = j / n_steps
-    halvings = 0
-    while j_cur < j:
-        j_next = min(j_cur + dj, j)
-        try:
-            rho_l_new, rho_r_new = _newton2(eos, rho_l, rho_r, j_next, bl, br)
-        except NoSolutionError:
-            halvings += 1
-            if halvings > 40:
-                raise
-            dj *= 0.5
-            continue
-        rho_l, rho_r, j_cur = rho_l_new, rho_r_new, j_next
-        step += 1
+    rho_l, rho_r = _newton2(eos, rho_l, rho_r, j, bl, br)
 
     for rho in (rho_l, rho_r):
         u = j / rho

@@ -358,12 +358,6 @@ class KernelConstants:
     Q_sharp: complex
     Q_b: complex
     Q_nat: complex
-    omega1: complex
-    omega2: complex
-    omega3: complex
-    ltilde1: np.ndarray
-    ltilde2: np.ndarray
-    ltilde3: np.ndarray
 
 
 def kernel_constants(root: RootData) -> KernelConstants:
@@ -416,8 +410,6 @@ def kernel_constants(root: RootData) -> KernelConstants:
         + (vr.pp / 2.0 + vr.c2 / vr.rho) * Q_r
         + Q_sharp
     )
-    om1, om2, om3 = _omegas(root)
-    lt1, lt2, lt3 = _ltilde_rows(root)
     a0 = _alpha0_closed(root)
     return KernelConstants(
         alpha0=float(a0.real),
@@ -427,12 +419,6 @@ def kernel_constants(root: RootData) -> KernelConstants:
         Q_sharp=complex(Q_sharp),
         Q_b=complex(Q_b),
         Q_nat=complex(Q_nat),
-        omega1=om1,
-        omega2=om2,
-        omega3=om3,
-        ltilde1=lt1,
-        ltilde2=lt2,
-        ltilde3=lt3,
     )
 
 
@@ -497,9 +483,6 @@ class Kernel:
     """Completed kernel with its constants."""
 
     constants: KernelConstants
-
-    def q(self, k: float, kp: float) -> complex:
-        return kernel_eval(self, k, kp)
 
     def a1(self, k: float, kp: float) -> complex:
         return kernel_eval(self, k, kp) / (4.0 * np.pi)

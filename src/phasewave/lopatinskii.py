@@ -4,9 +4,10 @@ projection data (sigma, gamma) attached to that root.
 The determinant is evaluated two independent ways: a raw (d+2)x(d+2)
 determinant of the frequency column J(v)eta against the boundary images of
 the incoming modes, and the closed product formula.  Its positive root in
-the elliptic interval is located by bisection with a Newton polish, and the
-cofactor functional sigma is again computed both from minors and from the
-closed component formulas.
+the elliptic interval is bracketed by a grid scan, located by the same
+bisection that solves the two-phase equilibrium, and polished by Newton
+steps.  The cofactor functional sigma is again computed both from minors and
+from the closed component formulas.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .equilibrium import PhaseBoundary
+from .equilibrium import PhaseBoundary, _bisect
 from .errors import DegeneracyError, DomainError, InconsistencyError, NoRootError
 from .modes import (
     BoundaryOperators,
@@ -104,11 +105,6 @@ class RootData:
     sigma: SigmaData
     gamma1: complex
     gamma2: complex
-
-    @property
-    def gamma_rest(self) -> Tuple[complex, ...]:
-        """The advected-mode coefficients, identically zero."""
-        return (0j,) * (self.pb.d - 1)
 
 
 def _sigma_closed(pb: PhaseBoundary, eta: Frequency, modes: ModeSet) -> SigmaData:
@@ -258,11 +254,13 @@ def root_function(pb: PhaseBoundary, eta_t: np.ndarray):
 def find_root(pb: PhaseBoundary, eta_t: np.ndarray) -> RootData:
     """Locate the positive Lopatinskii root and assemble all data at it.
 
-    Bisection on the elliptic interval (the root function is negative at 0
-    and positive at the end where a decay radical vanishes) runs for at most
-    80 steps, followed by a 10-step Newton polish with a centered
-    finite-difference derivative.  Only the positive root is returned; the
-    negative one is its mirror image under conjugation.
+    The root function is negative at 0 and positive at the end of the
+    elliptic interval where a decay radical vanishes.  A 129-point grid scan
+    brackets its first sign change (with a warning when there are several),
+    the bisection shared with the equilibrium solve narrows that bracket to
+    adjacent floats, and a Newton polish of at most 10 steps with a centered
+    finite-difference derivative follows.  Only the positive root is
+    returned; the negative one is its mirror image under conjugation.
     """
     eta_t = np.atleast_1d(np.asarray(eta_t, dtype=float))
     if not float(eta_t @ eta_t) > 0.0:
@@ -286,21 +284,9 @@ def find_root(pb: PhaseBoundary, eta_t: np.ndarray) -> RootData:
         )
     if changes and (zero_hits.size == 0 or changes[0] < zero_hits[0]):
         i0 = changes[0]
-        lo, hi = float(grid[i0]), float(grid[i0 + 1])
+        e0 = _bisect(F, float(grid[i0]), float(grid[i0 + 1]))
     else:
-        lo = hi = float(grid[zero_hits[0] + 1])
-    flo = F(lo)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        fm = F(mid)
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if flo * fm < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    e0 = 0.5 * (lo + hi)
+        e0 = float(grid[zero_hits[0] + 1])
 
     scale = pb.left.c2 * pb.right.c2 * e0 * e0
     for _ in range(10):

@@ -40,6 +40,10 @@ class InitSpec:
     width: float = 1.0
     seed: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        if not self.width > 0.0:
+            raise ParameterError(f"init width must be positive, got {self.width}")
+
 
 @dataclass(frozen=True, eq=False)
 class SimConfig:
@@ -64,6 +68,10 @@ class SimConfig:
             raise ParameterError(f"T must be positive, got {self.T}")
         if self.output_every < 1:
             raise ParameterError("output_every must be at least 1")
+        if not self.blowup_factor > 1.0:
+            raise ParameterError(
+                f"blowup_factor must exceed 1, got {self.blowup_factor}"
+            )
 
 
 @dataclass(eq=False)

@@ -139,8 +139,25 @@ def test_inadmissible_state_exits_one(tmp_path, command):
         assert any(item["name"].startswith("fluid-state") for item in report["invariants"])
 
 
-def test_nonpositive_wavenumber_step_exits_one(tmp_path):
-    assert run(tmp_path, "simulate", sim__dk=-0.1) == 1
+BUMP = {"sim__init__name": "gaussian_bump"}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        pytest.param({"sim__dk": -0.1}, id="dk"),
+        pytest.param({"sim__blowup_factor": -1}, id="blowup-negative"),
+        pytest.param({"sim__blowup_factor": 0.5}, id="blowup-below-one"),
+        pytest.param({"sim__blowup_factor": 1}, id="blowup-one"),
+        pytest.param({**BUMP, "sim__init__s": 0}, id="width-zero"),
+        pytest.param({**BUMP, "sim__init__s": -0.5}, id="width-negative"),
+    ],
+)
+def test_nonpositive_wavenumber_step_exits_one(tmp_path, change):
+    # A blow-up factor <= 1 would flag breaking on the first step, and a zero
+    # bump width gives a NaN spectrum; both are refused before any step runs.
+    assert run(tmp_path, "simulate", **change) == 1
+    assert not (tmp_path / "out" / "diag.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["check", "root"])

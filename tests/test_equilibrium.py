@@ -4,6 +4,7 @@ import pytest
 from phasewave import (
     DegeneracyError,
     DomainError,
+    EquationOfState,
     FluidState,
     InconsistencyError,
     NoSolutionError,
@@ -169,12 +170,40 @@ class TestSolveReversibleBoundary:
         assert cond.left.rho == pytest.approx(evap.right.rho, rel=1e-10)
         assert cond.j == pytest.approx(evap.j, rel=1e-10)
 
-    def test_explicit_mass_flux(self):
+    @pytest.mark.parametrize("flux", [1e-5, 2e-4, 5e-4])
+    @pytest.mark.parametrize("vapor", [VAPOR_BRACKET, (2e-4, 0.05)], ids=["narrow", "wide"])
+    @pytest.mark.parametrize("orientation", ["condensing", "evaporating"])
+    def test_explicit_mass_flux(self, flux, vapor, orientation):
+        # One Newton solve from the static pair reaches each target flux in
+        # either orientation, with no continuation in the flux.
         eos = vdw_eos(*VDW_ARGS)
-        pb = solve_reversible_boundary(eos, VAPOR_BRACKET, LIQUID_BRACKET, 2, mass_flux=2e-4)
-        assert pb.j == pytest.approx(2e-4, rel=1e-14)
+        brackets = (vapor, LIQUID_BRACKET)
+        if orientation == "evaporating":
+            brackets = brackets[::-1]
+        pb = solve_reversible_boundary(eos, *brackets, 2, mass_flux=flux)
+        assert pb.j == pytest.approx(flux, rel=1e-14)
         mom, rev = jump_residuals(eos, pb.left.rho, pb.right.rho, pb.j)
         assert max(abs(mom), abs(rev)) <= 1e-12
+        for state in (pb.left, pb.right):
+            assert state.c2 > state.u**2
+
+    def test_shipped_solve_pressure_calls(self):
+        # The bisections stop once the bracket is two adjacent floats, so the
+        # shipped solve needs a few thousand pressure evaluations, not tens of
+        # thousands.
+        eos = vdw_eos(*VDW_ARGS)
+        calls = []
+
+        def pressure(rho):
+            calls.append(rho)
+            return eos.pressure(rho)
+
+        counted = EquationOfState(
+            pressure, eos.sound_speed_sq, eos.pressure_dd, eos.gibbs, eos.rho_max
+        )
+        pb = solve_reversible_boundary(counted, VAPOR_BRACKET, LIQUID_BRACKET, 2)
+        assert pb == solve_reversible_boundary(eos, VAPOR_BRACKET, LIQUID_BRACKET, 2)
+        assert len(calls) < 10_000
 
     def test_degenerate_equal_densities_rejected(self):
         # A monotone pressure law forces rho_l = rho_r, which the jump
