@@ -336,24 +336,24 @@ def _maxwell_pair(
     def gibbs_gap(rho_out: float) -> float:
         return eos.gibbs(match(rho_out)) - eos.gibbs(rho_out)
 
-    grid = np.linspace(outer[0], outer[1], 65)
-    gaps = np.full(grid.size, np.nan)
-    for i, r in enumerate(grid):
+    # Scan a 65-point grid for the first segment whose two ends both have a
+    # pressure match and a Gibbs gap that changes sign (or is zero at its
+    # start); the gaps past that segment are never evaluated.
+    prev = None
+    for r in np.linspace(outer[0], outer[1], 65):
+        r = float(r)
         try:
-            gaps[i] = gibbs_gap(float(r))
+            gap = gibbs_gap(r)
         except NoSolutionError:
-            continue
-    seg = None
-    for i in range(grid.size - 1):
-        if np.isfinite(gaps[i]) and np.isfinite(gaps[i + 1]):
-            if gaps[i] == 0.0 or gaps[i] * gaps[i + 1] <= 0.0:
-                seg = (float(grid[i]), float(grid[i + 1]))
-                break
-    if seg is None:
+            gap = math.nan
+        if prev is not None and math.isfinite(gap) and (prev[1] == 0.0 or prev[1] * gap <= 0.0):
+            break
+        prev = (r, gap) if math.isfinite(gap) else None
+    else:
         raise NoSolutionError(
             f"no coexistence pair: Gibbs gap has no sign change over [{outer[0]}, {outer[1]}]"
         )
-    rho_out = _bisect(gibbs_gap, seg[0], seg[1])
+    rho_out = _bisect(gibbs_gap, prev[0], r)
     rho_in = match(rho_out)
     if outer is bl:
         return rho_out, rho_in

@@ -4,32 +4,28 @@ projection data (sigma, gamma) attached to that root.
 The determinant is evaluated two independent ways: a raw (d+2)x(d+2)
 determinant of the frequency column J(v)eta against the boundary images of
 the incoming modes, and the closed product formula.  Its positive root in
-the elliptic interval is bracketed by a grid scan, located by the same
-bisection that solves the two-phase equilibrium, and polished by Newton
-steps.  The cofactor functional sigma is again computed both from minors and
-from the closed component formulas.
+the elliptic interval, the surface wave, is the positive root of a quadratic
+in eta0^2 and is computed in closed form.  The cofactor functional sigma is
+again computed both from minors and from the closed component formulas.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .equilibrium import PhaseBoundary, _bisect
+from .equilibrium import PhaseBoundary
 from .errors import DegeneracyError, DomainError, InconsistencyError, NoRootError
 from .modes import (
     BoundaryOperators,
     Frequency,
     ModeSet,
-    TangentFrame,
     boundary_operators,
     elliptic_eta0_max,
     normal_modes,
-    tangent_frame,
 )
 
 
@@ -43,7 +39,6 @@ def lopatinskii_det(
     eta: Frequency,
     method: str = "closed",
     modes: Optional[ModeSet] = None,
-    ops: Optional[BoundaryOperators] = None,
 ) -> complex:
     """Evaluate the Lopatinskii determinant at a frequency.
 
@@ -66,8 +61,7 @@ def lopatinskii_det(
             * (vl.u * vr.u * modes.a_l * modes.a_r + vl.c2 * vr.c2 * e0 * e0)
         )
     if method == "raw":
-        if ops is None:
-            ops = boundary_operators(pb, eta)
+        ops = boundary_operators(pb, eta)
         cols = _raw_columns(modes, ops)
         M = np.empty((pb.d + 2, pb.d + 2), dtype=complex)
         M[:, 0] = ops.Jeta
@@ -99,7 +93,6 @@ class RootData:
 
     pb: PhaseBoundary
     eta: Frequency
-    frame: TangentFrame
     modes: ModeSet
     ops: BoundaryOperators
     sigma: SigmaData
@@ -252,66 +245,53 @@ def root_function(pb: PhaseBoundary, eta_t: np.ndarray):
 
 
 def find_root(pb: PhaseBoundary, eta_t: np.ndarray) -> RootData:
-    """Locate the positive Lopatinskii root and assemble all data at it.
+    """The positive Lopatinskii root in closed form, with all data at it.
 
-    The root function is negative at 0 and positive at the end of the
-    elliptic interval where a decay radical vanishes.  A 129-point grid scan
-    brackets its first sign change (with a warning when there are several),
-    the bisection shared with the equilibrium solve narrows that bracket to
-    adjacent floats, and a Newton polish of at most 10 steps with a centered
-    finite-difference derivative follows.  Only the positive root is
-    returned; the negative one is its mirror image under conjugation.
+    Squaring the root factor F(eta0) = u_l u_r a_l a_r + c_l^2 c_r^2 eta0^2
+    gives, in x = eta0^2,
+
+        (C - U) x^2 + U (A + B) x - U A B = 0,
+
+    with U = u_l^2 u_r^2, C = c_l^2 c_r^2, A = (c_l^2 - u_l^2)|eta_t|^2 and
+    B = (c_r^2 - u_r^2)|eta_t|^2.  Both states are subsonic, so C > U and the
+    product of the two roots, -U A B / (C - U), is negative: exactly one root
+    is positive.  The quadratic is -U A B < 0 at x = 0 and C A^2, C B^2 > 0
+    at x = A, B, so that root lies below min(A, B), inside the elliptic
+    interval.  There u_l u_r a_l a_r < 0 < C x, so it is a zero of F and not
+    an artefact of the squaring, and F has no other.  With
+    t = (u_l/c_l)(u_r/c_r) in (0, 1) the root is written in a form free of
+    cancellation and overflow.
+
+    Raises NoRootError when floating point cannot deliver the root: eta0 is
+    not strictly inside (0, elliptic_eta0_max), or the root-relation residual
+    exceeds 1e-12.  Only the positive root is returned; the negative one is
+    its mirror image under conjugation.
     """
     eta_t = np.atleast_1d(np.asarray(eta_t, dtype=float))
-    if not float(eta_t @ eta_t) > 0.0:
+    ht2 = float(eta_t @ eta_t)
+    if not ht2 > 0.0:
         raise DegeneracyError("tangential wavevector must be nonzero")
-    e0_max = elliptic_eta0_max(pb, eta_t)
-    F = root_function(pb, eta_t)
+    vl, vr = pb.left, pb.right
+    A = (vl.c2 - vl.u**2) * ht2
+    B = (vr.c2 - vr.u**2) * ht2
+    t = (vl.u / vl.c) * (vr.u / vr.c)
+    den = t * (A + B) + math.hypot(t * (A - B), 2.0 * math.sqrt(A * B))
+    e0 = math.sqrt(2.0 * A * B * t / den) if den > 0.0 else 0.0
 
-    grid = np.linspace(0.0, e0_max, 129)
-    vals = np.array([F(x) for x in grid])
-    zero_hits = np.flatnonzero(vals[1:] == 0.0)
-    signs = np.sign(vals)
-    changes = [
-        i for i in range(len(grid) - 1) if signs[i] != 0 and signs[i] * signs[i + 1] < 0
-    ]
-    if not changes and zero_hits.size == 0:
-        raise NoRootError("no sign change of the root function in the elliptic interval")
-    if len(changes) > 1:
-        warnings.warn(
-            f"{len(changes)} sign changes of the root function; returning the smallest root",
-            stacklevel=2,
-        )
-    if changes and (zero_hits.size == 0 or changes[0] < zero_hits[0]):
-        i0 = changes[0]
-        e0 = _bisect(F, float(grid[i0]), float(grid[i0 + 1]))
-    else:
-        e0 = float(grid[zero_hits[0] + 1])
+    scale = vl.c2 * vr.c2 * e0 * e0
+    if not (
+        0.0 < e0 < elliptic_eta0_max(pb, eta_t)
+        and scale > 0.0
+        and abs(root_function(pb, eta_t)(e0)) / scale <= 1e-12
+    ):
+        raise NoRootError(f"floating point cannot represent the root (eta0 = {e0!r})")
 
-    scale = pb.left.c2 * pb.right.c2 * e0 * e0
-    for _ in range(10):
-        h = 1e-7 * e0
-        hi_pt = min(e0 + h, np.nextafter(e0_max, 0.0))
-        lo_pt = max(e0 - h, 0.0)
-        dF = (F(hi_pt) - F(lo_pt)) / (hi_pt - lo_pt)
-        if dF == 0.0:
-            break
-        step = F(e0) / dF
-        e0_new = min(max(e0 - step, 0.0), np.nextafter(e0_max, 0.0))
-        if abs(F(e0_new)) <= abs(F(e0)):
-            e0 = e0_new
-        if abs(F(e0)) < 1e-15 * scale:
-            break
-
-    eta = Frequency(eta0=float(e0), eta_t=eta_t)
-    frame = tangent_frame(eta_t, pb.right.u, float(e0), pb.d)
-    modes = normal_modes(pb, eta, frame)
+    eta = Frequency(eta0=e0, eta_t=eta_t)
+    modes = normal_modes(pb, eta)
     ops = boundary_operators(pb, eta)
     sigma = _sigma_closed(pb, eta, modes)
     g1, g2 = _gamma_pair(pb, eta, modes)
-    return RootData(
-        pb=pb, eta=eta, frame=frame, modes=modes, ops=ops, sigma=sigma, gamma1=g1, gamma2=g2
-    )
+    return RootData(pb=pb, eta=eta, modes=modes, ops=ops, sigma=sigma, gamma1=g1, gamma2=g2)
 
 
 def root_relation_residual(root: RootData) -> float:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -219,7 +219,7 @@ def _embed(small: np.ndarray, side: str, d: int) -> np.ndarray:
     return full
 
 
-def normal_modes(pb: PhaseBoundary, eta: Frequency, frame: Optional[TangentFrame] = None) -> ModeSet:
+def normal_modes(pb: PhaseBoundary, eta: Frequency) -> ModeSet:
     """Decay rates, eigenmodes, and right/left eigenvectors at a frequency.
 
     Requires the frequency to lie in the elliptic region of both states so
@@ -233,8 +233,7 @@ def normal_modes(pb: PhaseBoundary, eta: Frequency, frame: Optional[TangentFrame
     if et.size != d - 1:
         raise ParameterError(f"eta_t must have length {d - 1}, got {et.size}")
     ht2 = eta.ht2
-    if frame is None:
-        frame = tangent_frame(et, vr.u, e0, d)
+    frame = tangent_frame(et, vr.u, e0, d)
 
     rad_l = (vl.c2 - vl.u**2) * ht2 - e0 * e0
     rad_r = (vr.c2 - vr.u**2) * ht2 - e0 * e0

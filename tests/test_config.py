@@ -163,3 +163,25 @@ def test_nonpositive_wavenumber_step_exits_one(tmp_path, change):
 @pytest.mark.parametrize("command", ["check", "root"])
 def test_nonpositive_temperature_exits_one(tmp_path, command):
     assert run(tmp_path, command, EOS, eos__RT=-1) == 1
+
+
+@pytest.mark.parametrize(
+    "right",
+    [
+        pytest.param(RAW["left"], id="equal-states"),
+        pytest.param(
+            {**RAW["left"], "rho": 1.0 + 1e-15, "u": 0.9 / (1.0 + 1e-15)},
+            id="relative-jump-1e-15",
+        ),
+    ],
+)
+def test_vanishing_jump_named_by_check(tmp_path, capsys, right):
+    # make_phase_boundary refuses a density jump below 1e-14 relative; check
+    # reports that refusal as a failed row instead of crashing before any
+    # check.json is written.
+    assert run(tmp_path, "check", right=right) == 1
+    report = json.loads((tmp_path / "out" / "check.json").read_text())
+    assert report["pass"] is False
+    failed = [item["name"] for item in report["invariants"] if not item["pass"]]
+    assert len(failed) == 1 and "density jump vanishes" in failed[0]
+    assert capsys.readouterr().out.strip() == f"check: FAIL ({failed[0]})"

@@ -91,7 +91,7 @@ class TestAlpha0:
         lhs = sig @ f0_jump
         ref = (
             -pb.jump_rho
-            * root_a.frame.upsilon
+            * root_a.modes.frame.upsilon
             * pb.left.u
             * pb.right.u
             * eta.ht2
@@ -105,7 +105,7 @@ class TestAlpha0:
         vl, vr = pb.left, pb.right
         e0, ht2 = eta.eta0, eta.ht2
         al, ar = m.a_l, m.a_r
-        ju, ups = pb.jump_u, root_a.frame.upsilon
+        ju, ups = pb.jump_u, root_a.modes.frame.upsilon
         w2 = e0 * e0 + vr.u**2 * ht2
         sig = root_a.sigma.sigma_star
         H = root_a.ops.H
@@ -203,7 +203,7 @@ class TestProfiles:
         ref = (
             pb.jump_rho
             * pb.jump_u
-            * root_a.frame.upsilon
+            * root_a.modes.frame.upsilon
             * 1j
             * vr.u
             * e0
@@ -373,7 +373,7 @@ class TestConstants:
             2.0
             * pb.jump_rho
             * pb.jump_u
-            * root_a.frame.upsilon
+            * root_a.modes.frame.upsilon
             * (eta.eta0**2 + pb.right.u**2 * eta.ht2)
             * pb.left.u
             * pb.right.u

@@ -2,15 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasewave import (
     DegeneracyError,
     DomainError,
+    FluidState,
     Frequency,
+    NoRootError,
     elliptic_eta0_max,
     find_root,
     gamma_coefficients,
     lopatinskii_det,
+    make_phase_boundary,
     normal_modes,
     sigma_vector,
 )
@@ -19,12 +24,13 @@ from phasewave.lopatinskii import (
     gamma_alternative_forms,
     gamma_linear_residual,
     lemma4_residuals,
+    root_function,
     root_relation_residual,
     sigma_r3_residual,
 )
 from phasewave.kernel import alpha0
 
-from conftest import fixture_a_boundary, random_boundary, random_frequency
+from conftest import FIXTURE_A, fixture_a_boundary, random_boundary, random_frequency
 
 # Root of the canonical configuration, frozen after cross-validation against
 # the raw determinant, the minors functional, and the abstract alpha0 sum.
@@ -117,6 +123,37 @@ class TestFindRoot:
         pb = fixture_a_boundary()
         with pytest.raises(DegeneracyError):
             find_root(pb, [0.0])
+
+    @given(seed=st.integers(0, 2**31 - 1), d=st.sampled_from([2, 3]))
+    @settings(max_examples=50, deadline=None)
+    def test_closed_form_is_the_zero_of_the_root_function(self, seed, d):
+        # The closed-form root lies inside the elliptic interval, the root
+        # function F changes sign across it, and F vanishes there to 1e-12.
+        rng = np.random.default_rng(seed)
+        pb = random_boundary(rng, d)
+        eta_t = random_frequency(rng, pb).eta_t
+        root = find_root(pb, eta_t)
+        e0 = root.eta.eta0
+        assert 0.0 < e0 < elliptic_eta0_max(pb, eta_t)
+        F = root_function(pb, eta_t)
+        assert F(e0 * (1.0 - 1e-12)) < 0.0 < F(e0 * (1.0 + 1e-12))
+        assert root_relation_residual(root) <= 1e-12
+
+    @pytest.mark.parametrize("d,eta_t", [(2, [1.0]), (3, [0.6, 0.8])])
+    def test_tiny_velocities(self, d, eta_t):
+        # fixture_a with both velocities scaled down at fixed density ratio.
+        # At u_l = 1e-150 the root is still representable; at 1e-160 the
+        # products u_l*u_r underflow, and the root is refused, not reported.
+        def boundary(u_l):
+            left = FluidState(**{**FIXTURE_A["left"], "u": u_l})
+            right = FluidState(**{**FIXTURE_A["right"], "u": u_l / 0.45})
+            return make_phase_boundary(left, right, d, FIXTURE_A["mu"])
+
+        root = find_root(boundary(1e-150), eta_t)
+        assert 0.0 < root.eta.eta0 < elliptic_eta0_max(root.pb, eta_t)
+        assert root_relation_residual(root) <= 1e-12
+        with pytest.raises(NoRootError):
+            find_root(boundary(1e-160), eta_t)
 
     def test_root_relation(self, root_a):
         assert root_relation_residual(root_a) <= 1e-12
