@@ -216,7 +216,10 @@ def cmd_check(cfg: dict, outdir: Path, seed: int) -> int:
         scan_dev = max(scan_dev, abs(raw - closed) / max(abs(raw), abs(closed)))
     checks.append(_invariant("delta-raw-vs-closed", scan_dev, 1e-10))
 
-    root = find_root(pb, eta_t)
+    try:
+        root = find_root(pb, eta_t)
+    except NoRootError as exc:
+        return fail(f"surface-wave-root ({exc})")
     checks.append(_invariant("root-relation", root_relation_residual(root), 1e-12))
     checks.append(_invariant("gamma-linear-relation", gamma_linear_residual(root), 1e-10))
     checks.append(_invariant("gamma-forms", gamma_forms_residual(root), 1e-12))
@@ -347,9 +350,9 @@ def cmd_simulate(cfg: dict, outdir: Path, seed: int) -> int:
     result = evolve(kernel, kernel.constants.alpha0, sim_cfg, default_seed=seed)
     _write_csv(
         outdir / "diag.csv",
-        ["tau", "mean_re", "mean_im", "l2", "h2", "max_abs"],
+        ["tau", "mean_re", "mean_im", "l2", "h2", "max_abs", "energy"],
         [
-            [row.tau, row.mean.real, row.mean.imag, row.l2, row.h2, row.max_abs]
+            [row.tau, row.mean.real, row.mean.imag, row.l2, row.h2, row.max_abs, row.energy]
             for row in result.diagnostics
         ],
     )

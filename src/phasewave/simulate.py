@@ -12,10 +12,17 @@ RK4.  The kernel is homogeneous of degree zero, so the sum splits over three
 regions of the (k - k_m, k_m) plane, each fixed by the one constant Q_nat:
 both arguments positive (q = Q_nat, a self-convolution of the positive half),
 the two mixed-sign regions (q = conj(Q_nat)(1 + k'/k), which coincide after
-reindexing and give two cross-correlations), and the two axes
-(q = Re Q_nat).  The right side is therefore built from three 1-D
-correlations on the half spectrum n = 0..N, in O(N) memory, and its negative
-half is the exact conjugate mirror; no kernel matrix is formed.
+reindexing and carry the positive weight n/(n+j), so they give one
+cross-correlation), and the two axes (q = Re Q_nat).  The right side is
+therefore built from two 1-D products on the half spectrum n = 0..N, one
+convolution and one correlation, in O(N) memory, and its negative half is
+the exact conjugate mirror; no kernel matrix is formed.
+
+Diagnostics: the mean mode, `l2` = dk sum |what|^2, the H2 proxy
+`h2` = dk sum k^4 |what|^2, `max_abs`, and the Hdot^{-1/2} energy
+`energy` = dk sum_{k != 0} |what|^2/|k|.  The truncated system conserves the
+energy exactly (the kernel's cyclic triad identity), so under RK4 it drifts
+only by the time-step error; `l2` and `h2` are not invariants.
 """
 
 from __future__ import annotations
@@ -98,8 +105,14 @@ class SpectralField:
         return float(np.sum(np.abs(self.what) ** 2) * self.dk)
 
     def h2(self) -> float:
-        k = self.wavenumbers()
-        return float(np.sum(k**4 * np.abs(self.what) ** 2) * self.dk)
+        k2 = self.wavenumbers() ** 2
+        return float(np.sum(k2 * k2 * np.abs(self.what) ** 2) * self.dk)
+
+    def energy(self) -> float:
+        """Hdot^{-1/2} energy dk sum_{k != 0} |what_k|^2 / |k|."""
+        k = np.abs(self.wavenumbers())
+        k[self.N] = np.inf
+        return float(np.sum(np.abs(self.what) ** 2 / k) * self.dk)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.what)))
@@ -153,12 +166,15 @@ def convolution_rhs(field: SpectralField, kernel: Kernel, alpha0: float) -> Spec
     three regions give for n >= 1
 
         conv_n = Q_nat (p*p)_n
-                 + 2 conj(Q_nat) sum_{j>=1} (1 - j/(n+j)) p_{n+j} conj(p_j)
+                 + 2 conj(Q_nat) n sum_{j>=1} v_{n+j} conj(p_j)
                  + 2 Re(Q_nat) w0 p_n,
 
-    where j/(n+j) p_{n+j} conj(p_j) = v_{n+j} conj(j p_j) with v_m = p_m/m.
-    Out-of-grid spectral factors are zero.  The output is exactly zero at
-    k = 0 and rhs(-k) = conj(rhs(k)) holds exactly by construction.
+    with v_m = p_m/m: the mixed-region weight 1 - j/(n+j) is n/(n+j), which
+    is positive, so that region is one correlation and needs no subtraction.
+    The right side is therefore two 1-D products, `np.convolve(p, p)` (kept
+    full length) and `np.correlate(v, p)`.  Out-of-grid spectral factors are
+    zero.  The output is exactly zero at k = 0 and rhs(-k) = conj(rhs(k))
+    holds exactly by construction.
     """
     a0 = complex(alpha0)
     if a0.imag != 0.0 or not np.isfinite(a0.real):
@@ -172,7 +188,7 @@ def convolution_rhs(field: SpectralField, kernel: Kernel, alpha0: float) -> Spec
     p[0] = 0.0
     idx = np.arange(N + 1)
     v = p / np.maximum(idx, 1)
-    mixed = np.correlate(p, p, "full")[N:] - np.correlate(v, idx * p, "full")[N:]
+    mixed = idx * np.correlate(v, p, "full")[N:]
     conv = Qn * np.convolve(p, p)[: N + 1] + 2.0 * np.conj(Qn) * mixed + 2.0 * Qn.real * w0 * p
     half = -1j * idx * dk / a0.real * conv * (dk / (4.0 * np.pi))
     half[0] = 0.0
@@ -197,6 +213,7 @@ class DiagRow:
     l2: float
     h2: float
     max_abs: float
+    energy: float
 
 
 @dataclass(eq=False)
@@ -231,24 +248,24 @@ def evolve(kernel: Kernel, alpha0: float, config: SimConfig, default_seed: int =
     snaps: List[Tuple[float, np.ndarray]] = []
     breaking: Optional[float] = None
 
-    def record(tau: float, f: SpectralField) -> None:
-        diag.append(DiagRow(tau, f.mean(), f.l2(), f.h2(), f.max_abs()))
+    def record(tau: float, f: SpectralField, h2: float) -> None:
+        diag.append(DiagRow(tau, f.mean(), f.l2(), h2, f.max_abs(), f.energy()))
         if config.snapshots:
             snaps.append((tau, f.what.copy()))
 
-    record(0.0, field)
+    record(0.0, field, h2_0)
     for n in range(1, n_steps + 1):
         field = rk4_step(field, kernel, alpha0, config.dt)
         tau = n * config.dt
-        bad = not np.all(np.isfinite(field.what))
-        if not bad and h2_0 > 0.0 and field.h2() > config.blowup_factor * h2_0:
-            bad = True
-        if bad:
+        h2 = field.h2()
+        if not np.all(np.isfinite(field.what)) or (
+            h2_0 > 0.0 and h2 > config.blowup_factor * h2_0
+        ):
             breaking = tau
-            record(tau, field)
+            record(tau, field, h2)
             break
         if n % config.output_every == 0 or n == n_steps:
-            record(tau, field)
+            record(tau, field, h2)
     return SimResult(
         field=field,
         diagnostics=diag,

@@ -9,6 +9,7 @@ needs but the file lacks; every one is reported before any physics runs.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from phasewave.cli import main
@@ -185,3 +186,19 @@ def test_vanishing_jump_named_by_check(tmp_path, capsys, right):
     failed = [item["name"] for item in report["invariants"] if not item["pass"]]
     assert len(failed) == 1 and "density jump vanishes" in failed[0]
     assert capsys.readouterr().out.strip() == f"check: FAIL ({failed[0]})"
+
+
+def test_unrepresentable_root_named_by_check(tmp_path, capsys):
+    # fixture_a with both velocities scaled down at fixed density ratio: at
+    # u_l = 1e-160 find_root raises NoRootError, which check reports as its
+    # last, failed row in check.json instead of exiting without writing one
+    # (the determinant comparison fails there too).
+    u_l = 1e-160
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = run(tmp_path, "check", left__u=u_l, right__u=u_l / 0.45)
+    assert rc == 1
+    report = json.loads((tmp_path / "out" / "check.json").read_text())
+    assert report["pass"] is False
+    last = report["invariants"][-1]
+    assert last["name"].startswith("surface-wave-root (") and last["pass"] is False
+    assert capsys.readouterr().out.strip() == f"check: FAIL ({last['name']})"

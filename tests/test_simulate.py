@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +10,13 @@ from phasewave import (
     ParameterError,
     build_kernel,
     convolution_rhs,
+    find_root,
     init_field,
     kernel_eval,
     rk4_step,
     run_simulation,
 )
+from phasewave.config import build_boundary, load_config
 from phasewave.kernel import kernel_constants, q_grid
 from phasewave.simulate import (
     InitSpec,
@@ -24,11 +28,20 @@ from phasewave.simulate import (
 )
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
 
 @pytest.fixture(scope="module")
 def kernel_and_alpha(root_a):
     kc = kernel_constants(root_a)
     return build_kernel(root_a), kc.alpha0
+
+
+@pytest.fixture(scope="module", params=["fixture_a", "vdw"])
+def shipped_kernel_and_alpha(request):
+    cfg = load_config(CONFIGS / f"{request.param}.json")
+    kernel = build_kernel(find_root(build_boundary(cfg), np.asarray(cfg["eta_t"], dtype=float)))
+    return kernel, kernel.constants.alpha0
 
 
 def _cfg(**kw):
@@ -46,15 +59,19 @@ def _cfg(**kw):
 
 def _brute_force_rhs(field, kern, a0v):
     """The RHS as a direct sum over all (2N+1)^2 grid pairs with `q_grid`
-    values, out-of-grid factors zero.  O(N^2) memory; an oracle only."""
+    values, out-of-grid factors zero.  Evaluated 128 output modes at a time,
+    so memory is O(N); an oracle only."""
+    rows = 128
     N, dk, w = field.N, field.dk, field.what
     k = field.wavenumbers()
     n = np.arange(-N, N + 1)
-    shift = n[:, None] - n[None, :]
-    factor = np.where(np.abs(shift) <= N, w[np.clip(shift, -N, N) + N], 0.0)
-    q = q_grid(kern, k[:, None] - k[None, :], k[None, :])
-    conv = (q * factor) @ w * (dk / (4.0 * np.pi))
-    rhs = (-1j * k / a0v) * conv
+    conv = np.empty(2 * N + 1, dtype=complex)
+    for lo in range(0, 2 * N + 1, rows):
+        shift = n[lo : lo + rows, None] - n[None, :]
+        factor = np.where(np.abs(shift) <= N, w[np.clip(shift, -N, N) + N], 0.0)
+        q = q_grid(kern, k[lo : lo + rows, None] - k[None, :], k[None, :])
+        conv[lo : lo + rows] = (q * factor) @ w
+    rhs = (-1j * k / a0v) * conv * (dk / (4.0 * np.pi))
     rhs[N] = 0.0
     return rhs
 
@@ -157,9 +174,12 @@ class TestConvolutionRhs:
         ref = hermitian_symmetrize(ref)
         assert np.max(np.abs(fast - ref)) <= 1e-15 * max(np.max(np.abs(ref)), 1e-30)
 
-    @pytest.mark.parametrize("N", [64, 256])
-    @pytest.mark.parametrize("profile", ["random_smooth", "gaussian_bump", "evolved"])
-    def test_matches_vectorized_brute_force_at_scale(self, kernel_and_alpha, N, profile):
+    @pytest.mark.parametrize(
+        "profile, N",
+        [(p, n) for n in (64, 256) for p in ("random_smooth", "gaussian_bump", "evolved")]
+        + [("random_smooth", 1024)],
+    )
+    def test_matches_vectorized_brute_force_at_scale(self, kernel_and_alpha, profile, N):
         kern, a0v = kernel_and_alpha
         bump = InitSpec("gaussian_bump", amplitude=0.5, k0=1.0, width=0.5)
         if profile == "random_smooth":
@@ -200,6 +220,46 @@ class TestConvolutionRhs:
         assert peak < 8 * 2**20
 
 
+class TestEnergy:
+    """The Hdot^{-1/2} energy E = dk sum_{k != 0} |what_k|^2/|k| is an exact
+    invariant of the truncated system: dE/dtau = 2 dk sum_{k != 0}
+    Re(conj(what_k) rhs_k)/|k| vanishes to round-off for any field."""
+
+    @pytest.mark.parametrize("mean", [0.0, 0.3])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rhs_conserves_energy(self, shipped_kernel_and_alpha, seed, mean):
+        kern, a0v = shipped_kernel_and_alpha
+        f = init_field(_cfg(N=200, init=InitSpec("random_smooth", amplitude=1.0, seed=seed)))
+        f.what[f.N] = mean
+        rhs = convolution_rhs(f, kern, a0v).what
+        k = np.abs(f.wavenumbers())
+        k[f.N] = np.inf
+        rate = np.sum(np.real(np.conj(f.what) * rhs) / k)
+        scale = np.sum(np.abs(f.what) * np.abs(rhs) / k)
+        assert scale > 0.0
+        assert abs(rate) <= 1e-14 * scale
+
+    def test_energy_formula(self):
+        f = init_field(_cfg(N=16, init=InitSpec("random_smooth", amplitude=1.0, seed=8)))
+        f.what[f.N] = 5.0
+        ref = math.fsum(
+            abs(w) ** 2 / abs(kn) * f.dk for kn, w in zip(f.wavenumbers(), f.what) if kn != 0.0
+        )
+        assert f.energy() == pytest.approx(ref, rel=1e-14)
+
+    def test_evolve_reports_energy(self, kernel_and_alpha):
+        kern, a0v = kernel_and_alpha
+        cfg = _cfg(N=64, T=0.5, init=InitSpec("gaussian_bump", amplitude=0.5, k0=1.0, width=0.5))
+        res = evolve(kern, a0v, cfg)
+        energies = [row.energy for row in res.diagnostics]
+        l2s = [row.l2 for row in res.diagnostics]
+        assert energies[-1] == res.field.energy()
+        # Only the RK4 time-step error moves E (measured 4.9e-16); l2 is not
+        # an invariant and moves by 3e-3 over the same run.
+        assert max(abs(e - energies[0]) for e in energies) <= 1e-12 * energies[0]
+        assert max(abs(v - l2s[0]) for v in l2s) > 1e-4 * l2s[0]
+
+
 class TestRk4:
     def test_zero_dt_identity(self, kernel_and_alpha):
         kern, a0v = kernel_and_alpha
@@ -212,6 +272,20 @@ class TestRk4:
         f = SpectralField(0.1, np.zeros(65, dtype=complex))
         out = rk4_step(f, kern, a0v, 0.05)
         assert np.all(out.what == 0.0)
+
+    def test_evolve_is_rk4_iterated(self, kernel_and_alpha):
+        kern, a0v = kernel_and_alpha
+        cfg = _cfg(N=48, dt=0.02, T=0.3, init=InitSpec("random_smooth", amplitude=0.5, seed=6))
+        f = init_field(cfg)
+        for _ in range(15):
+            f = rk4_step(f, kern, a0v, cfg.dt)
+        assert np.array_equal(evolve(kern, a0v, cfg).field.what, f.what)
+
+    @pytest.mark.parametrize("N", [8, 1024])
+    def test_h2_matches_exact_sum(self, N):
+        f = init_field(_cfg(dk=0.05, N=N, init=InitSpec("gaussian_bump", amplitude=0.7, k0=1.0, width=0.5)))
+        ref = math.fsum(kn**4 * abs(w) ** 2 * f.dk for kn, w in zip(f.wavenumbers(), f.what))
+        assert abs(f.h2() - ref) <= 1e-14 * ref
 
     def test_self_convergence_fourth_order(self, kernel_and_alpha):
         kern, a0v = kernel_and_alpha
