@@ -15,14 +15,21 @@ the two mixed-sign regions (q = conj(Q_nat)(1 + k'/k), which coincide after
 reindexing and carry the positive weight n/(n+j), so they give one
 cross-correlation), and the two axes (q = Re Q_nat).  The right side is
 therefore built from two 1-D products on the half spectrum n = 0..N, one
-convolution and one correlation, in O(N) memory, and its negative half is
-the exact conjugate mirror; no kernel matrix is formed.
+convolution and one correlation, in O(N) memory; no kernel matrix is formed.
+
+The evolution state is that half spectrum.  `evolve` validates alpha0 and
+folds the region factors and -i k/alpha0 * dk/(4 pi) into three O(N) weight
+arrays once per run, steps the n = 0..N vector with RK4, and mirrors it as
+its exact conjugate only where the full spectrum leaves the library: the
+snapshots and the returned field.  The public `convolution_rhs` and
+`rk4_step` take and return full spectra and wrap the same core.
 
 Diagnostics: the mean mode, `l2` = dk sum |what|^2, the H2 proxy
 `h2` = dk sum k^4 |what|^2, `max_abs`, and the Hdot^{-1/2} energy
-`energy` = dk sum_{k != 0} |what|^2/|k|.  The truncated system conserves the
-energy exactly (the kernel's cyclic triad identity), so under RK4 it drifts
-only by the time-step error; `l2` and `h2` are not invariants.
+`energy` = dk sum_{k != 0} |what|^2/|k|, each summed on the half spectrum as
+2 sum_{n>=1} + (n = 0).  The truncated system conserves the energy exactly
+(the kernel's cyclic triad identity), so under RK4 it drifts only by the
+time-step error; `l2` and `h2` are not invariants.
 """
 
 from __future__ import annotations
@@ -83,7 +90,11 @@ class SimConfig:
 
 @dataclass(eq=False)
 class SpectralField:
-    """Hermitian-symmetric truncated spectrum on k_n = n*dk, n = -N..N."""
+    """Hermitian-symmetric truncated spectrum on k_n = n*dk, n = -N..N.
+
+    The norms read only the half spectrum n = 0..N, the same way `evolve`
+    computes its diagnostics.
+    """
 
     dk: float
     what: np.ndarray
@@ -102,20 +113,36 @@ class SpectralField:
         return complex(self.what[self.N])
 
     def l2(self) -> float:
-        return float(np.sum(np.abs(self.what) ** 2) * self.dk)
+        return _weighted_sum(self.what[self.N :], _diag_weights(self.N, self.dk, 0))
 
     def h2(self) -> float:
-        k2 = self.wavenumbers() ** 2
-        return float(np.sum(k2 * k2 * np.abs(self.what) ** 2) * self.dk)
+        return _weighted_sum(self.what[self.N :], _diag_weights(self.N, self.dk, 4))
 
     def energy(self) -> float:
         """Hdot^{-1/2} energy dk sum_{k != 0} |what_k|^2 / |k|."""
-        k = np.abs(self.wavenumbers())
-        k[self.N] = np.inf
-        return float(np.sum(np.abs(self.what) ** 2 / k) * self.dk)
+        return _weighted_sum(self.what[self.N :], _diag_weights(self.N, self.dk, -1))
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.what)))
+        return float(np.max(np.abs(self.what[self.N :])))
+
+
+def _diag_weights(N: int, dk: float, s: int) -> np.ndarray:
+    """Weights c_n, n = 0..N, such that sum_n c_n |what_n|^2 is the sum
+    dk sum_k |k|^s |what_k|^2 over the Hermitian spectrum, k = 0 included
+    only for s = 0: the full sum is 2 sum_{n>=1} + (n = 0)."""
+    c = np.empty(N + 1)
+    c[0] = dk if s == 0 else 0.0
+    c[1:] = 2.0 * dk * (dk * np.arange(1, N + 1)) ** s
+    return c
+
+
+def _weighted_sum(half: np.ndarray, weights: np.ndarray) -> float:
+    return float(np.sum(weights * np.abs(half) ** 2))
+
+
+def _mirror(half: np.ndarray) -> np.ndarray:
+    """The full spectrum n = -N..N whose half n = 0..N is `half`."""
+    return np.concatenate((np.conj(half[:0:-1]), half))
 
 
 def hermitian_symmetrize(w: np.ndarray) -> np.ndarray:
@@ -158,6 +185,48 @@ def init_field(config: SimConfig, default_seed: int = 0) -> SpectralField:
     return SpectralField(dk=dk, what=hermitian_symmetrize(w))
 
 
+def _rhs_weights(N: int, dk: float, kernel: Kernel, alpha0: float) -> Tuple[np.ndarray, ...]:
+    """Validate alpha0 and build the O(N) arrays of the half-spectrum RHS.
+
+    Returns 1/max(n, 1) and the weights of the three regions' products, each
+    the scale -i k_n/alpha0 * dk/(4 pi) times the region's factor: Q_nat,
+    2 conj(Q_nat) n and 2 Re(Q_nat).  Every weight is zero at n = 0.
+    """
+    a0 = complex(alpha0)
+    if a0.imag != 0.0 or not np.isfinite(a0.real):
+        raise ParameterError(f"alpha0 must be a finite real number, got {alpha0!r}")
+    if a0.real == 0.0:
+        raise DegeneracyError("alpha0 must be nonzero")
+    Qn = kernel.constants.Q_nat
+    n = np.arange(N + 1)
+    scale = -1j * n * dk / a0.real * (dk / (4.0 * np.pi))
+    inv_m = 1.0 / np.maximum(n, 1)
+    return inv_m, Qn * scale, (2.0 * np.conj(Qn)) * n * scale, (2.0 * Qn.real) * scale
+
+
+def _half_rhs(half: np.ndarray, weights: Tuple[np.ndarray, ...]) -> np.ndarray:
+    """The right side on n = 0..N from the half spectrum n = 0..N."""
+    inv_m, w_conv, w_mixed, w_axis = weights
+    N = half.size - 1
+    p = half.copy()
+    p[0] = 0.0
+    rhs = (
+        w_conv * np.convolve(p, p)[: N + 1]
+        + w_mixed * np.correlate(p * inv_m, p, "full")[N:]
+        + (half[0] * w_axis) * p
+    )
+    rhs[0] = 0.0  # also where a product overflowed: 0 * inf would be nan
+    return rhs
+
+
+def _half_rk4(half: np.ndarray, weights: Tuple[np.ndarray, ...], dt: float) -> np.ndarray:
+    k1 = _half_rhs(half, weights)
+    k2 = _half_rhs(half + 0.5 * dt * k1, weights)
+    k3 = _half_rhs(half + 0.5 * dt * k2, weights)
+    k4 = _half_rhs(half + dt * k3, weights)
+    return half + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def convolution_rhs(field: SpectralField, kernel: Kernel, alpha0: float) -> SpectralField:
     """Right-hand side of the reduced amplitude equation on the grid.
 
@@ -172,38 +241,24 @@ def convolution_rhs(field: SpectralField, kernel: Kernel, alpha0: float) -> Spec
     with v_m = p_m/m: the mixed-region weight 1 - j/(n+j) is n/(n+j), which
     is positive, so that region is one correlation and needs no subtraction.
     The right side is therefore two 1-D products, `np.convolve(p, p)` (kept
-    full length) and `np.correlate(v, p)`.  Out-of-grid spectral factors are
-    zero.  The output is exactly zero at k = 0 and rhs(-k) = conj(rhs(k))
-    holds exactly by construction.
+    full length) and `np.correlate(v, p)`, each times a weight that folds
+    the region's factor into -i k_n/alpha0 * dk/(4 pi).  Out-of-grid
+    spectral factors are zero.  The output is exactly zero at k = 0, and its
+    negative half is the exact conjugate mirror of the half computed, so
+    rhs(-k) = conj(rhs(k)) holds by construction.  `evolve` uses the same
+    half-spectrum core with weights built once per run.
     """
-    a0 = complex(alpha0)
-    if a0.imag != 0.0 or not np.isfinite(a0.real):
-        raise ParameterError(f"alpha0 must be a finite real number, got {alpha0!r}")
-    if a0.real == 0.0:
-        raise DegeneracyError("alpha0 must be nonzero")
-    N, dk = field.N, field.dk
-    Qn = kernel.constants.Q_nat
-    p = field.what[N:].copy()
-    w0 = p[0]
-    p[0] = 0.0
-    idx = np.arange(N + 1)
-    v = p / np.maximum(idx, 1)
-    mixed = idx * np.correlate(v, p, "full")[N:]
-    conv = Qn * np.convolve(p, p)[: N + 1] + 2.0 * np.conj(Qn) * mixed + 2.0 * Qn.real * w0 * p
-    half = -1j * idx * dk / a0.real * conv * (dk / (4.0 * np.pi))
-    half[0] = 0.0
-    return SpectralField(dk=dk, what=np.concatenate((np.conj(half[:0:-1]), half)))
+    N = field.N
+    weights = _rhs_weights(N, field.dk, kernel, alpha0)
+    return SpectralField(dk=field.dk, what=_mirror(_half_rhs(field.what[N:], weights)))
 
 
 def rk4_step(field: SpectralField, kernel: Kernel, alpha0: float, dt: float) -> SpectralField:
-    """One classical fourth-order step; every stage is exactly Hermitian."""
-    w = field.what
-    k1 = convolution_rhs(field, kernel, alpha0).what
-    k2 = convolution_rhs(SpectralField(field.dk, w + 0.5 * dt * k1), kernel, alpha0).what
-    k3 = convolution_rhs(SpectralField(field.dk, w + 0.5 * dt * k2), kernel, alpha0).what
-    k4 = convolution_rhs(SpectralField(field.dk, w + dt * k3), kernel, alpha0).what
-    new = w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return SpectralField(dk=field.dk, what=new)
+    """One classical fourth-order step of the half spectrum n = 0..N; the
+    result is its exact conjugate mirror, so it is exactly Hermitian."""
+    N = field.N
+    weights = _rhs_weights(N, field.dk, kernel, alpha0)
+    return SpectralField(dk=field.dk, what=_mirror(_half_rk4(field.what[N:], weights, dt)))
 
 
 @dataclass(frozen=True)
@@ -240,34 +295,49 @@ def run_simulation(pb, eta_t, config: SimConfig, default_seed: int = 0) -> SimRe
 
 
 def evolve(kernel: Kernel, alpha0: float, config: SimConfig, default_seed: int = 0) -> SimResult:
-    """Time-step an initial spectrum with a prebuilt kernel."""
-    field = init_field(config, default_seed=default_seed)
-    n_steps = max(1, int(round(config.T / config.dt)))
-    h2_0 = field.h2()
+    """Time-step an initial spectrum with a prebuilt kernel.
+
+    The state is the half spectrum n = 0..N, and the RHS weights are built
+    once per run.  The full spectrum is mirrored only for snapshots and for
+    the returned field.
+    """
+    N, dk, dt = config.N, config.dk, config.dt
+    half = init_field(config, default_seed=default_seed).what[N:]
+    weights = _rhs_weights(N, dk, kernel, alpha0)
+    l2_w, h2_w, energy_w = (_diag_weights(N, dk, s) for s in (0, 4, -1))
+    n_steps = max(1, int(round(config.T / dt)))
+    h2_0 = _weighted_sum(half, h2_w)
     diag: List[DiagRow] = []
     snaps: List[Tuple[float, np.ndarray]] = []
     breaking: Optional[float] = None
 
-    def record(tau: float, f: SpectralField, h2: float) -> None:
-        diag.append(DiagRow(tau, f.mean(), f.l2(), h2, f.max_abs(), f.energy()))
+    def record(tau: float, h2: float) -> None:
+        diag.append(
+            DiagRow(
+                tau,
+                complex(half[0]),
+                _weighted_sum(half, l2_w),
+                h2,
+                float(np.max(np.abs(half))),
+                _weighted_sum(half, energy_w),
+            )
+        )
         if config.snapshots:
-            snaps.append((tau, f.what.copy()))
+            snaps.append((tau, _mirror(half)))
 
-    record(0.0, field, h2_0)
+    record(0.0, h2_0)
     for n in range(1, n_steps + 1):
-        field = rk4_step(field, kernel, alpha0, config.dt)
-        tau = n * config.dt
-        h2 = field.h2()
-        if not np.all(np.isfinite(field.what)) or (
-            h2_0 > 0.0 and h2 > config.blowup_factor * h2_0
-        ):
+        half = _half_rk4(half, weights, dt)
+        tau = n * dt
+        h2 = _weighted_sum(half, h2_w)
+        if not np.all(np.isfinite(half)) or (h2_0 > 0.0 and h2 > config.blowup_factor * h2_0):
             breaking = tau
-            record(tau, field, h2)
+            record(tau, h2)
             break
         if n % config.output_every == 0 or n == n_steps:
-            record(tau, field, h2)
+            record(tau, h2)
     return SimResult(
-        field=field,
+        field=SpectralField(dk=dk, what=_mirror(half)),
         diagnostics=diag,
         snapshots=snaps,
         breaking_tau=breaking,

@@ -211,6 +211,28 @@ class TestSimulate:
         assert 12.8 <= ratio <= 19.2
         assert order == pytest.approx(2.0, abs=0.15)
 
+    def test_written_spectrum_hermitian(self, tmp_path):
+        # The evolution state is the half spectrum k >= 0; the written rows
+        # at -k must be its exact conjugate mirror at every snapshot.
+        cfg = write_config(
+            tmp_path,
+            overrides={
+                "sim.init": {"name": "random_smooth", "A": 0.5, "seed": 3},
+                "sim.snapshots": True,
+            },
+        )
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        header, rows = read_csv(tmp_path / "snapshots.csv")
+        assert header == ["tau", "k", "re_what", "im_what"]
+        spectra = {}
+        for tau, k, re, im in rows:
+            spectra.setdefault(tau, {})[k] = complex(re, im)
+        assert len(spectra) == 6
+        for spectrum in spectra.values():
+            assert len(spectrum) == 2 * 32 + 1
+            for k, value in spectrum.items():
+                assert spectrum[-k] == value.conjugate()
+
     def test_physical_output(self, tmp_path):
         cfg = write_config(tmp_path, overrides={"sim.physical": True, "sim.T": 0.1})
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0

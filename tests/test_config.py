@@ -202,3 +202,19 @@ def test_unrepresentable_root_named_by_check(tmp_path, capsys):
     last = report["invariants"][-1]
     assert last["name"].startswith("surface-wave-root (") and last["pass"] is False
     assert capsys.readouterr().out.strip() == f"check: FAIL ({last['name']})"
+
+
+def test_rank_deficient_root_row_named_by_check(tmp_path, capsys):
+    # At u_l = 1e-150 find_root succeeds, but the boundary columns H R_j^-
+    # that the sigma minors need are rank deficient in floating point; check
+    # reports that row as its last, failed one and still writes check.json.
+    u_l = 1e-150
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = run(tmp_path, "check", left__u=u_l, right__u=u_l / 0.45)
+    assert rc == 1
+    report = json.loads((tmp_path / "out" / "check.json").read_text())
+    assert report["pass"] is False
+    last = report["invariants"][-1]
+    assert last["name"].startswith("sigma-minors-vs-closed (") and last["pass"] is False
+    assert "rank deficient" in last["name"]
+    assert capsys.readouterr().out.strip() == f"check: FAIL ({last['name']})"

@@ -44,7 +44,7 @@ def test_check_builds_one_mode_set_per_frequency(tmp_path, normal_modes_calls):
 
 
 @pytest.mark.parametrize("config", ["fixture_a", "vdw"])
-@pytest.mark.parametrize("command", ["check", "scan", "root"])
+@pytest.mark.parametrize("command", ["check", "scan", "root", "coeffs", "simulate"])
 def test_rerun_byte_identical(tmp_path, command, config):
     path = CONFIGS / f"{config}.json"
     first, second = tmp_path / "a", tmp_path / "b"
