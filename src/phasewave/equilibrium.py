@@ -9,7 +9,9 @@ barotropic pressure law.
 
 This module builds such configurations either from raw numbers (each state
 given directly, mu supplied by the caller) or from an equation of state, in
-which case the two densities and the mass flux are solved for.
+which case the two densities are solved for at a given mass flux.  The
+static coexistence pair (equal pressure, equal Gibbs function) is the same
+jump system at j = 0, so one damped Newton solver serves both.
 """
 
 from __future__ import annotations
@@ -238,12 +240,13 @@ def _newton2(
     bl: Tuple[float, float],
     br: Tuple[float, float],
 ) -> Tuple[float, float]:
-    """Damped Newton for the 2x2 jump system at fixed mass flux.
+    """Damped Newton for the 2x2 jump system at fixed mass flux j >= 0.
 
-    At most 200 steps; each is halved (up to 40 times) until the residual
-    norm decreases, and iterates are clamped to the brackets.  Convergence is
-    declared when the residual norm drops below 1e-13 times the pressure
-    scale.
+    At j = 0 its zero is the static coexistence pair.  At most 200 steps;
+    each is halved (up to 40 times) until the residual norm decreases, and
+    iterates are clamped to the brackets.  Convergence is declared when the
+    residual norm drops below 1e-13 times the pressure scale; otherwise, or
+    when the Jacobian is singular, NoSolutionError is raised.
     """
     scale = max(1.0, abs(eos.pressure(0.5 * (bl[0] + bl[1]))))
     x = np.array([rho_l, rho_r], dtype=float)
@@ -285,81 +288,6 @@ def _newton2(
     )
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """A zero of f in [lo, hi], where f(lo) and f(hi) differ in sign.
-
-    Halves the bracket until lo and hi are adjacent floats, when the midpoint
-    rounds onto one of them; that midpoint is returned, or any point where f
-    is exactly zero on the way.
-    """
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise NoSolutionError(f"no sign change in bracket [{lo}, {hi}]")
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-
-
-def _maxwell_pair(
-    eos: EquationOfState, bl: Tuple[float, float], br: Tuple[float, float]
-) -> Tuple[float, float]:
-    """Static coexistence pair: equal pressure and equal Gibbs function.
-
-    Nested bisection: for each rho_l the pressure-matching rho_r is located in
-    its bracket, then the Gibbs mismatch is driven to zero in rho_l.  The
-    outer bracket is first restricted to the subinterval where a pressure
-    match exists at all.
-    """
-
-    # Iterate over the side whose pressure range is narrower; the match in
-    # the other bracket then exists on a usable subinterval.
-    span_l = abs(eos.pressure(bl[1]) - eos.pressure(bl[0]))
-    span_r = abs(eos.pressure(br[1]) - eos.pressure(br[0]))
-    outer, inner = (bl, br) if span_l <= span_r else (br, bl)
-
-    def match(rho_out: float) -> float:
-        p_target = eos.pressure(rho_out)
-        return _bisect(lambda r: eos.pressure(r) - p_target, inner[0], inner[1])
-
-    def gibbs_gap(rho_out: float) -> float:
-        return eos.gibbs(match(rho_out)) - eos.gibbs(rho_out)
-
-    # Scan a 65-point grid for the first segment whose two ends both have a
-    # pressure match and a Gibbs gap that changes sign (or is zero at its
-    # start); the gaps past that segment are never evaluated.
-    prev = None
-    for r in np.linspace(outer[0], outer[1], 65):
-        r = float(r)
-        try:
-            gap = gibbs_gap(r)
-        except NoSolutionError:
-            gap = math.nan
-        if prev is not None and math.isfinite(gap) and (prev[1] == 0.0 or prev[1] * gap <= 0.0):
-            break
-        prev = (r, gap) if math.isfinite(gap) else None
-    else:
-        raise NoSolutionError(
-            f"no coexistence pair: Gibbs gap has no sign change over [{outer[0]}, {outer[1]}]"
-        )
-    rho_out = _bisect(gibbs_gap, prev[0], r)
-    rho_in = match(rho_out)
-    if outer is bl:
-        return rho_out, rho_in
-    return rho_in, rho_out
-
-
 def solve_reversible_boundary(
     eos: EquationOfState,
     rho_l_bracket: Tuple[float, float],
@@ -369,16 +297,17 @@ def solve_reversible_boundary(
 ) -> PhaseBoundary:
     """Solve the reversible jump conditions for a two-phase configuration.
 
-    The static (zero-flux) coexistence pair, found by nested bisection, is
-    the starting point of one damped Newton solve of the 2x2 system
+    One damped Newton solver handles the 2x2 system
         [p + j^2/rho] = 0,   [g + j^2/(2 rho^2)] = 0
-    at the target mass flux, inside the brackets.  The dynamic solutions
-    form a one-parameter family in the flux; `mass_flux` selects the member
-    (a deterministic subsonic default is used when omitted).
+    inside the brackets.  It is run twice: at j = 0 from the bracket
+    midpoints, which gives the static coexistence pair, and then from that
+    pair at the target mass flux.  The dynamic solutions form a
+    one-parameter family in the flux; `mass_flux` selects the member (a
+    deterministic subsonic default is used when omitted).
 
-    Raises NoSolutionError when no coexistence pair is bracketed or the
-    Newton solve stalls, and DomainError when the converged states are not
-    strictly subsonic.
+    Raises NoSolutionError when the zero-flux solve finds no coexistence
+    pair in the brackets or the target-flux solve stalls, and DomainError
+    when the converged states are not strictly subsonic.
     """
     bl = (float(min(rho_l_bracket)), float(max(rho_l_bracket)))
     br = (float(min(rho_r_bracket)), float(max(rho_r_bracket)))
@@ -388,7 +317,11 @@ def solve_reversible_boundary(
         if eos.sound_speed_sq(lo) <= 0.0 or eos.sound_speed_sq(hi) <= 0.0:
             raise ParameterError("bracket endpoints must lie where c^2 > 0")
 
-    rho_l, rho_r = _maxwell_pair(eos, bl, br)
+    mid_l, mid_r = 0.5 * (bl[0] + bl[1]), 0.5 * (br[0] + br[1])
+    try:
+        rho_l, rho_r = _newton2(eos, mid_l, mid_r, 0.0, bl, br)
+    except NoSolutionError as exc:
+        raise NoSolutionError(f"no coexistence pair in {bl} x {br}: {exc}") from exc
 
     if mass_flux is None:
         # Stay well below the smaller acoustic impedance so the dynamic

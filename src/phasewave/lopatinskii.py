@@ -263,9 +263,10 @@ def find_root(pb: PhaseBoundary, eta_t: np.ndarray) -> RootData:
     cancellation and overflow.
 
     Raises NoRootError when floating point cannot deliver the root: eta0 is
-    not strictly inside (0, elliptic_eta0_max), or the root-relation residual
-    exceeds 1e-12.  Only the positive root is returned; the negative one is
-    its mirror image under conjugation.
+    not strictly inside (0, elliptic_eta0_max), the root-relation residual
+    exceeds 1e-12, or a mode or sigma array at the root is not finite.  Only
+    the positive root is returned; the negative one is its mirror image under
+    conjugation.
     """
     eta_t = np.atleast_1d(np.asarray(eta_t, dtype=float))
     ht2 = float(eta_t @ eta_t)
@@ -288,8 +289,14 @@ def find_root(pb: PhaseBoundary, eta_t: np.ndarray) -> RootData:
 
     eta = Frequency(eta0=e0, eta_t=eta_t)
     modes = normal_modes(pb, eta)
-    ops = boundary_operators(pb, eta)
     sigma = _sigma_closed(pb, eta, modes)
+    arrays = (
+        modes.beta_minus, modes.beta_plus, modes.R_minus, modes.R_plus,
+        modes.L_minus, modes.L_plus, sigma.sigma_star,
+    )
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NoRootError(f"mode or sigma data at the root eta0 = {e0!r} is not finite")
+    ops = boundary_operators(pb, eta)
     g1, g2 = _gamma_pair(pb, eta, modes)
     return RootData(pb=pb, eta=eta, modes=modes, ops=ops, sigma=sigma, gamma1=g1, gamma2=g2)
 

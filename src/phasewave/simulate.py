@@ -347,14 +347,14 @@ def evolve(kernel: Kernel, alpha0: float, config: SimConfig, default_seed: int =
 
 
 def physical_reconstruction(field: SpectralField) -> Tuple[np.ndarray, np.ndarray]:
-    """Inverse transform onto 2N+1 physical points, as one inverse DFT.
+    """Inverse transform onto 2N+1 physical points, as one real inverse DFT.
 
     Returns (x, w) with x_m = m * 2 pi / ((2N+1) dk), m = -N..N, and
-    w(x_m) = dk sum_n what_n exp(i k_n x_m); w is real up to round-off for a
-    Hermitian spectrum and the real part is returned.
+    w(x_m) = dk sum_n what_n exp(i k_n x_m).  The spectrum is taken to be
+    Hermitian, so only its n = 0..N half is read and w is real.
     """
     N, dk = field.N, field.dk
     size = 2 * N + 1
     x = np.arange(-N, N + 1) * (2.0 * np.pi / (size * dk))
-    w = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(field.what))) * (size * dk)
-    return x, np.real(w)
+    w = np.fft.fftshift(np.fft.irfft(field.what[N:], n=size)) * (size * dk)
+    return x, w

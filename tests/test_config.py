@@ -204,6 +204,32 @@ def test_unrepresentable_root_named_by_check(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == f"check: FAIL ({last['name']})"
 
 
+# At u_l = 1e-155 (u_r = u_l/0.45) the root eta0 itself is representable,
+# but normal_modes overflows in the left eigenvectors l^+ and l^-, so
+# find_root refuses the root instead of returning inf in its mode data.
+TINY_U = 1e-155
+
+
+@pytest.mark.parametrize("command", ["root", "coeffs", "simulate"])
+def test_nonfinite_mode_data_is_no_surface_wave(tmp_path, capsys, command):
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = run(tmp_path, command, left__u=TINY_U, right__u=TINY_U / 0.45)
+    assert rc == 1
+    out = capsys.readouterr().out.strip()
+    assert out.startswith(f"{command}: no surface wave (") and "not finite" in out
+
+
+def test_nonfinite_mode_data_named_by_check(tmp_path, capsys):
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = run(tmp_path, "check", left__u=TINY_U, right__u=TINY_U / 0.45)
+    assert rc == 1
+    report = json.loads((tmp_path / "out" / "check.json").read_text())
+    last = report["invariants"][-1]
+    assert last["name"].startswith("surface-wave-root (") and last["pass"] is False
+    assert "not finite" in last["name"]
+    assert capsys.readouterr().out.strip() == f"check: FAIL ({last['name']})"
+
+
 def test_rank_deficient_root_row_named_by_check(tmp_path, capsys):
     # At u_l = 1e-150 find_root succeeds, but the boundary columns H R_j^-
     # that the sigma minors need are rank deficient in floating point; check

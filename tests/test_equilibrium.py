@@ -187,10 +187,27 @@ class TestSolveReversibleBoundary:
         for state in (pb.left, pb.right):
             assert state.c2 > state.u**2
 
+    @pytest.mark.parametrize("flux", [None, 1e-4], ids=["default", "1e-4"])
+    @pytest.mark.parametrize("orientation", ["condensing", "evaporating"])
+    def test_pair_near_bracket_end(self, flux, orientation):
+        # At RT = 1.95 the static pair (about 0.1477 and 2.0817) sits close
+        # to the ends of these brackets; the zero-flux Newton solve from the
+        # bracket midpoints still finds it.
+        eos = vdw_eos(3.0, 1.0 / 3.0, 1.95)
+        brackets = ((0.1, 0.44), (2.08, 2.92))
+        if orientation == "evaporating":
+            brackets = brackets[::-1]
+        pb = solve_reversible_boundary(eos, *brackets, 2, mass_flux=flux)
+        mom, rev = jump_residuals(eos, pb.left.rho, pb.right.rho, pb.j)
+        scale = max(1.0, abs(pb.left.p))
+        assert max(abs(mom), abs(rev)) <= 1e-12 * scale
+        for state in (pb.left, pb.right):
+            assert state.c2 > state.u**2
+
     def test_shipped_solve_pressure_calls(self):
-        # The bisections stop once the bracket is two adjacent floats, and the
-        # coexistence scan stops at its first sign change, so the shipped
-        # solve needs about three thousand pressure evaluations.
+        # Two Newton solves, at zero flux and at the target flux, each take a
+        # handful of steps, so the shipped solve needs a few dozen pressure
+        # evaluations.
         eos = vdw_eos(*VDW_ARGS)
         calls = []
 
@@ -203,7 +220,7 @@ class TestSolveReversibleBoundary:
         )
         pb = solve_reversible_boundary(counted, VAPOR_BRACKET, LIQUID_BRACKET, 2)
         assert pb == solve_reversible_boundary(eos, VAPOR_BRACKET, LIQUID_BRACKET, 2)
-        assert len(calls) < 4_000
+        assert len(calls) < 100
 
     def test_degenerate_equal_densities_rejected(self):
         # A monotone pressure law forces rho_l = rho_r, which the jump
@@ -214,7 +231,7 @@ class TestSolveReversibleBoundary:
 
     def test_no_coexistence_in_brackets(self):
         eos = vdw_eos(*VDW_ARGS)
-        with pytest.raises(NoSolutionError):
+        with pytest.raises(NoSolutionError, match="no coexistence pair"):
             solve_reversible_boundary(eos, (0.05, 0.1), LIQUID_BRACKET, 2)
 
     def test_bad_bracket_rejected(self):

@@ -142,8 +142,9 @@ class TestFindRoot:
     @pytest.mark.parametrize("d,eta_t", [(2, [1.0]), (3, [0.6, 0.8])])
     def test_tiny_velocities(self, d, eta_t):
         # fixture_a with both velocities scaled down at fixed density ratio.
-        # At u_l = 1e-150 the root is still representable; at 1e-160 the
-        # products u_l*u_r underflow, and the root is refused, not reported.
+        # At u_l = 1e-150 the root is still representable.  At 1e-155 eta0 is,
+        # but the left eigenvectors l^+ and l^- overflow; at 1e-160 the
+        # products u_l*u_r underflow.  Both roots are refused, not reported.
         def boundary(u_l):
             left = FluidState(**{**FIXTURE_A["left"], "u": u_l})
             right = FluidState(**{**FIXTURE_A["right"], "u": u_l / 0.45})
@@ -152,6 +153,9 @@ class TestFindRoot:
         root = find_root(boundary(1e-150), eta_t)
         assert 0.0 < root.eta.eta0 < elliptic_eta0_max(root.pb, eta_t)
         assert root_relation_residual(root) <= 1e-12
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NoRootError, match="not finite"):
+                find_root(boundary(1e-155), eta_t)
         with pytest.raises(NoRootError):
             find_root(boundary(1e-160), eta_t)
 
