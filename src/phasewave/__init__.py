@@ -31,7 +31,9 @@ from .expsum import ExpProfile
 from .kernel import (
     Kernel,
     KernelConstants,
-    alpha0,
+    alpha0_abstract,
+    alpha0_closed,
+    alpha0_fd,
     build_kernel,
     dual_profile,
     hunter_residual,
@@ -44,10 +46,9 @@ from .kernel import (
 from .lopatinskii import (
     RootData,
     SigmaData,
+    det_closed,
+    det_raw,
     find_root,
-    gamma_coefficients,
-    lopatinskii_det,
-    sigma_vector,
 )
 from .modes import (
     BoundaryOperators,
@@ -90,7 +91,9 @@ __all__ = [
     "ExpProfile",
     "Kernel",
     "KernelConstants",
-    "alpha0",
+    "alpha0_abstract",
+    "alpha0_closed",
+    "alpha0_fd",
     "build_kernel",
     "dual_profile",
     "hunter_residual",
@@ -101,10 +104,9 @@ __all__ = [
     "trace_profiles",
     "RootData",
     "SigmaData",
+    "det_closed",
+    "det_raw",
     "find_root",
-    "gamma_coefficients",
-    "lopatinskii_det",
-    "sigma_vector",
     "BoundaryOperators",
     "Frequency",
     "ModeSet",

@@ -48,9 +48,6 @@ class ExpProfile:
     def __add__(self, other: "ExpProfile") -> "ExpProfile":
         return ExpProfile(self.terms + other.terms)
 
-    def scaled(self, factor: complex) -> "ExpProfile":
-        return ExpProfile(tuple(ExpTerm(factor * t.coeff, t.rate) for t in self.terms))
-
     def map_coeffs(self, f: Callable[[np.ndarray], np.ndarray]) -> "ExpProfile":
         """Apply a linear map to every coefficient (rates unchanged)."""
         return ExpProfile(tuple(ExpTerm(np.asarray(f(t.coeff)), t.rate) for t in self.terms))

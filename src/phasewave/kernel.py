@@ -1,11 +1,14 @@
 """The quadratic interaction kernel of the surface-wave amplitude equation.
 
-Two independent routes are implemented for every object.  The abstract route
-assembles the five kernel pieces q_1..q_5 from boundary traces, second
-differentials of the fluxes, and half-line integrals of exponential profiles
-(all integrals are exact, see `expsum`).  The closed route evaluates the
-factorized constants Q, Q_l, Q_r, Q_sharp, Q_b, Q_nat.  The completed kernel
-q(k, k') is piecewise homogeneous of degree zero:
+Every object has independent routes, each its own function.  alpha0, the
+coefficient of d/dtau, is `alpha0_closed` (factorized; `kernel_constants`
+uses it), `alpha0_abstract` (the projected mode sum) and `alpha0_fd` (a
+finite difference of `det_closed` in eta0).  The kernel is `q_oracle`, the
+five pieces q_1..q_5 from boundary traces, second differentials of the
+fluxes and exact half-line integrals of exponential profiles (see `expsum`),
+and `kernel_constants`, the factorized constants Q, Q_l, Q_r, Q_sharp, Q_b,
+Q_nat.  The completed kernel q(k, k') is piecewise homogeneous of degree
+zero:
 
     q = Q_nat                     for k > 0, k' > 0
     q = conj(Q_nat) (1 + k'/k)    for k > 0 > k', k + k' > 0
@@ -25,9 +28,10 @@ import numpy as np
 
 from .errors import DegeneracyError, DomainError
 from .expsum import ExpProfile, pair_bilinear, pair_dot
-from .lopatinskii import RootData, lopatinskii_det
+from .lopatinskii import RootData, det_closed
 from .modes import (
     Frequency,
+    _embed,
     d2_flux_normal,
     d2_flux_tangential,
     dg0,
@@ -40,24 +44,10 @@ from .modes import (
 # ---------------------------------------------------------------------------
 
 
-def alpha0(root: RootData, method: str = "closed") -> complex:
-    """The real coefficient multiplying d/dtau in the amplitude equation.
-
-    method 'closed' evaluates the factorized expression, 'abstract' the
-    projected mode sum it was derived from, and 'fd_delta' a centered finite
-    difference of the closed-form determinant in eta0 at the root (the
-    coefficient equals the derivative of the determinant there).
-    """
-    if method == "closed":
-        return _alpha0_closed(root)
-    if method == "abstract":
-        return _alpha0_abstract(root)
-    if method == "fd_delta":
-        return _alpha0_fd(root)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _alpha0_closed(root: RootData) -> complex:
+def alpha0_closed(root: RootData) -> complex:
+    """alpha0 from its factorized expression
+    -[rho][u] Upsilon/eta0 (eta0^2 + u_r^2 |eta_t|^2)
+    (u_l^2 u_r^2 (a_l^2/c_l^2 + a_r^2/c_r^2) + 2 c_l^2 c_r^2 eta0^2)."""
     pb, eta, modes = root.pb, root.eta, root.modes
     vl, vr = pb.left, pb.right
     e0 = eta.eta0
@@ -70,7 +60,9 @@ def _alpha0_closed(root: RootData) -> complex:
     return complex(-pb.jump_rho * pb.jump_u * modes.frame.upsilon / e0 * w2 * brace)
 
 
-def _alpha0_abstract(root: RootData) -> complex:
+def alpha0_abstract(root: RootData) -> complex:
+    """alpha0 as the projected mode sum: sigma* of the temporal flux jump plus
+    each + mode's coupling to the incoming modes via 1/(beta_p^+ - beta_q^-)."""
     pb, eta, modes, ops = root.pb, root.eta, root.modes, root.ops
     d = pb.d
     e0 = eta.eta0
@@ -91,12 +83,14 @@ def _alpha0_abstract(root: RootData) -> complex:
     return complex(total)
 
 
-def _alpha0_fd(root: RootData, rel_step: float = 1e-6) -> complex:
+def alpha0_fd(root: RootData, rel_step: float = 1e-6) -> complex:
+    """alpha0 as a centered finite difference of `det_closed` in eta0 at the
+    root: the coefficient is the determinant's derivative there."""
     pb, eta = root.pb, root.eta
     e0 = eta.eta0
     h = rel_step * e0
-    dp = lopatinskii_det(pb, Frequency(e0 + h, eta.eta_t), method="closed")
-    dm = lopatinskii_det(pb, Frequency(e0 - h, eta.eta_t), method="closed")
+    dp = det_closed(pb, Frequency(e0 + h, eta.eta_t))
+    dm = det_closed(pb, Frequency(e0 - h, eta.eta_t))
     return (dp - dm) / (2.0 * h)
 
 
@@ -140,16 +134,8 @@ def _rhat(root: RootData, k: float) -> ExpProfile:
     """Full 2(d+1)-component corrector profile at wavenumber k."""
     d = root.pb.d
     tp = trace_profiles(root, k)
-    n = d + 1
-    terms = []
-    for t in tp.left.terms:
-        full = np.zeros(2 * n, dtype=complex)
-        full[:n] = t.coeff
-        terms.append((full, t.rate))
-    for t in tp.right.terms:
-        full = np.zeros(2 * n, dtype=complex)
-        full[n:] = t.coeff
-        terms.append((full, t.rate))
+    terms = [(_embed(t.coeff, "l", d), t.rate) for t in tp.left.terms]
+    terms += [(_embed(t.coeff, "r", d), t.rate) for t in tp.right.terms]
     return ExpProfile.from_terms(terms)
 
 
@@ -214,23 +200,13 @@ def dual_profile_packaged(root: RootData, k: float) -> ExpProfile:
     if k <= 0.0:
         raise DomainError(f"dual profile requires k > 0, got {k}")
     d = root.pb.d
-    n = d + 1
     m = root.modes
     om1, om2, om3 = _omegas(root)
     lt1, lt2, lt3 = _ltilde_rows(root)
-
-    def embed(row: np.ndarray, side: str) -> np.ndarray:
-        full = np.zeros(2 * n, dtype=complex)
-        if side == "l":
-            full[:n] = row
-        else:
-            full[n:] = row
-        return full
-
     terms = [
-        (om1 / root.gamma1 * embed(lt1, "l"), -k * m.beta_plus[0]),
-        (om3 / root.gamma1 * embed(lt3, "l"), -k * m.beta_plus[2]),
-        (om2 / root.gamma2 * embed(lt2, "r"), -k * m.beta_plus[1]),
+        (om1 / root.gamma1 * _embed(lt1, "l", d), -k * m.beta_plus[0]),
+        (om3 / root.gamma1 * _embed(lt3, "l", d), -k * m.beta_plus[2]),
+        (om2 / root.gamma2 * _embed(lt2, "r", d), -k * m.beta_plus[1]),
     ]
     return ExpProfile.from_terms(terms)
 
@@ -410,7 +386,7 @@ def kernel_constants(root: RootData) -> KernelConstants:
         + (vr.pp / 2.0 + vr.c2 / vr.rho) * Q_r
         + Q_sharp
     )
-    a0 = _alpha0_closed(root)
+    a0 = alpha0_closed(root)
     return KernelConstants(
         alpha0=float(a0.real),
         Q=complex(Q),
@@ -484,19 +460,9 @@ class Kernel:
 
     constants: KernelConstants
 
-    def a1(self, k: float, kp: float) -> complex:
-        return kernel_eval(self, k, kp) / (4.0 * np.pi)
-
 
 def build_kernel(root: RootData) -> Kernel:
     return Kernel(constants=kernel_constants(root))
-
-
-def a0(alpha0_value: float, k: float) -> complex:
-    """Linear symbol alpha0/(i k) of the amplitude equation, k != 0."""
-    if k == 0.0:
-        raise DegeneracyError("a0 is undefined at k = 0")
-    return alpha0_value / (1j * k)
 
 
 def q_grid(kernel: Kernel, K: np.ndarray, KP: np.ndarray) -> np.ndarray:
@@ -532,7 +498,8 @@ def kernel_eval(kernel: Kernel, k: float, kp: float) -> complex:
 
 
 def hunter_residual(kernel: Kernel) -> float:
-    """Exact residual of Hunter's condition q(1,0+) = conj(q(1,0-))."""
+    """Residual of Hunter's condition q(1,0+) = conj(q(1,0-)) on the completed
+    kernel; 0 by construction (the evidence is `q_oracle`'s limit at the axis)."""
     q_pos = kernel.constants.Q_nat
     q_neg = np.conj(kernel.constants.Q_nat)
     return abs(q_pos - np.conj(q_neg))

@@ -1,12 +1,14 @@
 """Lopatinskii determinant of the interface problem, its root, and the
 projection data (sigma, gamma) attached to that root.
 
-The determinant is evaluated two independent ways: a raw (d+2)x(d+2)
-determinant of the frequency column J(v)eta against the boundary images of
-the incoming modes, and the closed product formula.  Its positive root in
-the elliptic interval, the surface wave, is the positive root of a quadratic
-in eta0^2 and is computed in closed form.  The cofactor functional sigma is
-again computed both from minors and from the closed component formulas.
+The determinant is evaluated by two independent functions: `det_raw`, the
+raw (d+2)x(d+2) determinant of the frequency column J(v)eta against the
+boundary images of the incoming modes, and `det_closed`, the closed product
+formula.  Its positive root in the elliptic interval, the surface wave, is
+the positive root of a quadratic in eta0^2 and is computed in closed form by
+`find_root`.  The cofactor functional sigma* at the root comes from the
+closed component formulas; `sigma_methods_residual` recomputes it from the
+first-column minors of the raw determinant and compares the two.
 """
 
 from __future__ import annotations
@@ -34,40 +36,35 @@ def _raw_columns(modes: ModeSet, ops: BoundaryOperators) -> np.ndarray:
     return (ops.H @ modes.R_minus.T).T
 
 
-def lopatinskii_det(
-    pb: PhaseBoundary,
-    eta: Frequency,
-    method: str = "closed",
-    modes: Optional[ModeSet] = None,
-) -> complex:
-    """Evaluate the Lopatinskii determinant at a frequency.
-
-    method 'raw' computes det(J(v)eta, H R_1^-, ..., H R_{d+1}^-) by complex
-    LU factorization; method 'closed' evaluates the factorized form
-    -[rho][u] Upsilon (eta0^2 + u_r^2 |eta_t|^2)
-    (u_l u_r a_l a_r + c_l^2 c_r^2 eta0^2).
-    """
+def det_closed(pb: PhaseBoundary, eta: Frequency, modes: Optional[ModeSet] = None) -> complex:
+    """The Lopatinskii determinant in factorized form, -[rho][u] Upsilon
+    (eta0^2 + u_r^2 |eta_t|^2)(u_l u_r a_l a_r + c_l^2 c_r^2 eta0^2), from the
+    ModeSet `modes` at `eta` (computed when not given)."""
     if modes is None:
         modes = normal_modes(pb, eta)
-    if method == "closed":
-        e0 = eta.eta0
-        ht2 = eta.ht2
-        vl, vr = pb.left, pb.right
-        return complex(
-            -pb.jump_rho
-            * pb.jump_u
-            * modes.frame.upsilon
-            * (e0 * e0 + vr.u**2 * ht2)
-            * (vl.u * vr.u * modes.a_l * modes.a_r + vl.c2 * vr.c2 * e0 * e0)
-        )
-    if method == "raw":
-        ops = boundary_operators(pb, eta)
-        cols = _raw_columns(modes, ops)
-        M = np.empty((pb.d + 2, pb.d + 2), dtype=complex)
-        M[:, 0] = ops.Jeta
-        M[:, 1:] = cols.T
-        return complex(np.linalg.det(M))
-    raise ValueError(f"unknown method {method!r}")
+    e0 = eta.eta0
+    ht2 = eta.ht2
+    vl, vr = pb.left, pb.right
+    return complex(
+        -pb.jump_rho
+        * pb.jump_u
+        * modes.frame.upsilon
+        * (e0 * e0 + vr.u**2 * ht2)
+        * (vl.u * vr.u * modes.a_l * modes.a_r + vl.c2 * vr.c2 * e0 * e0)
+    )
+
+
+def det_raw(pb: PhaseBoundary, eta: Frequency, modes: Optional[ModeSet] = None) -> complex:
+    """The Lopatinskii determinant det(J(v)eta, H R_1^-, ..., H R_{d+1}^-) by
+    complex LU, from the ModeSet `modes` at `eta` (computed when not given)."""
+    if modes is None:
+        modes = normal_modes(pb, eta)
+    ops = boundary_operators(pb, eta)
+    cols = _raw_columns(modes, ops)
+    M = np.empty((pb.d + 2, pb.d + 2), dtype=complex)
+    M[:, 0] = ops.Jeta
+    M[:, 1:] = cols.T
+    return complex(np.linalg.det(M))
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +81,6 @@ class SigmaData:
     Dt: complex
     Dd1: complex
     Dd2: complex
-    upsilon: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +128,7 @@ def _sigma_closed(pb: PhaseBoundary, eta: Frequency, modes: ModeSet) -> SigmaDat
     sigma_star[d] = Dd1
     sigma_star[d + 1] = Dd2
     sigma_star = ups * sigma_star
-    return SigmaData(sigma_star=sigma_star, D1=D1, Dt=Dt, Dd1=Dd1, Dd2=Dd2, upsilon=ups)
+    return SigmaData(sigma_star=sigma_star, D1=D1, Dt=Dt, Dd1=Dd1, Dd2=Dd2)
 
 
 def _sigma_minors(pb: PhaseBoundary, modes: ModeSet, ops: BoundaryOperators) -> np.ndarray:
@@ -151,29 +147,11 @@ def _sigma_minors(pb: PhaseBoundary, modes: ModeSet, ops: BoundaryOperators) -> 
     return sigma_star
 
 
-def sigma_vector(root: RootData, method: str = "closed") -> SigmaData:
-    """Recompute sigma at a root, either from minors or from the closed forms."""
-    if method == "closed":
-        return _sigma_closed(root.pb, root.eta, root.modes)
-    if method == "minors":
-        sigma_star = _sigma_minors(root.pb, root.modes, root.ops)
-        closed = _sigma_closed(root.pb, root.eta, root.modes)
-        return SigmaData(
-            sigma_star=sigma_star,
-            D1=closed.D1,
-            Dt=closed.Dt,
-            Dd1=closed.Dd1,
-            Dd2=closed.Dd2,
-            upsilon=closed.upsilon,
-        )
-    raise ValueError(f"unknown method {method!r}")
-
-
 def sigma_methods_residual(root: RootData) -> float:
     """Largest gap between sigma* from minors and from the closed form,
     relative to max |sigma*|."""
-    s_min = sigma_vector(root, method="minors").sigma_star
-    s_cls = sigma_vector(root, method="closed").sigma_star
+    s_min = _sigma_minors(root.pb, root.modes, root.ops)
+    s_cls = root.sigma.sigma_star
     return float(np.max(np.abs(s_min - s_cls)) / np.max(np.abs(s_cls)))
 
 
@@ -209,18 +187,6 @@ def gamma_forms_residual(root: RootData) -> float:
     return max(
         abs(root.gamma1 - h1) / abs(root.gamma1), abs(root.gamma2 - h2) / abs(root.gamma2)
     )
-
-
-def gamma_coefficients(root: RootData) -> Tuple[complex, complex]:
-    """Coefficients expressing J(v)eta in the span of H R_1^-, H R_2^-.
-
-    Both printed forms are evaluated and cross-checked; the defining linear
-    relation J(v)eta + gamma1 H R_1^- + gamma2 H R_2^- = 0 is the caller's
-    acceptance test.
-    """
-    if gamma_forms_residual(root) > 1e-9:
-        raise InconsistencyError("the two gamma forms disagree; not at a root?")
-    return root.gamma1, root.gamma2
 
 
 def root_function(pb: PhaseBoundary, eta_t: np.ndarray):

@@ -40,7 +40,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import DegeneracyError, ParameterError
-from .kernel import Kernel, kernel_constants
+from .kernel import Kernel, build_kernel
 from .lopatinskii import find_root
 
 
@@ -145,13 +145,8 @@ def _mirror(half: np.ndarray) -> np.ndarray:
     return np.concatenate((np.conj(half[:0:-1]), half))
 
 
-def hermitian_symmetrize(w: np.ndarray) -> np.ndarray:
-    """Project onto the Hermitian-symmetric subspace what(-k) = conj(what(k))."""
-    return 0.5 * (w + np.conj(w[::-1]))
-
-
 def init_field(config: SimConfig, default_seed: int = 0) -> SpectralField:
-    """Build the named initial spectrum, always Hermitian-symmetrized.
+    """Build the named initial spectrum, projected onto Hermitian symmetry.
 
     Profiles: 'single_mode' places the amplitude at +-k0; 'gaussian_bump' is
     A exp(-(|k|-k0)^2/width^2); 'random_smooth' draws seeded complex
@@ -182,7 +177,9 @@ def init_field(config: SimConfig, default_seed: int = 0) -> SpectralField:
         w[N] = 0.0
     else:
         raise ParameterError(f"unknown initial profile {spec.name!r}")
-    return SpectralField(dk=dk, what=hermitian_symmetrize(w))
+    # Project onto what(-k) = conj(what(k)), keeping the half n = 0..N.
+    half = 0.5 * (w[N:] + np.conj(w[N::-1]))
+    return SpectralField(dk=dk, what=_mirror(half))
 
 
 def _rhs_weights(N: int, dk: float, kernel: Kernel, alpha0: float) -> Tuple[np.ndarray, ...]:
@@ -277,8 +274,6 @@ class SimResult:
     diagnostics: List[DiagRow]
     snapshots: List[Tuple[float, np.ndarray]]
     breaking_tau: Optional[float]
-    alpha0: float
-    kernel: Kernel
 
 
 def run_simulation(pb, eta_t, config: SimConfig, default_seed: int = 0) -> SimResult:
@@ -288,10 +283,8 @@ def run_simulation(pb, eta_t, config: SimConfig, default_seed: int = 0) -> SimRe
     initial value or any amplitude stops being finite; the first such time is
     reported as the breaking time.
     """
-    root = find_root(pb, eta_t)
-    kc = kernel_constants(root)
-    kernel = Kernel(constants=kc)
-    return evolve(kernel, kc.alpha0, config, default_seed=default_seed)
+    kernel = build_kernel(find_root(pb, eta_t))
+    return evolve(kernel, kernel.constants.alpha0, config, default_seed=default_seed)
 
 
 def evolve(kernel: Kernel, alpha0: float, config: SimConfig, default_seed: int = 0) -> SimResult:
@@ -341,8 +334,6 @@ def evolve(kernel: Kernel, alpha0: float, config: SimConfig, default_seed: int =
         diagnostics=diag,
         snapshots=snaps,
         breaking_tau=breaking,
-        alpha0=alpha0,
-        kernel=kernel,
     )
 
 

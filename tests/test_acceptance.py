@@ -12,19 +12,22 @@ import numpy as np
 
 from phasewave import (
     Frequency,
-    alpha0,
+    alpha0_abstract,
+    alpha0_closed,
+    alpha0_fd,
     build_kernel,
+    det_closed,
+    det_raw,
     elliptic_eta0_max,
     find_root,
     hunter_residual,
     kernel_constants,
     normal_modes,
-    lopatinskii_det,
     q_oracle,
-    sigma_vector,
 )
 from phasewave.kernel import b_identity_values, corollary_closed, oracle_vs_closed
 from phasewave.lopatinskii import (
+    _sigma_minors,
     gamma_alternative_forms,
     gamma_linear_residual,
     lemma4_residuals,
@@ -113,12 +116,12 @@ def test_criterion_2_lopatinskii_equivalence():
         e0_max = elliptic_eta0_max(pb, eta_t)
         for e0 in np.linspace(0.02, 0.98, 100) * e0_max:
             eta = Frequency(float(e0), eta_t)
-            raw = lopatinskii_det(pb, eta, "raw")
-            closed = lopatinskii_det(pb, eta, "closed")
+            raw = det_raw(pb, eta)
+            closed = det_closed(pb, eta)
             max_delta = max(max_delta, abs(raw - closed) / max(abs(raw), abs(closed)))
         root = find_root(pb, eta_t)
-        s_min = sigma_vector(root, "minors").sigma_star
-        s_cls = sigma_vector(root, "closed").sigma_star
+        s_min = _sigma_minors(root.pb, root.modes, root.ops)
+        s_cls = root.sigma.sigma_star
         max_sigma = max(max_sigma, float(np.max(np.abs(s_min - s_cls)) / np.max(np.abs(s_cls))))
     elapsed = time.perf_counter() - t0
     ok = max_delta <= 1e-10 and max_sigma <= 1e-10 and elapsed < 5.0
@@ -138,8 +141,8 @@ def test_criterion_3_root_and_gamma():
         roots.append(find_root(pb, random_frequency(rng, pb).eta_t))
     max_delta = max_gamma_lin = max_gamma_forms = max_rootrel = 0.0
     for root in roots:
-        slope = alpha0(root, "closed").real
-        delta = lopatinskii_det(root.pb, root.eta, "closed")
+        slope = alpha0_closed(root).real
+        delta = det_closed(root.pb, root.eta)
         max_delta = max(max_delta, abs(delta) / (abs(slope) * root.eta.eta0))
         max_gamma_lin = max(max_gamma_lin, gamma_linear_residual(root))
         h1, h2 = gamma_alternative_forms(root)
@@ -171,9 +174,9 @@ def test_criterion_4_alpha0_triple_agreement():
         roots.append(find_root(pb, random_frequency(rng, pb).eta_t))
     max_abs_dev = max_fd_dev = max_imag = 0.0
     for root in roots:
-        a_c = alpha0(root, "closed")
-        a_a = alpha0(root, "abstract")
-        a_f = alpha0(root, "fd_delta")
+        a_c = alpha0_closed(root)
+        a_a = alpha0_abstract(root)
+        a_f = alpha0_fd(root)
         max_abs_dev = max(max_abs_dev, abs(a_c - a_a) / abs(a_c))
         max_fd_dev = max(max_fd_dev, abs(a_c - a_f) / abs(a_c))
         max_imag = max(max_imag, abs(a_a.imag) / abs(a_a))

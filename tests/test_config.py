@@ -204,6 +204,18 @@ def test_unrepresentable_root_named_by_check(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == f"check: FAIL ({last['name']})"
 
 
+def test_zero_tangential_wavevector_named_by_check(tmp_path, capsys):
+    # With eta_t = 0 no frequency exists for the mode residuals; check
+    # reports the refusal as a failed row and still writes check.json.
+    assert run(tmp_path, "check", eta_t=[0.0]) == 1
+    report = json.loads((tmp_path / "out" / "check.json").read_text())
+    assert report["pass"] is False
+    last = report["invariants"][-1]
+    assert last["name"].startswith("eigenvector-residual (") and last["pass"] is False
+    assert "tangential wavevector must be nonzero" in last["name"]
+    assert capsys.readouterr().out.strip() == f"check: FAIL ({last['name']})"
+
+
 # At u_l = 1e-155 (u_r = u_l/0.45) the root eta0 itself is representable,
 # but normal_modes overflows in the left eigenvectors l^+ and l^-, so
 # find_root refuses the root instead of returning inf in its mode data.

@@ -106,7 +106,7 @@ def test_addition_and_scaling():
     s = p + q
     assert len(s.terms) == 3
     assert np.allclose(s(0.4), p(0.4) + q(0.4))
-    assert np.allclose(p.scaled(2.5j)(0.4), 2.5j * p(0.4))
+    assert np.allclose(p.map_coeffs(lambda c: 2.5j * c)(0.4), 2.5j * p(0.4))
 
 
 def test_map_coeffs_linear_action():

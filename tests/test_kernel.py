@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from phasewave import (
     DegeneracyError,
     DomainError,
-    alpha0,
+    alpha0_abstract,
+    alpha0_closed,
+    alpha0_fd,
     build_kernel,
     dual_profile,
     find_root,
@@ -22,7 +24,6 @@ from phasewave.kernel import (
     _omegas,
     _rhat,
     _sigma_of,
-    a0,
     b_identity_values,
     corollary_closed,
     dual_profile_packaged,
@@ -41,18 +42,18 @@ FIXTURE_A_Q_NAT = 714.4246912296815 + 292.40997572001135j
 
 class TestAlpha0:
     def test_triple_agreement_fixture(self, root_a):
-        a_c = alpha0(root_a, "closed")
-        a_a = alpha0(root_a, "abstract")
-        a_f = alpha0(root_a, "fd_delta")
+        a_c = alpha0_closed(root_a)
+        a_a = alpha0_abstract(root_a)
+        a_f = alpha0_fd(root_a)
         assert abs(a_a.imag) <= 1e-12 * abs(a_a)
         assert abs(a_c - a_a) <= 1e-10 * abs(a_c)
         assert abs(a_c - a_f) <= 1e-6 * abs(a_c)
         assert a_c.real == pytest.approx(FIXTURE_A_ALPHA0, rel=1e-12)
 
     def test_triple_agreement_d3(self, root_a3):
-        a_c = alpha0(root_a3, "closed")
-        a_a = alpha0(root_a3, "abstract")
-        a_f = alpha0(root_a3, "fd_delta")
+        a_c = alpha0_closed(root_a3)
+        a_a = alpha0_abstract(root_a3)
+        a_f = alpha0_fd(root_a3)
         assert abs(a_a.imag) <= 1e-12 * abs(a_a)
         assert abs(a_c - a_a) <= 1e-10 * abs(a_c)
         assert abs(a_c - a_f) <= 1e-6 * abs(a_c)
@@ -437,13 +438,3 @@ class TestCompletedKernel:
         grid = q_grid(kern, K, KP)
         for i in range(K.size):
             assert grid[i] == kernel_eval(kern, float(K[i]), float(KP[i]))
-
-    def test_a0_rule(self, root_a):
-        val = a0(FIXTURE_A_ALPHA0, 2.0)
-        assert val == FIXTURE_A_ALPHA0 / 2.0j
-        with pytest.raises(DegeneracyError):
-            a0(FIXTURE_A_ALPHA0, 0.0)
-
-    def test_a1_is_q_over_4pi(self, root_a):
-        kern = build_kernel(root_a)
-        assert kern.a1(2.0, 3.0) == kernel_eval(kern, 2.0, 3.0) / (4.0 * np.pi)

@@ -12,14 +12,14 @@ from phasewave import (
     Frequency,
     NoRootError,
     elliptic_eta0_max,
+    det_closed,
+    det_raw,
     find_root,
-    gamma_coefficients,
-    lopatinskii_det,
     make_phase_boundary,
     normal_modes,
-    sigma_vector,
 )
 from phasewave.lopatinskii import (
+    _sigma_minors,
     dd1_factorization_residual,
     gamma_alternative_forms,
     gamma_linear_residual,
@@ -28,7 +28,7 @@ from phasewave.lopatinskii import (
     root_relation_residual,
     sigma_r3_residual,
 )
-from phasewave.kernel import alpha0
+from phasewave.kernel import alpha0_closed
 
 from conftest import FIXTURE_A, fixture_a_boundary, random_boundary, random_frequency
 
@@ -42,7 +42,7 @@ class TestDeterminant:
         pb = fixture_a_boundary()
         eta = Frequency(0.0, [1.0])
         m = normal_modes(pb, eta)
-        delta = lopatinskii_det(pb, eta, "closed")
+        delta = det_closed(pb, eta)
         ref = (
             pb.jump_rho
             * pb.jump_u
@@ -59,15 +59,15 @@ class TestDeterminant:
         for frac in (0.1, 0.5, 0.9):
             e0 = frac * elliptic_eta0_max(pb, eta_t)
             eta = Frequency(e0, eta_t)
-            raw = lopatinskii_det(pb, eta, "raw")
-            closed = lopatinskii_det(pb, eta, "closed")
+            raw = det_raw(pb, eta)
+            closed = det_closed(pb, eta)
             assert abs(raw - closed) <= 1e-10 * max(abs(raw), abs(closed))
 
     def test_raw_determinant_real(self):
         pb = fixture_a_boundary()
         for frac in (0.2, 0.6, 0.85):
             e0 = frac * elliptic_eta0_max(pb, [1.0])
-            raw = lopatinskii_det(pb, Frequency(e0, [1.0]), "raw")
+            raw = det_raw(pb, Frequency(e0, [1.0]))
             assert abs(raw.imag) <= 1e-12 * abs(raw)
 
     def test_scan_raw_vs_closed_random(self):
@@ -77,14 +77,14 @@ class TestDeterminant:
         e0_max = elliptic_eta0_max(pb, eta_t)
         for e0 in np.linspace(0.02, 0.98, 100) * e0_max:
             eta = Frequency(float(e0), eta_t)
-            raw = lopatinskii_det(pb, eta, "raw")
-            closed = lopatinskii_det(pb, eta, "closed")
+            raw = det_raw(pb, eta)
+            closed = det_closed(pb, eta)
             assert abs(raw - closed) <= 1e-10 * max(abs(raw), abs(closed))
 
     def test_nonelliptic_rejected(self):
         pb = fixture_a_boundary()
         with pytest.raises(DomainError):
-            lopatinskii_det(pb, Frequency(10.0, [1.0]), "raw")
+            det_raw(pb, Frequency(10.0, [1.0]))
 
 
 class TestFindRoot:
@@ -102,8 +102,8 @@ class TestFindRoot:
         e0 = root_a.eta.eta0
         assert 0.0 < e0 < 1.787
         assert e0 == pytest.approx(FIXTURE_A_ETA0, rel=1e-12)
-        delta = lopatinskii_det(root_a.pb, root_a.eta, "closed")
-        slope = alpha0(root_a, "closed").real
+        delta = det_closed(root_a.pb, root_a.eta)
+        slope = alpha0_closed(root_a).real
         assert abs(delta) <= 1e-12 * abs(slope) * e0
 
     def test_root_scaling_in_wavevector(self):
@@ -179,8 +179,8 @@ class TestSigma:
     @pytest.mark.parametrize("which", ["root_a", "root_a3"])
     def test_minors_vs_closed(self, which, request):
         root = request.getfixturevalue(which)
-        s_minors = sigma_vector(root, "minors").sigma_star
-        s_closed = sigma_vector(root, "closed").sigma_star
+        s_minors = _sigma_minors(root.pb, root.modes, root.ops)
+        s_closed = root.sigma.sigma_star
         scale = np.max(np.abs(s_closed))
         assert np.max(np.abs(s_minors - s_closed)) <= 1e-10 * scale
 
@@ -209,11 +209,6 @@ class TestGamma:
         h1, h2 = gamma_alternative_forms(root_a)
         assert abs(g1 - h1) <= 1e-12 * abs(g1)
         assert abs(g2 - h2) <= 1e-12 * abs(g2)
-
-    def test_gamma_coefficients_entry_point(self, root_a):
-        g1, g2 = gamma_coefficients(root_a)
-        assert g1 == root_a.gamma1
-        assert g2 == root_a.gamma2
 
     def test_ratio_identity(self, root_a):
         # gamma2 * u_r * a_r = gamma1 * i * c_l^2 * eta0 at the root.
