@@ -41,7 +41,7 @@ from .kernel import (
     kernel_eval,
     oracle_vs_closed,
     q_oracle,
-    trace_profiles,
+    trace_profile,
 )
 from .lopatinskii import (
     RootData,
@@ -101,7 +101,7 @@ __all__ = [
     "kernel_eval",
     "oracle_vs_closed",
     "q_oracle",
-    "trace_profiles",
+    "trace_profile",
     "RootData",
     "SigmaData",
     "det_closed",

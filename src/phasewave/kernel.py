@@ -31,7 +31,6 @@ from .expsum import ExpProfile, pair_bilinear, pair_dot
 from .lopatinskii import RootData, det_closed
 from .modes import (
     Frequency,
-    _embed,
     d2_flux_normal,
     d2_flux_tangential,
     dg0,
@@ -99,44 +98,22 @@ def alpha0_fd(root: RootData, rel_step: float = 1e-6) -> complex:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class TraceProfiles:
-    """One-sided blocks of the first-order corrector profile at wavenumber k."""
+def trace_profile(root: RootData, k: float) -> ExpProfile:
+    """Full 2(d+1)-component first-order corrector profile at wavenumber k != 0.
 
-    left: ExpProfile
-    right: ExpProfile
-    trace_left: np.ndarray
-    trace_right: np.ndarray
-
-
-def trace_profiles(root: RootData, k: float) -> TraceProfiles:
-    """The decaying mode profile on each side for wavenumber k != 0.
-
-    For k > 0 the blocks are gamma1 e^{k beta_1^- z} r_1^- and
-    gamma2 e^{k beta_2^- z} r_2^-; for k < 0 the complex conjugate family
-    enters instead, keeping every rate strictly decaying.
+    For k > 0 its terms are gamma1 e^{k beta_1^- z} R_1^- (left block) and
+    gamma2 e^{k beta_2^- z} R_2^- (right block); for k < 0 the complex
+    conjugate family enters instead, keeping every rate strictly decaying.
+    Its value at z = 0 is the pair of boundary traces.
     """
     if k == 0.0:
-        raise DegeneracyError("trace profiles are undefined at k = 0")
+        raise DegeneracyError("the trace profile is undefined at k = 0")
     m = root.modes
     if k > 0.0:
-        cl, bl = root.gamma1 * m.r_minus[0], k * m.beta_minus[0]
-        cr, br = root.gamma2 * m.r_minus[1], k * m.beta_minus[1]
+        g1, g2, R, beta = root.gamma1, root.gamma2, m.R_minus, m.beta_minus
     else:
-        cl, bl = np.conj(root.gamma1) * m.r_plus[0], k * m.beta_plus[0]
-        cr, br = np.conj(root.gamma2) * m.r_plus[1], k * m.beta_plus[1]
-    left = ExpProfile.from_terms([(cl, bl)])
-    right = ExpProfile.from_terms([(cr, br)])
-    return TraceProfiles(left=left, right=right, trace_left=cl, trace_right=cr)
-
-
-def _rhat(root: RootData, k: float) -> ExpProfile:
-    """Full 2(d+1)-component corrector profile at wavenumber k."""
-    d = root.pb.d
-    tp = trace_profiles(root, k)
-    terms = [(_embed(t.coeff, "l", d), t.rate) for t in tp.left.terms]
-    terms += [(_embed(t.coeff, "r", d), t.rate) for t in tp.right.terms]
-    return ExpProfile.from_terms(terms)
+        g1, g2, R, beta = np.conj(root.gamma1), np.conj(root.gamma2), m.R_plus, m.beta_plus
+    return ExpProfile.from_terms([(g1 * R[0], k * beta[0]), (g2 * R[1], k * beta[1])])
 
 
 def dual_profile(root: RootData, k: float) -> ExpProfile:
@@ -178,17 +155,21 @@ def _omegas(root: RootData) -> Tuple[complex, complex, complex]:
     return complex(om1), complex(om2), complex(om3)
 
 
-def _ltilde_rows(root: RootData) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _ltilde_rows(root: RootData) -> np.ndarray:
+    """The packaged rows lt1, lt2, lt3 as full 2(d+1) rows: lt1 and lt3 in
+    the left block, lt2 in the right block."""
     pb, eta, m = root.pb, root.eta, root.modes
     vl, vr = pb.left, pb.right
     e0 = eta.eta0
     et = eta.eta_t
     ht2 = eta.ht2
     b1p, b2p = m.beta_plus[0], m.beta_plus[1]
-    lt1 = np.concatenate(([1j * e0 - 2.0 * vl.u * b1p], -1j * et, [b1p]))
-    lt2 = np.concatenate(([-1j * e0 - 2.0 * vr.u * b2p], 1j * et, [b2p]))
-    lt3 = np.concatenate(([-vl.u**2 * ht2], e0 * et, [vl.u * ht2])).astype(complex)
-    return lt1, lt2, lt3
+    n = pb.d + 1
+    rows = np.zeros((3, 2 * n), dtype=complex)
+    rows[0, :n] = np.concatenate(([1j * e0 - 2.0 * vl.u * b1p], -1j * et, [b1p]))
+    rows[1, n:] = np.concatenate(([-1j * e0 - 2.0 * vr.u * b2p], 1j * et, [b2p]))
+    rows[2, :n] = np.concatenate(([-vl.u**2 * ht2], e0 * et, [vl.u * ht2]))
+    return rows
 
 
 def dual_profile_packaged(root: RootData, k: float) -> ExpProfile:
@@ -199,14 +180,13 @@ def dual_profile_packaged(root: RootData, k: float) -> ExpProfile:
     downstream integral actually require)."""
     if k <= 0.0:
         raise DomainError(f"dual profile requires k > 0, got {k}")
-    d = root.pb.d
     m = root.modes
     om1, om2, om3 = _omegas(root)
     lt1, lt2, lt3 = _ltilde_rows(root)
     terms = [
-        (om1 / root.gamma1 * _embed(lt1, "l", d), -k * m.beta_plus[0]),
-        (om3 / root.gamma1 * _embed(lt3, "l", d), -k * m.beta_plus[2]),
-        (om2 / root.gamma2 * _embed(lt2, "r", d), -k * m.beta_plus[1]),
+        (om1 / root.gamma1 * lt1, -k * m.beta_plus[0]),
+        (om3 / root.gamma1 * lt3, -k * m.beta_plus[2]),
+        (om2 / root.gamma2 * lt2, -k * m.beta_plus[1]),
     ]
     return ExpProfile.from_terms(terms)
 
@@ -263,30 +243,29 @@ def q_oracle(root: RootData, k: float, kp: float) -> Tuple[complex, complex, com
     vl, vr = pb.left, pb.right
     sig = _sigma_of(root, total)
 
-    tk = trace_profiles(root, k)
-    tkp = trace_profiles(root, kp)
+    n = d + 1
+    rk = trace_profile(root, k)
+    rkp = trace_profile(root, kp)
+    tk, tkp = rk(0.0), rkp(0.0)
 
     # q1: tangential first differentials applied to the boundary traces.
     Sl = tangential_symbol(vl, eta)
     Sr = tangential_symbol(vr, eta)
-    sum_l = tk.trace_left + tkp.trace_left
-    sum_r = tk.trace_right + tkp.trace_right
+    tsum = tk + tkp
     q1 = sig @ (
-        _ftilde_apply(vr, pb.mu, d, Sr @ sum_r) - _ftilde_apply(vl, pb.mu, d, Sl @ sum_l)
+        _ftilde_apply(vr, pb.mu, d, Sr @ tsum[n:]) - _ftilde_apply(vl, pb.mu, d, Sl @ tsum[:n])
     )
 
     # q2: entropy-augmented normal second differential of the traces.
     q2 = -(
         sig
         @ (
-            d2_flux_normal(vr, tk.trace_right, tkp.trace_right)
-            - d2_flux_normal(vl, tk.trace_left, tkp.trace_left)
+            d2_flux_normal(vr, tk[n:], tkp[n:])
+            - d2_flux_normal(vl, tk[:n], tkp[:n])
         )
     )
 
     L = dual_profile(root, total)
-    rk = _rhat(root, k)
-    rkp = _rhat(root, kp)
 
     # q3: tangential second differentials under the z-integral.
     bil3 = _blockwise(
@@ -307,7 +286,6 @@ def q_oracle(root: RootData, k: float, kp: float) -> Tuple[complex, complex, com
     q4 = pair_dot(L, v4.derivative()).integral()[0]
 
     # q5: folded tangential symbol applied to the z-derivative of the profile.
-    n = d + 1
     Acheck = np.zeros((2 * n, 2 * n))
     Acheck[:n, :n] = -Sl
     Acheck[n:, n:] = Sr

@@ -277,14 +277,20 @@ def root_relation_residual(root: RootData) -> float:
 
 
 def gamma_linear_residual(root: RootData) -> float:
-    """Relative residual of J(v)eta + gamma1 H R_1^- + gamma2 H R_2^-."""
+    """Relative residual of J(v)eta + gamma1 H R_1^- + gamma2 H R_2^-.
+
+    Both vectors are scaled by the power of two that brings max|J(v)eta|
+    into [0.5, 1) before the norms; the scaling is exact, and it keeps the
+    squares inside the norms from underflowing on tiny states.
+    """
     ops, modes = root.ops, root.modes
     vec = (
         ops.Jeta
         + root.gamma1 * ops.H @ modes.R_minus[0]
         + root.gamma2 * ops.H @ modes.R_minus[1]
     )
-    return float(np.linalg.norm(vec) / np.linalg.norm(ops.Jeta))
+    scale = 2.0 ** -math.frexp(float(np.max(np.abs(ops.Jeta))))[1]
+    return float(np.linalg.norm(scale * vec) / np.linalg.norm(scale * ops.Jeta))
 
 
 def lemma4_residuals(root: RootData) -> np.ndarray:

@@ -14,7 +14,8 @@ mode matrices differ between the sides:
 Modes are indexed 1..d+1 per family (+/-).  Index 1 is the acoustic mode of
 the left state, index 2 the acoustic mode of the right state; indices 3..d+1
 are the advected modes (on the left for the + family, on the right for the -
-family).  Full vectors have 2(d+1) components, left block first.
+family).  Every eigenvector is stored in one layout only: a full vector of
+2(d+1) components, left block first, whose off-side block is exactly zero.
 """
 
 from __future__ import annotations
@@ -64,13 +65,12 @@ class TangentFrame:
 
     Column i of `e` is the basis vector e_{i+1}; the first column is eta_t
     itself and the remaining columns are an orthonormal basis of its
-    orthogonal complement.  `e_dual` holds the vectors dual to columns
-    2..d-1 inside that complement (they coincide with them for an
-    orthonormal completion).  Upsilon = (-u_r*eta0)^(d-2) * u_r * det(e).
+    orthogonal complement.  Being orthonormal, those columns are their own
+    duals inside the complement, so the advected left eigenvectors read them
+    directly.  Upsilon = (-u_r*eta0)^(d-2) * u_r * det(e).
     """
 
     e: np.ndarray
-    e_dual: np.ndarray
     det_e: float
     upsilon: float
 
@@ -114,7 +114,7 @@ def tangent_frame(eta_t: np.ndarray, u_r: float, eta0: float, d: int) -> Tangent
     e = np.column_stack([eta_t.reshape(-1, 1), comp]) if comp.size else eta_t.reshape(-1, 1)
     det_e = float(np.linalg.det(e))
     upsilon = (-u_r * eta0) ** (d - 2) * u_r * det_e
-    return TangentFrame(e=e, e_dual=comp, det_e=det_e, upsilon=upsilon)
+    return TangentFrame(e=e, det_e=det_e, upsilon=upsilon)
 
 
 def flux_jacobians(state: FluidState, d: int) -> np.ndarray:
@@ -181,10 +181,10 @@ def dg0(state: FluidState, mu: float, d: int) -> np.ndarray:
 class ModeSet:
     """All eigenmodes and eigenvectors of a configuration at one frequency.
 
-    Arrays are indexed by mode number j-1 (j = 1..d+1).  `r_minus[j]` and
-    `l_minus[j]` are the small one-sided vectors (length d+1), `R_minus[j]`
-    and `L_minus[j]` their embeddings into the full 2(d+1) space, and
-    `side_minus[j]` records which block ('l' or 'r') carries the mode.
+    Arrays are indexed by mode number j-1 (j = 1..d+1).  Each eigenvector is
+    stored once, as a full 2(d+1) vector: `R_minus[j]` and `L_minus[j]` carry
+    the right and left vectors of the mode in the block `side_minus[j]`
+    names ('l' first, 'r' second), and the other block is exactly +0.
     """
 
     pb: PhaseBoundary
@@ -194,29 +194,12 @@ class ModeSet:
     a_r: float
     beta_minus: np.ndarray
     beta_plus: np.ndarray
-    r_minus: np.ndarray
-    r_plus: np.ndarray
-    l_minus: np.ndarray
-    l_plus: np.ndarray
     R_minus: np.ndarray
     R_plus: np.ndarray
     L_minus: np.ndarray
     L_plus: np.ndarray
     side_minus: Tuple[str, ...]
     side_plus: Tuple[str, ...]
-
-    @property
-    def d(self) -> int:
-        return self.pb.d
-
-
-def _embed(small: np.ndarray, side: str, d: int) -> np.ndarray:
-    full = np.zeros(2 * (d + 1), dtype=complex)
-    if side == "l":
-        full[: d + 1] = small
-    else:
-        full[d + 1 :] = small
-    return full
 
 
 def normal_modes(pb: PhaseBoundary, eta: Frequency) -> ModeSet:
@@ -264,51 +247,47 @@ def normal_modes(pb: PhaseBoundary, eta: Frequency) -> ModeSet:
     beta_minus[2:] = b3m
     beta_plus[2:] = b3p
 
-    r_minus = np.zeros((n, n), dtype=complex)
-    r_plus = np.zeros((n, n), dtype=complex)
-    l_minus = np.zeros((n, n), dtype=complex)
-    l_plus = np.zeros((n, n), dtype=complex)
+    # Each vector is written into its side's block; the other block stays +0.
+    # Only the block is conjugated, so the zero block keeps its sign.
+    R_minus = np.zeros((n, 2 * n), dtype=complex)
+    R_plus = np.zeros((n, 2 * n), dtype=complex)
+    L_minus = np.zeros((n, 2 * n), dtype=complex)
+    L_plus = np.zeros((n, 2 * n), dtype=complex)
+    lb, rb = slice(0, n), slice(n, 2 * n)
 
-    r_minus[0] = np.concatenate(([-1j * e0 + vl.u * b1m], 1j * vl.c2 * et, [-a_l]))
-    r_plus[0] = np.conj(r_minus[0])
-    r_minus[1] = np.concatenate(([-1j * e0 - vr.u * b2m], 1j * vr.c2 * et, [-a_r]))
-    r_plus[1] = np.conj(r_minus[1])
+    R_minus[0, lb] = np.concatenate(([-1j * e0 + vl.u * b1m], 1j * vl.c2 * et, [-a_l]))
+    R_plus[0, lb] = np.conj(R_minus[0, lb])
+    R_minus[1, rb] = np.concatenate(([-1j * e0 - vr.u * b2m], 1j * vr.c2 * et, [-a_r]))
+    R_plus[1, rb] = np.conj(R_minus[1, rb])
 
     pref_l_minus = ml / (2.0 * a_l * (vl.u * a_l + 1j * vl.c2 * e0))
-    l_minus[0] = pref_l_minus * np.concatenate(
+    L_minus[0, lb] = pref_l_minus * np.concatenate(
         ([1j * e0 - 2.0 * vl.u * b1p], -1j * et, [b1p])
     )
-    l_plus[0] = np.conj(l_minus[0])
+    L_plus[0, lb] = np.conj(L_minus[0, lb])
     pref_r_minus = mr / (2.0 * a_r * (vr.u * a_r + 1j * vr.c2 * e0))
-    l_minus[1] = pref_r_minus * np.concatenate(
+    L_minus[1, rb] = pref_r_minus * np.concatenate(
         ([-1j * e0 - 2.0 * vr.u * b2p], 1j * et, [b2p])
     )
-    l_plus[1] = np.conj(l_minus[1])
+    L_plus[1, rb] = np.conj(L_minus[1, rb])
 
+    # Advected modes: the + family on the left, the - family on the right.
     for j in range(2, n):
         evec = frame.e[:, j - 2]
         dot = float(et @ evec)
-        r_plus[j] = np.concatenate(([0.0], e0 * evec, [vl.u * dot]))
-        r_minus[j] = np.concatenate(([0.0], e0 * evec, [vr.u * dot]))
+        R_plus[j, lb] = np.concatenate(([0.0], e0 * evec, [vl.u * dot]))
+        R_minus[j, rb] = np.concatenate(([0.0], e0 * evec, [vr.u * dot]))
 
-    l_plus[2] = np.concatenate(
+    L_plus[2, lb] = np.concatenate(
         ([vl.u], -(e0 / (vl.u * ht2)) * et, [-1.0])
     ) / (e0 * e0 + vl.u**2 * ht2)
-    l_minus[2] = np.concatenate(
+    L_minus[2, rb] = np.concatenate(
         ([-vr.u], (e0 / (vr.u * ht2)) * et, [1.0])
     ) / (e0 * e0 + vr.u**2 * ht2)
     for j in range(3, n):
-        dual = frame.e_dual[:, j - 3]
-        l_plus[j] = np.concatenate(([0.0], dual, [0.0])) * (-1.0 / (vl.u * e0))
-        l_minus[j] = np.concatenate(([0.0], dual, [0.0])) * (1.0 / (vr.u * e0))
-
-    side_minus = ("l", "r") + ("r",) * (d - 1)
-    side_plus = ("l", "r") + ("l",) * (d - 1)
-
-    R_minus = np.array([_embed(r_minus[j], side_minus[j], d) for j in range(n)])
-    R_plus = np.array([_embed(r_plus[j], side_plus[j], d) for j in range(n)])
-    L_minus = np.array([_embed(l_minus[j], side_minus[j], d) for j in range(n)])
-    L_plus = np.array([_embed(l_plus[j], side_plus[j], d) for j in range(n)])
+        dual = np.concatenate(([0.0], frame.e[:, j - 2], [0.0]))
+        L_plus[j, lb] = dual * (-1.0 / (vl.u * e0))
+        L_minus[j, rb] = dual * (1.0 / (vr.u * e0))
 
     return ModeSet(
         pb=pb,
@@ -318,16 +297,12 @@ def normal_modes(pb: PhaseBoundary, eta: Frequency) -> ModeSet:
         a_r=a_r,
         beta_minus=beta_minus,
         beta_plus=beta_plus,
-        r_minus=r_minus,
-        r_plus=r_plus,
-        l_minus=l_minus,
-        l_plus=l_plus,
         R_minus=R_minus,
         R_plus=R_plus,
         L_minus=L_minus,
         L_plus=L_plus,
-        side_minus=side_minus,
-        side_plus=side_plus,
+        side_minus=("l", "r") + ("r",) * (d - 1),
+        side_plus=("l", "r") + ("l",) * (d - 1),
     )
 
 
@@ -412,19 +387,6 @@ def boundary_operators(pb: PhaseBoundary, eta: Frequency) -> BoundaryOperators:
     return BoundaryOperators(H=H, Jeta=Jeta)
 
 
-def eigen_residual(modes: ModeSet, j: int, family: str) -> float:
-    """Relative residual of mode j (1-based) of the given family ('+'/'-')."""
-    pb, eta = modes.pb, modes.eta
-    if family == "-":
-        beta, r, side = modes.beta_minus[j - 1], modes.r_minus[j - 1], modes.side_minus[j - 1]
-    else:
-        beta, r, side = modes.beta_plus[j - 1], modes.r_plus[j - 1], modes.side_plus[j - 1]
-    state = pb.left if side == "l" else pb.right
-    M = mode_matrix(state, eta, beta, side)
-    denom = np.linalg.norm(r) * np.linalg.norm(M)
-    return float(np.linalg.norm(M @ r) / denom)
-
-
 def dispersion_residual(modes: ModeSet) -> float:
     """Largest relative residual of the acoustic decay rates in their dispersion relation.
 
@@ -441,17 +403,27 @@ def dispersion_residual(modes: ModeSet) -> float:
     return worst
 
 
-def left_eigen_residual(modes: ModeSet, j: int, family: str) -> float:
-    """Relative residual of the left eigenvector of mode j against its symbol."""
-    pb, eta = modes.pb, modes.eta
-    if family == "-":
-        beta, l, side = modes.beta_minus[j - 1], modes.l_minus[j - 1], modes.side_minus[j - 1]
-    else:
-        beta, l, side = modes.beta_plus[j - 1], modes.l_plus[j - 1], modes.side_plus[j - 1]
-    state = pb.left if side == "l" else pb.right
-    M = mode_matrix(state, eta, beta, side)
-    denom = np.linalg.norm(l) * np.linalg.norm(M)
-    return float(np.linalg.norm(np.conj(l) @ M) / denom)
+def mode_residuals(modes: ModeSet) -> Tuple[float, float]:
+    """Largest relative residuals of the right and of the left eigenvectors.
+
+    Each mode's matrix is built once and applied to both vectors, read from
+    the block its side names; the maximum runs over every mode of both
+    families.
+    """
+    pb, eta, n = modes.pb, modes.eta, modes.pb.d + 1
+    right = left = 0.0
+    for betas, R, L, sides in (
+        (modes.beta_minus, modes.R_minus, modes.L_minus, modes.side_minus),
+        (modes.beta_plus, modes.R_plus, modes.L_plus, modes.side_plus),
+    ):
+        for j, side in enumerate(sides):
+            state, blk = (pb.left, slice(0, n)) if side == "l" else (pb.right, slice(n, 2 * n))
+            M = mode_matrix(state, eta, betas[j], side)
+            r, l = R[j, blk], L[j, blk]
+            scale = np.linalg.norm(M)
+            right = max(right, float(np.linalg.norm(M @ r) / (np.linalg.norm(r) * scale)))
+            left = max(left, float(np.linalg.norm(np.conj(l) @ M) / (np.linalg.norm(l) * scale)))
+    return right, left
 
 
 def biorthogonality_matrices(modes: ModeSet) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -460,7 +432,7 @@ def biorthogonality_matrices(modes: ModeSet) -> Tuple[np.ndarray, np.ndarray, np
     Acheck^d is the block diagonal of the two one-sided normal flux Jacobians.
     Returns (same-family minus, same-family plus, cross minus-plus).
     """
-    d = modes.d
+    d = modes.pb.d
     Adl = flux_jacobians(modes.pb.left, d)[d - 1]
     Adr = flux_jacobians(modes.pb.right, d)[d - 1]
     Acheck = np.zeros((2 * (d + 1), 2 * (d + 1)))

@@ -66,18 +66,21 @@ def test_criterion_1_mode_structure():
         assert m.beta_minus[0].real < 0.0 and m.beta_minus[1].real < 0.0
         assert m.beta_plus[0].real > 0.0 and m.beta_plus[1].real > 0.0
         mats = _mode_matrices(pb, eta)
-        for fam, betas, rs, ls, sides in (
-            ("-", m.beta_minus, m.r_minus, m.l_minus, m.side_minus),
-            ("+", m.beta_plus, m.r_plus, m.l_plus, m.side_plus),
+        n = pb.d + 1
+        for fam, betas, Rs, Ls, sides in (
+            ("-", m.beta_minus, m.R_minus, m.L_minus, m.side_minus),
+            ("+", m.beta_plus, m.R_plus, m.L_plus, m.side_plus),
         ):
-            for j in range(pb.d + 1):
+            for j in range(n):
                 iS, Ad = mats[sides[j]]
                 sgn = -1.0 if sides[j] == "l" else 1.0
                 M = iS + sgn * betas[j] * Ad
+                blk = slice(0, n) if sides[j] == "l" else slice(n, 2 * n)
+                r, l = Rs[j, blk], Ls[j, blk]
                 scale = np.linalg.norm(M)
-                max_eig = max(max_eig, np.linalg.norm(M @ rs[j]) / (np.linalg.norm(rs[j]) * scale))
+                max_eig = max(max_eig, np.linalg.norm(M @ r) / (np.linalg.norm(r) * scale))
                 max_left = max(
-                    max_left, np.linalg.norm(np.conj(ls[j]) @ M) / (np.linalg.norm(ls[j]) * scale)
+                    max_left, np.linalg.norm(np.conj(l) @ M) / (np.linalg.norm(l) * scale)
                 )
         for j in (0, 1):
             max_conj = max(max_conj, abs(m.beta_plus[j] + np.conj(m.beta_minus[j])))

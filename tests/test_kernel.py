@@ -17,12 +17,11 @@ from phasewave import (
     kernel_eval,
     oracle_vs_closed,
     q_oracle,
-    trace_profiles,
+    trace_profile,
 )
 from phasewave.expsum import pair_dot
 from phasewave.kernel import (
     _omegas,
-    _rhat,
     _sigma_of,
     b_identity_values,
     corollary_closed,
@@ -146,29 +145,31 @@ class TestAlpha0:
 class TestProfiles:
     def test_trace_decay_and_values(self, root_a):
         m = root_a.modes
+        n = root_a.pb.d + 1
         for k in (0.5, 2.0):
-            tp = trace_profiles(root_a, k)
-            for term in tp.left.terms + tp.right.terms:
+            tp = trace_profile(root_a, k)
+            for term in tp.terms:
                 assert term.rate.real < 0.0
-            assert np.allclose(tp.trace_left, root_a.gamma1 * m.r_minus[0])
-            assert np.allclose(tp.trace_right, root_a.gamma2 * m.r_minus[1])
+            trace = tp(0.0)
+            assert np.allclose(trace[:n], root_a.gamma1 * m.R_minus[0, :n])
+            assert np.allclose(trace[n:], root_a.gamma2 * m.R_minus[1, n:])
 
     def test_trace_conjugation(self, root_a):
         for z in (0.0, 0.7, 1.9):
-            tp = trace_profiles(root_a, 1.2)
-            tn = trace_profiles(root_a, -1.2)
-            assert np.allclose(tn.left(z), np.conj(tp.left(z)), rtol=1e-14)
-            assert np.allclose(tn.right(z), np.conj(tp.right(z)), rtol=1e-14)
+            tp = trace_profile(root_a, 1.2)
+            tn = trace_profile(root_a, -1.2)
+            assert np.allclose(tn(z), np.conj(tp(z)), rtol=1e-14)
 
     def test_trace_derivative_at_zero(self, root_a):
         k = 1.4
-        tp = trace_profiles(root_a, k)
-        want = k * root_a.modes.beta_minus[0] * root_a.gamma1 * root_a.modes.r_minus[0]
-        assert np.allclose(tp.left.derivative()(0.0), want, rtol=1e-14)
+        n = root_a.pb.d + 1
+        tp = trace_profile(root_a, k)
+        want = k * root_a.modes.beta_minus[0] * root_a.gamma1 * root_a.modes.R_minus[0, :n]
+        assert np.allclose(tp.derivative()(0.0)[:n], want, rtol=1e-14)
 
     def test_trace_zero_wavenumber_rejected(self, root_a):
         with pytest.raises(DegeneracyError):
-            trace_profiles(root_a, 0.0)
+            trace_profile(root_a, 0.0)
 
     def test_dual_profile_requires_positive_k(self, root_a):
         with pytest.raises(DomainError):
@@ -290,8 +291,8 @@ class TestOracle:
         for k, kp in ((1.0, 2.0), (2.0, -0.7)):
             total = k + kp
             L = dual_profile(root_a, total)
-            rk = _rhat(root_a, k)
-            rkp = _rhat(root_a, kp)
+            rk = trace_profile(root_a, k)
+            rkp = trace_profile(root_a, kp)
             d = root_a.pb.d
             from phasewave.expsum import pair_bilinear
             from phasewave.kernel import _blockwise
@@ -381,8 +382,9 @@ class TestConstants:
             * m.a_l
             * m.a_r
         )
-        t1 = om1 * (lt1 @ (Adl @ m.r_plus[0]))
-        t2 = om2 * (lt2 @ (Adr @ m.r_plus[1]))
+        n = d + 1
+        t1 = om1 * (lt1[:n] @ (Adl @ m.R_plus[0, :n]))
+        t2 = om2 * (lt2[n:] @ (Adr @ m.R_plus[1, n:]))
         assert abs(t1 - E) <= 1e-10 * abs(E)
         assert abs(t2 + E) <= 1e-10 * abs(E)
 

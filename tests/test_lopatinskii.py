@@ -204,6 +204,16 @@ class TestGamma:
     def test_linear_relation(self, root_a):
         assert gamma_linear_residual(root_a) <= 1e-10
 
+    @pytest.mark.parametrize("u_l", [1e-50, 1e-100, 1e-150])
+    def test_linear_relation_tiny_states(self, u_l):
+        # fixture_a with both velocities scaled down at fixed density ratio.
+        # At 1e-150 the residual's entries are about 1e-166, and their squares
+        # would underflow to an exact 0 inside an unscaled norm.
+        left = FluidState(**{**FIXTURE_A["left"], "u": u_l})
+        right = FluidState(**{**FIXTURE_A["right"], "u": u_l / 0.45})
+        root = find_root(make_phase_boundary(left, right, 2, FIXTURE_A["mu"]), [1.0])
+        assert 0.0 < gamma_linear_residual(root) <= 1e-10
+
     def test_two_printed_forms_agree(self, root_a):
         g1, g2 = root_a.gamma1, root_a.gamma2
         h1, h2 = gamma_alternative_forms(root_a)

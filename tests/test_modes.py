@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,16 +16,17 @@ from phasewave import (
     d2_flux_normal,
     d2_flux_tangential,
     elliptic_eta0_max,
+    find_root,
     flux_jacobians,
     normal_modes,
     tangent_frame,
 )
+from phasewave.config import build_boundary, load_config
 from phasewave.modes import (
     biorthogonality_matrices,
     dg0,
-    eigen_residual,
-    left_eigen_residual,
     mode_matrix,
+    mode_residuals,
     tangential_symbol,
 )
 
@@ -88,7 +91,7 @@ class TestTangentFrame:
         fr = tangent_frame(np.array([1.0]), u_r=2.0, eta0=0.7, d=2)
         assert fr.det_e == 1.0
         assert fr.upsilon == pytest.approx(2.0)
-        assert fr.e_dual.shape == (1, 0)
+        assert fr.e.shape == (1, 1)
 
     def test_d3_345(self):
         fr = tangent_frame(np.array([3.0, 4.0]), u_r=2.0, eta0=1.0, d=3)
@@ -103,11 +106,12 @@ class TestTangentFrame:
         for d in (3, 4, 5):
             et = rng.normal(size=d - 1)
             fr = tangent_frame(et, 1.5, 0.8, d)
-            for i in range(d - 2):
-                for j in range(d - 2):
+            # The complement columns e[:, 1:] are their own duals.
+            for i in range(1, d - 1):
+                for j in range(1, d - 1):
                     want = 1.0 if i == j else 0.0
-                    assert abs(fr.e_dual[:, i] @ fr.e[:, j + 1] - want) < 1e-14
-                assert abs(fr.e_dual[:, i] @ et) < 1e-13
+                    assert abs(fr.e[:, i] @ fr.e[:, j] - want) < 1e-14
+                assert abs(fr.e[:, i] @ et) < 1e-13
 
     def test_zero_wavevector_rejected(self):
         with pytest.raises(DegeneracyError):
@@ -125,6 +129,13 @@ class TestTangentFrame:
 # Normal modes
 # ---------------------------------------------------------------------------
 
+# fixture_a at d = 2, 3 and 4; d = 4 is the only case with two complement columns.
+FIXTURE_A_FREQUENCIES = (
+    (fixture_a_boundary(), [1.0]),
+    (fixture_a_boundary(3), [0.6, 0.8]),
+    (fixture_a_boundary(4), [0.36, 0.48, 0.8]),
+)
+
 
 class TestNormalModes:
     def test_eta0_zero_acoustic(self):
@@ -141,8 +152,9 @@ class TestNormalModes:
         m = normal_modes(pb, Frequency(1.0, [1.0]))
         assert m.beta_plus[1] == -np.conj(m.beta_minus[1])
         assert m.beta_plus[0] == -np.conj(m.beta_minus[0])
-        assert np.all(m.r_plus[0] == np.conj(m.r_minus[0]))
-        assert np.all(m.r_plus[1] == np.conj(m.r_minus[1]))
+        n = pb.d + 1
+        assert np.all(m.R_plus[0, :n] == np.conj(m.R_minus[0, :n]))
+        assert np.all(m.R_plus[1, n:] == np.conj(m.R_minus[1, n:]))
 
     def test_advected_modes_purely_imaginary(self):
         pb = fixture_a_boundary()
@@ -193,12 +205,44 @@ class TestNormalModes:
             assert abs(val) <= 1e-12 * abs(state.c2 * ht2)
 
     def test_eigen_residuals_fixture(self):
-        for pb, eta_t in ((fixture_a_boundary(), [1.0]), (fixture_a_boundary(3), [0.6, 0.8])):
+        for pb, eta_t in FIXTURE_A_FREQUENCIES:
             m = normal_modes(pb, Frequency(0.9, eta_t))
-            for j in range(1, pb.d + 2):
-                for fam in ("-", "+"):
-                    assert eigen_residual(m, j, fam) <= 1e-12
-                    assert left_eigen_residual(m, j, fam) <= 1e-12
+            right, left = mode_residuals(m)
+            assert right <= 1e-12
+            assert left <= 1e-12
+
+    def test_off_side_block_is_plus_zero(self):
+        # Each row of the four vector arrays lives in the block its side
+        # names; the other block is +0 in both parts, never -0.
+        vdw = build_boundary(load_config(Path(__file__).parent.parent / "configs" / "vdw.json"))
+        for pb, eta_t in FIXTURE_A_FREQUENCIES + ((vdw, [1.0]),):
+            n = pb.d + 1
+            m = find_root(pb, np.array(eta_t)).modes
+            for arrays, sides in (
+                ((m.R_minus, m.L_minus), m.side_minus),
+                ((m.R_plus, m.L_plus), m.side_plus),
+            ):
+                for arr in arrays:
+                    assert arr.shape == (n, 2 * n)
+                    for j, side in enumerate(sides):
+                        off = arr[j, n:] if side == "l" else arr[j, :n]
+                        assert np.all(off == 0.0)
+                        assert not np.any(np.signbit(off.real) | np.signbit(off.imag))
+
+    def test_mode_residuals_detect_perturbation(self):
+        # One entry off by a relative 1e-6 must fail check's 1e-11 tolerance
+        # for its own family and leave the other family's residual alone.
+        m = normal_modes(fixture_a_boundary(), Frequency(0.9, [1.0]))
+        R = m.R_minus.copy()
+        R[0, 0] *= 1.0 + 1e-6
+        right, left = mode_residuals(dataclasses.replace(m, R_minus=R))
+        assert right > 1e-11
+        assert left <= 1e-12
+        L = m.L_plus.copy()
+        L[2, 0] *= 1.0 + 1e-6
+        right, left = mode_residuals(dataclasses.replace(m, L_plus=L))
+        assert left > 1e-11
+        assert right <= 1e-12
 
     def test_conjugation_symmetry_under_full_frequency_flip(self):
         pb = fixture_a_boundary()
@@ -208,14 +252,14 @@ class TestNormalModes:
         assert m_neg.a_r == pytest.approx(m_pos.a_r)
         assert np.allclose(m_neg.beta_minus, np.conj(m_pos.beta_minus), rtol=0, atol=1e-15)
         assert np.allclose(m_neg.beta_plus, np.conj(m_pos.beta_plus), rtol=0, atol=1e-15)
-        assert np.allclose(m_neg.r_minus, np.conj(m_pos.r_minus), rtol=0, atol=1e-14)
-        assert np.allclose(m_neg.l_minus, np.conj(m_pos.l_minus), rtol=0, atol=1e-14)
+        assert np.allclose(m_neg.R_minus, np.conj(m_pos.R_minus), rtol=0, atol=1e-14)
+        assert np.allclose(m_neg.L_minus, np.conj(m_pos.L_minus), rtol=0, atol=1e-14)
 
     def test_biorthogonality_diagnostic(self):
         # With the unfolded block normal Jacobian the products are diagonal
         # with entries of unit magnitude; flipping the sign of the left block
         # makes them exactly the identity.
-        for pb, eta_t in ((fixture_a_boundary(), [1.0]), (fixture_a_boundary(3), [0.6, 0.8])):
+        for pb, eta_t in FIXTURE_A_FREQUENCIES:
             m = normal_modes(pb, Frequency(0.9, eta_t))
             same_minus, same_plus, cross = biorthogonality_matrices(m)
             for mat, sides in ((same_minus, m.side_minus), (same_plus, m.side_plus)):
@@ -259,7 +303,7 @@ class TestFluxJacobians:
         eta = Frequency(1.0, [1.0])
         m = normal_modes(pb, eta)
         M = mode_matrix(pb.left, eta, m.beta_minus[0], "l")
-        r = m.r_minus[0]
+        r = m.R_minus[0, : pb.d + 1]
         assert np.linalg.norm(M @ r) <= 1e-12 * np.linalg.norm(r) * np.linalg.norm(M)
 
     def test_unnormalized_left_row_annihilates_normal_flux_image(self):
@@ -270,8 +314,9 @@ class TestFluxJacobians:
             ([1j * eta.eta0 - 2.0 * pb.left.u * m.beta_plus[0]], -1j * eta.eta_t, [m.beta_plus[0]])
         )
         Ad = flux_jacobians(pb.left, 2)[1]
-        val = lt1 @ (Ad @ m.r_minus[0])
-        assert abs(val) <= 1e-13 * np.linalg.norm(Ad @ m.r_minus[0]) * np.linalg.norm(lt1)
+        r1m = m.R_minus[0, :3]
+        val = lt1 @ (Ad @ r1m)
+        assert abs(val) <= 1e-13 * np.linalg.norm(Ad @ r1m) * np.linalg.norm(lt1)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +335,7 @@ class TestSecondDifferentials:
         left0 = FluidState(pb.left.rho, pb.left.u, pb.left.c2, 0.0)
         eta = Frequency(1.0, [1.0])
         m = normal_modes(pb, eta)
-        r1m = m.r_minus[0]
+        r1m = m.R_minus[0, :3]
         got = d2_flux_tangential(left0, eta.eta_t, r1m, r1m)
         cl4 = pb.left.c2**2
         expected = (-2j * cl4 * eta.ht2 / pb.left.rho) * np.concatenate(
@@ -303,7 +348,7 @@ class TestSecondDifferentials:
         left0 = FluidState(pb.left.rho, pb.left.u, pb.left.c2, 0.0)
         eta = Frequency(1.0, [1.0])
         m = normal_modes(pb, eta)
-        r1m, b1m = m.r_minus[0], m.beta_minus[0]
+        r1m, b1m = m.R_minus[0, :3], m.beta_minus[0]
         got = d2_flux_normal(left0, r1m, r1m)
         cl2, ul, rl = pb.left.c2, pb.left.u, pb.left.rho
         e0 = eta.eta0
@@ -322,7 +367,7 @@ class TestSecondDifferentials:
         right0 = FluidState(pb.right.rho, pb.right.u, pb.right.c2, 0.0)
         eta = Frequency(1.0, [1.0])
         m = normal_modes(pb, eta)
-        r2m = m.r_minus[1]
+        r2m = m.R_minus[1, 3:]
         got = d2_flux_tangential(right0, eta.eta_t, r2m, r2m)
         cr4 = pb.right.c2**2
         expected = (2j * cr4 * eta.ht2 / pb.right.rho) * np.concatenate(
@@ -340,26 +385,28 @@ class TestSecondDifferentials:
         cl4, cr4 = pb.left.c2**2, pb.right.c2**2
         b1m, b1p = m.beta_minus[0], m.beta_plus[0]
         b2m, b2p = m.beta_minus[1], m.beta_plus[1]
+        r1m, r1p = m.R_minus[0, :3], m.R_plus[0, :3]
+        r2m, r2p = m.R_minus[1, 3:], m.R_plus[1, 3:]
 
-        got = d2_flux_tangential(left0, eta.eta_t, m.r_minus[0], m.r_plus[0])
+        got = d2_flux_tangential(left0, eta.eta_t, r1m, r1p)
         expected = (-1j * cl4 * eta.ht2 / pb.left.rho) * np.concatenate(
             ([0.0], 2j * eta.eta_t, [-(b1p + b1m)])
         )
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected)))
 
-        got = d2_flux_normal(left0, m.r_minus[0], m.r_plus[0])
+        got = d2_flux_normal(left0, r1m, r1p)
         expected = (cl4 / pb.left.rho) * np.concatenate(
             ([0.0], 1j * (b1p + b1m) * eta.eta_t, [-2.0 * b1p * b1m], [-2.0 * pb.left.u * b1p * b1m])
         )
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected)))
 
-        got = d2_flux_tangential(right0, eta.eta_t, m.r_minus[1], m.r_plus[1])
+        got = d2_flux_tangential(right0, eta.eta_t, r2m, r2p)
         expected = (-1j * cr4 * eta.ht2 / pb.right.rho) * np.concatenate(
             ([0.0], 2j * eta.eta_t, [b2p + b2m])
         )
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected)))
 
-        got = d2_flux_normal(right0, m.r_minus[1], m.r_plus[1])
+        got = d2_flux_normal(right0, r2m, r2p)
         expected = (-cr4 / pb.right.rho) * np.concatenate(
             ([0.0], 1j * (b2p + b2m) * eta.eta_t, [2.0 * b2p * b2m], [2.0 * pb.right.u * b2p * b2m])
         )
@@ -469,7 +516,7 @@ class TestBoundaryOperators:
         d = pb.d
         ops = boundary_operators(pb, eta)
         S = tangential_symbol(pb.right, eta)
-        vec = S @ m.r_minus[1]
+        vec = S @ m.R_minus[1, d + 1 :]
         lhs = np.concatenate((vec, [dg0(pb.right, pb.mu, d) @ vec]))
         rhs = -1j * m.beta_minus[1] * (ops.H @ m.R_minus[1])
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12 * np.max(np.abs(rhs)))
