@@ -36,7 +36,6 @@ from .kernel import (
     alpha0_fd,
     build_kernel,
     dual_profile,
-    hunter_residual,
     kernel_constants,
     kernel_eval,
     oracle_vs_closed,
@@ -96,7 +95,6 @@ __all__ = [
     "alpha0_fd",
     "build_kernel",
     "dual_profile",
-    "hunter_residual",
     "kernel_constants",
     "kernel_eval",
     "oracle_vs_closed",

@@ -21,8 +21,9 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,13 +39,12 @@ from .config import (
 from .equilibrium import jump_residuals, make_phase_boundary, mass_flux_residual
 from .errors import NoRootError, PhasewaveError
 from .kernel import (
-    alpha0_abstract,
-    alpha0_closed,
-    alpha0_fd,
-    b_identity_values,
+    alpha0_residuals,
+    b_identity_residual,
     build_kernel,
     final_simplification_residual,
-    hunter_residual,
+    hamiltonian_symmetry_residual,
+    kernel_constants,
     oracle_vs_closed,
 )
 from .lopatinskii import (
@@ -141,27 +141,30 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
 
 
 # ---------------------------------------------------------------------------
-# check
+# Judged rows: check and coeffs
 # ---------------------------------------------------------------------------
 
 
-def _invariant(name: str, residual: float, tol: float) -> Dict:
-    return {
-        "name": name,
-        "residual": float(residual),
-        "tol": float(tol),
-        "pass": bool(residual <= tol),
-    }
+def _judge(command: str, path: Path, rows: List[Tuple[str, float, float]], extra: Dict) -> int:
+    """Write {pass, invariants, **extra} to path, one invariant per (name,
+    residual, tol) row; print the verdict, naming the last failed row (the one
+    an early exit appended); return the exit code."""
+    invariants = [
+        {"name": name, "residual": float(res), "tol": float(tol), "pass": bool(res <= tol)}
+        for name, res, tol in rows
+    ]
+    failed = [inv["name"] for inv in invariants if not inv["pass"]]
+    _write_json(path, {"pass": not failed, "invariants": invariants, **extra})
+    print(f"{command}: FAIL ({failed[-1]})" if failed else f"{command}: PASS")
+    return 1 if failed else 0
 
 
 def cmd_check(cfg: dict, outdir: Path, seed: int) -> int:
-    checks: List[Dict] = []
+    checks: List[Tuple[str, float, float]] = []
 
     def fail(name: str, residual: float = math.inf, tol: float = 0.0) -> int:
-        checks.append(_invariant(name, residual, tol))
-        _write_json(outdir / "check.json", {"pass": False, "invariants": checks})
-        print(f"check: FAIL ({name})")
-        return 1
+        checks.append((name, residual, tol))
+        return _judge("check", outdir / "check.json", checks, {})
 
     if "eos" in cfg:
         try:
@@ -170,8 +173,8 @@ def cmd_check(cfg: dict, outdir: Path, seed: int) -> int:
             return fail(f"equilibrium-solve ({exc})")
         mom, rev = jump_residuals(eos, pb.left.rho, pb.right.rho, pb.j)
         scale = max(1.0, abs(pb.left.p))
-        checks.append(_invariant("momentum-jump", abs(mom) / scale, 1e-12))
-        checks.append(_invariant("enthalpy-jump", abs(rev) / scale, 1e-12))
+        checks.append(("momentum-jump", abs(mom) / scale, 1e-12))
+        checks.append(("enthalpy-jump", abs(rev) / scale, 1e-12))
     else:
         try:
             left, right = fluid_state(cfg, "left"), fluid_state(cfg, "right")
@@ -181,7 +184,7 @@ def cmd_check(cfg: dict, outdir: Path, seed: int) -> int:
         res = mass_flux_residual(left, right)
         if res > 1e-10:
             return fail("mass-flux", res, 1e-10)
-        checks.append(_invariant("mass-flux", res, 1e-10))
+        checks.append(("mass-flux", res, 1e-10))
         try:
             pb = make_phase_boundary(left, right, cfg["d"], float(cfg["mu"]))
         except PhasewaveError as exc:
@@ -189,8 +192,8 @@ def cmd_check(cfg: dict, outdir: Path, seed: int) -> int:
             # most 1e-14 relative; its message names which one vanished.
             return fail(f"phase-boundary ({exc})")
         # Both jumps passed that test; the rows record it.
-        checks.append(_invariant("jump-rho-nonzero", 0.0, 0.5))
-        checks.append(_invariant("jump-u-nonzero", 0.0, 0.5))
+        checks.append(("jump-rho-nonzero", 0.0, 0.5))
+        checks.append(("jump-u-nonzero", 0.0, 0.5))
 
     eta_t = _eta_t(cfg)
     e0_max = elliptic_eta0_max(pb, eta_t)
@@ -207,15 +210,15 @@ def cmd_check(cfg: dict, outdir: Path, seed: int) -> int:
     except PhasewaveError as exc:
         # A refused frequency (eta_t = 0, say) is a failed row; check.json is written.
         return fail(f"eigenvector-residual ({exc})")
-    checks.append(_invariant("eigenvector-residual", eig_res, 1e-11))
-    checks.append(_invariant("left-eigenvector-residual", left_res, 1e-11))
-    checks.append(_invariant("dispersion-residual", disp_res, 1e-12))
+    checks.append(("eigenvector-residual", eig_res, 1e-11))
+    checks.append(("left-eigenvector-residual", left_res, 1e-11))
+    checks.append(("dispersion-residual", disp_res, 1e-12))
 
     scan_dev = 0.0
     for e0 in np.linspace(0.05, 0.95, 20) * e0_max:
         raw, closed = _determinants(pb, Frequency(float(e0), eta_t))
         scan_dev = max(scan_dev, abs(raw - closed) / max(abs(raw), abs(closed)))
-    checks.append(_invariant("delta-raw-vs-closed", scan_dev, 1e-10))
+    checks.append(("delta-raw-vs-closed", scan_dev, 1e-10))
 
     try:
         root = find_root(pb, eta_t)
@@ -237,9 +240,7 @@ def cmd_check(cfg: dict, outdir: Path, seed: int) -> int:
             # A root at the edge of floating point can make a row's own
             # linear algebra fail; that is a failed row, not a missing file.
             return fail(f"{name} ({exc})")
-        checks.append(_invariant(name, value, tol))
-
-    ok = all(c["pass"] for c in checks)
+        checks.append((name, value, tol))
 
     def matrix(arr) -> list:
         return [[complex(v) for v in row] for row in np.atleast_2d(arr)]
@@ -252,9 +253,7 @@ def cmd_check(cfg: dict, outdir: Path, seed: int) -> int:
         "L_minus": matrix(root.modes.L_minus),
         "L_plus": matrix(root.modes.L_plus),
     }
-    _write_json(outdir / "check.json", {"pass": ok, "invariants": checks, "debug": debug})
-    print("check: PASS" if ok else "check: FAIL")
-    return 0 if ok else 1
+    return _judge("check", outdir / "check.json", checks, {"debug": debug})
 
 
 # ---------------------------------------------------------------------------
@@ -316,40 +315,23 @@ def cmd_coeffs(cfg: dict, outdir: Path, seed: int) -> int:
     root = _root(cfg, "coeffs")
     if root is None:
         return 1
-    kernel = build_kernel(root)
-    kc = kernel.constants
-    a_closed = alpha0_closed(root)
-    a_abstract = alpha0_abstract(root)
-    a_fd = alpha0_fd(root)
-    bl, br = b_identity_values(root)
+    kc = kernel_constants(root)
+    imag, vs_abstract, vs_fd = alpha0_residuals(root, kc.alpha0)
     samples = [(1.0, 2.0), (3.0, 5.0), (10.0, 0.1), (2.0, -1.0), (3.0, -1.0), (5.0, -4.0)]
-    rep = oracle_vs_closed(root, samples)
-    report = {
-        "alpha0": kc.alpha0,
-        "Q": kc.Q,
-        "Q_l": kc.Q_l,
-        "Q_r": kc.Q_r,
-        "Q_sharp": kc.Q_sharp,
-        "Q_b": kc.Q_b,
-        "Q_nat": kc.Q_nat,
-        "hunter_residual": hunter_residual(kernel),
-        "identity_residuals": {
-            "alpha0_imag": abs(a_abstract.imag) / abs(a_abstract),
-            "alpha0_closed_vs_abstract": abs(a_closed - a_abstract) / abs(a_closed),
-            "alpha0_closed_vs_fd": abs(a_closed - a_fd) / abs(a_closed),
-            "final_simplification": final_simplification_residual(kc, root),
-            "b_l_plus_b_r": abs(bl + br) / (abs(bl) + abs(br)),
-            "lemma4_max": float(np.max(lemma4_residuals(root))),
-            "sigma_r3": sigma_r3_residual(root),
-            "oracle_vs_closed_max": rep["max_relative_deviation"],
-            "region1_constancy": rep["region1_constancy"],
-            "region2_proportionality": rep["region2_proportionality"],
-        },
-        "q5_conjugation_pattern": rep["q5_conjugation_pattern"],
-    }
-    _write_json(outdir / "coeffs.json", report)
-    print(f"coeffs: hunter_residual = {_fmt(report['hunter_residual'])}")
-    return 0
+    rep = oracle_vs_closed(root, kc, samples)
+    rows = [
+        ("alpha0-imag", imag, 1e-12),
+        ("alpha0-closed-vs-abstract", vs_abstract, 1e-10),
+        ("alpha0-closed-vs-fd", vs_fd, 1e-6),
+        ("final-simplification", final_simplification_residual(kc, root), 1e-10),
+        ("b-identity", b_identity_residual(root), 1e-10),
+        ("oracle-vs-closed", rep["max_relative_deviation"], 1e-9),
+        ("region1-constancy", rep["region1_constancy"], 1e-10),
+        ("region2-proportionality", rep["region2_proportionality"], 1e-10),
+        ("hamiltonian-symmetry", hamiltonian_symmetry_residual(root, rep["oracle_sums"]), 1e-10),
+    ]
+    extra = {**asdict(kc), "q5_conjugation_pattern": rep["q5_conjugation_pattern"]}
+    return _judge("coeffs", outdir / "coeffs.json", rows, extra)
 
 
 def cmd_simulate(cfg: dict, outdir: Path, seed: int) -> int:

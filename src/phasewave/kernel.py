@@ -16,7 +16,8 @@ zero:
 extended to the rest of the plane by index symmetry q(k,k') = q(k',k) and
 reality q(-k,-k') = conj(q(k,k')), with the value 0 on the anti-diagonal and
 the real part of Q_nat on the coordinate axes (the principal-value choice).
-Hunter's stability condition q(1, 0+) = conj(q(1, 0-)) holds by construction.
+On k1 + k2 + k3 = 0, q(k1, k2)/|k3| is invariant under cyclic shifts (Hunter's
+Hamiltonian symmetry); `hamiltonian_symmetry_residual` checks it on the oracle.
 """
 
 from __future__ import annotations
@@ -91,6 +92,14 @@ def alpha0_fd(root: RootData, rel_step: float = 1e-6) -> complex:
     dp = det_closed(pb, Frequency(e0 + h, eta.eta_t))
     dm = det_closed(pb, Frequency(e0 - h, eta.eta_t))
     return (dp - dm) / (2.0 * h)
+
+
+def alpha0_residuals(root: RootData, alpha0: float) -> Tuple[float, float, float]:
+    """Relative residuals: the imaginary part of `alpha0_abstract`, and the
+    closed value alpha0 against `alpha0_abstract` and against `alpha0_fd`."""
+    a_abstract, a_fd, scale = alpha0_abstract(root), alpha0_fd(root), abs(alpha0)
+    imag = abs(a_abstract.imag) / abs(a_abstract)
+    return imag, abs(alpha0 - a_abstract) / scale, abs(alpha0 - a_fd) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +422,12 @@ def b_identity_values(root: RootData) -> Tuple[complex, complex]:
     return complex(B_l), complex(B_r)
 
 
+def b_identity_residual(root: RootData) -> float:
+    """|B_l + B_r| relative to |B_l| + |B_r|; 0 at the root."""
+    bl, br = b_identity_values(root)
+    return abs(bl + br) / (abs(bl) + abs(br))
+
+
 def corollary_closed(root: RootData, kc: KernelConstants, k: float, kp: float) -> complex:
     """Region-wise closed form of the summed kernel before final assembly."""
     vl, vr = root.pb.left, root.pb.right
@@ -475,57 +490,61 @@ def kernel_eval(kernel: Kernel, k: float, kp: float) -> complex:
     return complex(q_grid(kernel, np.array(k), np.array(kp))[()])
 
 
-def hunter_residual(kernel: Kernel) -> float:
-    """Residual of Hunter's condition q(1,0+) = conj(q(1,0-)) on the completed
-    kernel; 0 by construction (the evidence is `q_oracle`'s limit at the axis)."""
-    q_pos = kernel.constants.Q_nat
-    q_neg = np.conj(kernel.constants.Q_nat)
-    return abs(q_pos - np.conj(q_neg))
+def _spread(vals) -> float:
+    """Largest distance of vals from their first, relative to max |vals|."""
+    if len(vals) < 2:
+        return 0.0
+    arr = np.array(vals)
+    return float(np.max(np.abs(arr - arr[0])) / max(np.max(np.abs(arr)), 1e-300))
 
 
-def oracle_vs_closed(root: RootData, samples: Iterable[Tuple[float, float]]) -> Dict:
+def oracle_vs_closed(root: RootData, kc: KernelConstants, samples: Iterable[Tuple[float, float]]) -> Dict:
     """Compare summed oracle kernels against the closed forms over samples.
 
-    Returns a report with the maximum relative deviation, region-constancy
-    and mixed-region proportionality statistics, plus which conjugation the
-    mixed-region piece q5 actually satisfies relative to Q.
+    Returns the maximum relative deviation, the region-constancy and
+    mixed-region proportionality spreads, the oracle sum at each sample, and
+    the conjugation of Q that q5 follows at the first mixed-region sample.
     """
-    kc = kernel_constants(root)
+    sums = {}
     devs = []
     region1_vals = []
     region2_ratios = []
+    pattern = None
     for k, kp in samples:
         qs = q_oracle(root, k, kp)
-        total = sum(qs)
+        total = sums[(k, kp)] = sum(qs)
         closed = corollary_closed(root, kc, k, kp)
-        scale = max(abs(total), abs(closed), 1e-300)
-        devs.append(abs(total - closed) / scale)
+        devs.append(abs(total - closed) / max(abs(total), abs(closed), 1e-300))
         if k > 0 and kp > 0:
             region1_vals.append(total)
         else:
             region2_ratios.append(total / (1.0 + kp / k))
+            if pattern is None:
+                # Reported, not fixed: the integrals give conj(Q) k'/k.
+                dev_plain = abs(qs[4] - kc.Q * (kp / k))
+                dev_conj = abs(qs[4] - np.conj(kc.Q) * (kp / k))
+                pattern = "conjugate" if dev_conj <= dev_plain else "plain"
 
-    def spread(vals):
-        if len(vals) < 2:
-            return 0.0
-        arr = np.array(vals)
-        return float(np.max(np.abs(arr - arr[0])) / max(np.max(np.abs(arr)), 1e-300))
-
-    report = {
+    return {
         "max_relative_deviation": float(max(devs)) if devs else 0.0,
-        "region1_constancy": spread(region1_vals),
-        "region2_proportionality": spread(region2_ratios),
+        "region1_constancy": _spread(region1_vals),
+        "region2_proportionality": _spread(region2_ratios),
+        "oracle_sums": sums,
+        "q5_conjugation_pattern": pattern,
     }
 
-    # Conjugation pattern of the mixed-region q5 against Q (reported, not fixed).
-    probe_k, probe_kp = 2.0, -1.0
-    q5 = q_oracle(root, probe_k, probe_kp)[4]
-    ref = probe_kp / probe_k
-    dev_plain = abs(q5 - kc.Q * ref) / max(abs(kc.Q), 1e-300)
-    dev_conj = abs(q5 - np.conj(kc.Q) * ref) / max(abs(kc.Q), 1e-300)
-    report["q5_deviation_from_plain_Q"] = float(dev_plain)
-    report["q5_deviation_from_conjugate_Q"] = float(dev_conj)
-    report["q5_conjugation_pattern"] = (
-        "conjugate" if dev_conj <= dev_plain else "plain"
-    )
-    return report
+
+def hamiltonian_symmetry_residual(root: RootData, sums: Dict[Tuple[float, float], complex]) -> float:
+    """Spread of Lambda(k1, k2, k3) = q(k1, k2)/|k3| over the cyclic shifts of
+    the triad (1, 2, -3), relative to max |Lambda|.  q is the summed oracle,
+    completed only by reality; `sums` holds sums already evaluated.  The
+    shift (2, -3, 1) reads (-2, 3), where no closed form is stated.
+    """
+
+    def q(k: float, kp: float) -> complex:
+        if k + kp < 0.0:
+            return np.conj(q(-k, -kp))
+        return sums[(k, kp)] if (k, kp) in sums else sum(q_oracle(root, k, kp))
+
+    triads = ((1.0, 2.0, -3.0), (2.0, -3.0, 1.0), (-3.0, 1.0, 2.0))
+    return _spread([q(k1, k2) / abs(k3) for k1, k2, k3 in triads])

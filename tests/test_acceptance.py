@@ -20,12 +20,16 @@ from phasewave import (
     det_raw,
     elliptic_eta0_max,
     find_root,
-    hunter_residual,
     kernel_constants,
     normal_modes,
     q_oracle,
 )
-from phasewave.kernel import b_identity_values, corollary_closed, oracle_vs_closed
+from phasewave.kernel import (
+    b_identity_values,
+    corollary_closed,
+    hamiltonian_symmetry_residual,
+    oracle_vs_closed,
+)
 from phasewave.lopatinskii import (
     _sigma_minors,
     gamma_alternative_forms,
@@ -227,7 +231,7 @@ def test_criterion_5_kernel_oracle_equivalence():
         max_lemma4 = max(max_lemma4, float(np.max(lemma4_residuals(root))))
         bl, br = b_identity_values(root)
         max_b = max(max_b, abs(bl + br) / (abs(bl) + abs(br)))
-        patterns.add(oracle_vs_closed(root, [(2.0, -1.0)])["q5_conjugation_pattern"])
+        patterns.add(oracle_vs_closed(root, kc, [(2.0, -1.0)])["q5_conjugation_pattern"])
     ok = (
         max_dev <= 1e-9
         and max_const <= 1e-10
@@ -246,10 +250,10 @@ def test_criterion_5_kernel_oracle_equivalence():
 
 
 def test_criterion_6_hunter_condition():
+    # The abstract kernel pieces, which no closed form enters: their limit
+    # toward the axis, and the cyclic symmetry of q(k1, k2)/|k3| on a triad.
     root = find_root(fixture_a_boundary(), [1.0])
-    kern = build_kernel(root)
-    kc = kern.constants
-    exact = hunter_residual(kern)
+    kc = kernel_constants(root)
     eps = 1e-6
     q_pos = sum(q_oracle(root, 1.0, eps))
     q_neg = sum(q_oracle(root, 1.0, -eps))
@@ -257,8 +261,9 @@ def test_criterion_6_hunter_condition():
         abs(q_pos - kc.Q_nat) / abs(kc.Q_nat),
         abs(q_neg - np.conj(kc.Q_nat)) / abs(kc.Q_nat),
     )
-    ok = exact == 0.0 and lim_dev <= 1e-4
-    _report(6, ok, f"closed-form residual {exact} oracle-limit deviation {lim_dev:.2e}")
+    cyclic = hamiltonian_symmetry_residual(root, {})
+    ok = lim_dev <= 1e-4 and cyclic <= 1e-10
+    _report(6, ok, f"oracle-limit deviation {lim_dev:.2e} cyclic-symmetry spread {cyclic:.2e}")
 
 
 def test_criterion_7_simulation_properties():

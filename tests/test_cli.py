@@ -109,6 +109,19 @@ class TestCheck:
         assert report["pass"] is True
         assert len(report["debug"]["R_minus"][0]) == 8
 
+    def test_late_failure_names_its_row(self, tmp_path, monkeypatch, capsys):
+        import phasewave.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "sigma_r3_residual", lambda root: 1.0)
+        cfg = write_config(tmp_path)
+        assert main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        report = json.loads((tmp_path / "check.json").read_text())
+        assert report["pass"] is False
+        assert [item["name"] for item in report["invariants"] if not item["pass"]] == [
+            "sigma-r3-relation"
+        ]
+        assert capsys.readouterr().out.strip() == "check: FAIL (sigma-r3-relation)"
+
 
 class TestScan:
     def test_hundred_rows_agree(self, tmp_path):
@@ -147,18 +160,48 @@ class TestRoot:
         assert len(report["gamma1"]) == 2
 
 
+COEFFS_ROWS = [
+    ("alpha0-imag", 1e-12),
+    ("alpha0-closed-vs-abstract", 1e-10),
+    ("alpha0-closed-vs-fd", 1e-6),
+    ("final-simplification", 1e-10),
+    ("b-identity", 1e-10),
+    ("oracle-vs-closed", 1e-9),
+    ("region1-constancy", 1e-10),
+    ("region2-proportionality", 1e-10),
+    ("hamiltonian-symmetry", 1e-10),
+]
+
+
 class TestCoeffs:
-    def test_report_contents(self, tmp_path):
+    def test_report_contents(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["coeffs", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.strip() == "coeffs: PASS"
         report = json.loads((tmp_path / "coeffs.json").read_text())
-        assert report["hunter_residual"] == 0.0
-        resid = report["identity_residuals"]
-        assert resid["alpha0_imag"] <= 1e-12
-        assert resid["oracle_vs_closed_max"] <= 1e-9
-        assert resid["final_simplification"] <= 1e-10
-        assert resid["b_l_plus_b_r"] <= 1e-12
+        assert list(report) == [
+            "pass", "invariants", "alpha0", "Q", "Q_l", "Q_r", "Q_sharp", "Q_b", "Q_nat",
+            "q5_conjugation_pattern",
+        ]
+        assert report["pass"] is True
+        rows = report["invariants"]
+        assert [(row["name"], row["tol"]) for row in rows] == COEFFS_ROWS
+        assert all(row["pass"] and row["residual"] <= row["tol"] for row in rows)
+        # b-identity holds tighter here than its tolerance for random states.
+        assert rows[4]["residual"] <= 1e-12
         assert report["q5_conjugation_pattern"] == "conjugate"
+
+    def test_failed_row_exits_one(self, tmp_path, monkeypatch, capsys):
+        import phasewave.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "final_simplification_residual", lambda kc, root: 1.0)
+        cfg = write_config(tmp_path)
+        assert main(["coeffs", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().out.strip() == "coeffs: FAIL (final-simplification)"
+        report = json.loads((tmp_path / "coeffs.json").read_text())
+        assert report["pass"] is False
+        failed = [row["name"] for row in report["invariants"] if not row["pass"]]
+        assert failed == ["final-simplification"]
 
     def test_no_root_exits_one(self, tmp_path, monkeypatch, capsys):
         import phasewave.cli as cli_mod

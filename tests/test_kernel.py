@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,13 +14,13 @@ from phasewave import (
     build_kernel,
     dual_profile,
     find_root,
-    hunter_residual,
     kernel_constants,
     kernel_eval,
     oracle_vs_closed,
     q_oracle,
     trace_profile,
 )
+from phasewave.config import build_boundary, load_config
 from phasewave.expsum import pair_dot
 from phasewave.kernel import (
     _omegas,
@@ -27,6 +29,7 @@ from phasewave.kernel import (
     corollary_closed,
     dual_profile_packaged,
     final_simplification_residual,
+    hamiltonian_symmetry_residual,
     q_grid,
 )
 from phasewave.modes import flux_jacobians
@@ -238,7 +241,7 @@ class TestOracle:
         q5 = q_oracle(root_a, 2.0, -1.0)[4]
         assert abs(q5 - np.conj(kc.Q) * (-0.5)) <= 1e-12 * abs(kc.Q)
         assert abs(q5 - kc.Q * (-0.5)) > 1e-3 * abs(kc.Q)
-        report = oracle_vs_closed(root_a, [(2.0, -1.0)])
+        report = oracle_vs_closed(root_a, kc, [(2.0, -1.0)])
         assert report["q5_conjugation_pattern"] == "conjugate"
 
     def test_q1_mixed_region_value(self, root_a):
@@ -315,9 +318,38 @@ class TestOracle:
         rng = np.random.default_rng(77)
         pb = random_boundary(rng)
         root = find_root(pb, random_frequency(rng, pb).eta_t)
-        rep = oracle_vs_closed(root, [(1.0, 2.0), (2.0, -1.0), (4.0, -3.0)])
+        samples = [(1.0, 2.0), (2.0, -1.0), (4.0, -3.0)]
+        rep = oracle_vs_closed(root, kernel_constants(root), samples)
         assert rep["max_relative_deviation"] <= 1e-9
         assert rep["q5_conjugation_pattern"] == "conjugate"
+
+
+def _vdw_root():
+    cfg = load_config(str(Path(__file__).resolve().parent.parent / "configs" / "vdw.json"))
+    return find_root(build_boundary(cfg), np.asarray(cfg["eta_t"], dtype=float))
+
+
+class TestHamiltonianSymmetry:
+    @pytest.mark.parametrize("which", ["root_a", "root_a3", "vdw"])
+    def test_cyclic_symmetry_of_oracle(self, which, request):
+        root = _vdw_root() if which == "vdw" else request.getfixturevalue(which)
+        assert hamiltonian_symmetry_residual(root, {}) <= 1e-10
+
+    def test_detects_perturbed_index_swapped_point(self, root_a, monkeypatch):
+        # The point (-2, 3) lies in the index-swapped region that the closed
+        # forms refuse; only the oracle's own symmetry sees it.
+        import phasewave.kernel as kernel_mod
+
+        original = kernel_mod.q_oracle
+
+        def perturbed(root, k, kp):
+            qs = original(root, k, kp)
+            if (k, kp) == (-2.0, 3.0):
+                return tuple((1.0 + 1e-6) * q for q in qs)
+            return qs
+
+        monkeypatch.setattr(kernel_mod, "q_oracle", perturbed)
+        assert hamiltonian_symmetry_residual(root_a, {}) > 1e-10
 
 
 class TestConstants:
@@ -390,10 +422,6 @@ class TestConstants:
 
 
 class TestCompletedKernel:
-    def test_hunter_exact(self, root_a):
-        kern = build_kernel(root_a)
-        assert hunter_residual(kern) == 0.0
-
     def test_hunter_oracle_limit(self, root_a):
         kc = kernel_constants(root_a)
         eps = 1e-6

@@ -7,26 +7,31 @@ from pathlib import Path
 
 import pytest
 
+import phasewave.kernel
 import phasewave.modes
 from phasewave.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-@pytest.fixture
-def normal_modes_calls(monkeypatch):
-    """Count `normal_modes` calls through every package module that uses it."""
+def count_calls(monkeypatch, owner, attr: str) -> list:
+    """Count calls of owner.attr through every package module that uses it."""
     calls = []
-    original = phasewave.modes.normal_modes
+    original = getattr(owner, attr)
 
     def counting(*args, **kwargs):
         calls.append(None)
         return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("phasewave") and getattr(module, "normal_modes", None) is original:
-            monkeypatch.setattr(module, "normal_modes", counting)
+        if name.startswith("phasewave") and getattr(module, attr, None) is original:
+            monkeypatch.setattr(module, attr, counting)
     return calls
+
+
+@pytest.fixture
+def normal_modes_calls(monkeypatch):
+    return count_calls(monkeypatch, phasewave.modes, "normal_modes")
 
 
 def test_scan_builds_one_mode_set_per_point(tmp_path, normal_modes_calls):
@@ -41,6 +46,16 @@ def test_check_builds_one_mode_set_per_frequency(tmp_path, normal_modes_calls):
     config = CONFIGS / "fixture_a.json"
     assert main(["check", "--config", str(config), "--out", str(tmp_path)]) == 0
     assert len(normal_modes_calls) == 29
+
+
+def test_coeffs_evaluates_each_value_once(tmp_path, monkeypatch):
+    # Six samples and the index-swapped point (-2, 3) of the symmetry row.
+    oracle = count_calls(monkeypatch, phasewave.kernel, "q_oracle")
+    constants = count_calls(monkeypatch, phasewave.kernel, "kernel_constants")
+    alpha0 = count_calls(monkeypatch, phasewave.kernel, "alpha0_closed")
+    config = CONFIGS / "fixture_a.json"
+    assert main(["coeffs", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert (len(oracle), len(constants), len(alpha0)) == (7, 1, 1)
 
 
 @pytest.mark.parametrize("config", ["fixture_a", "vdw"])
