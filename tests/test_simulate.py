@@ -22,6 +22,7 @@ from phasewave.simulate import (
     InitSpec,
     SimConfig,
     SpectralField,
+    _rhs_weights,
     evolve,
     physical_reconstruction,
 )
@@ -175,10 +176,15 @@ class TestConvolutionRhs:
 
     @pytest.mark.parametrize(
         "profile, N",
-        [(p, n) for n in (64, 256) for p in ("random_smooth", "gaussian_bump", "evolved")]
-        + [("random_smooth", 1024)],
+        [
+            (p, n)
+            for n in (64, 256, 257, 1024, 2048)
+            for p in ("random_smooth", "gaussian_bump", "evolved")
+        ],
     )
     def test_matches_vectorized_brute_force_at_scale(self, kernel_and_alpha, profile, N):
+        # N = 257 is the smallest grid with an FFT band (of one mode); 1024
+        # and 2048 add two and three dyadic bands to the direct base block.
         kern, a0v = kernel_and_alpha
         bump = InitSpec("gaussian_bump", amplitude=0.5, k0=1.0, width=0.5)
         if profile == "random_smooth":
@@ -190,6 +196,64 @@ class TestConvolutionRhs:
         ref = _brute_force_rhs(f, kern, a0v)
         got = convolution_rhs(f, kern, a0v).what
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize(
+        "profile, N", [("random_smooth", 257), ("random_smooth", 2048), ("evolved", 1024)]
+    )
+    def test_per_mode_error_within_its_own_terms(self, kernel_and_alpha, profile, N):
+        """Every mode n >= 1 is within 128 eps of T_n, the same three products
+        taken on |p|, |v| and the |weights| (measured at most 36).  A single
+        whole-spectrum FFT exceeds it by a factor of 1e5 or more: its error is
+        about eps ||p||^2 in every mode, while the true high modes are tiny."""
+        kern, a0v = kernel_and_alpha
+        if profile == "random_smooth":
+            f = init_field(_cfg(dk=0.05, N=N, init=InitSpec("random_smooth", amplitude=1.0, seed=5)))
+        else:
+            init = InitSpec("random_smooth", amplitude=0.01, seed=5)
+            f = evolve(kern, a0v, _cfg(dk=0.05, N=N, T=0.5, init=init, output_every=10**9)).field
+        inv_m, w_conv, w_mixed, w_axis = _rhs_weights(N, f.dk, kern, a0v)
+        half = f.what[N:]
+        got = convolution_rhs(f, kern, a0v).what[N:]
+        # Reference: the direct products in extended precision (80-bit long
+        # double on x86-64), from the same float64 weights.
+        p = half.astype(np.clongdouble)
+        p[0] = 0.0
+        v = p * inv_m.astype(np.longdouble)
+        ref = (
+            w_conv.astype(np.clongdouble) * np.convolve(p, p)[: N + 1]
+            + w_mixed.astype(np.clongdouble) * np.correlate(v, p, "full")[N:]
+            + p * (half[0] * w_axis).astype(np.clongdouble)
+        )
+        a = np.abs(half)
+        a[0] = 0.0
+        terms = (
+            np.abs(w_conv) * np.convolve(a, a)[: N + 1]
+            + np.abs(w_mixed) * np.correlate(a * inv_m, a, "full")[N:]
+            + np.abs(half[0] * w_axis) * a
+        )
+        err = np.abs(got - ref).astype(float)
+        assert np.all(terms[1:] > 0.0)
+        assert np.all(err[1:] <= 128 * np.finfo(float).eps * terms[1:])
+
+    @pytest.mark.parametrize("N", [64, 128, 256])
+    def test_direct_products_bit_for_bit_up_to_256_modes(self, kernel_and_alpha, N):
+        # Up to 256 modes there is no FFT band: the RHS is the two direct
+        # products, so grids of this size give the same bits as before bands.
+        kern, a0v = kernel_and_alpha
+        f = init_field(_cfg(dk=0.05, N=N, init=InitSpec("random_smooth", amplitude=1.0, seed=5)))
+        f.what[N] = 0.3
+        inv_m, w_conv, w_mixed, w_axis = _rhs_weights(N, f.dk, kern, a0v)
+        half = f.what[N:]
+        p = half.copy()
+        p[0] = 0.0
+        rhs = (
+            w_conv * np.convolve(p, p)[: N + 1]
+            + w_mixed * np.correlate(p * inv_m, p, "full")[N:]
+            + (half[0] * w_axis) * p
+        )
+        rhs[0] = 0.0
+        expected = np.concatenate((np.conj(rhs[:0:-1]), rhs))
+        assert np.array_equal(convolution_rhs(f, kern, a0v).what, expected)
 
     @pytest.mark.parametrize(
         "bad", [np.nan, np.inf, -np.inf, complex(537.6, np.nan), complex(537.6, -1.4e-14)]
@@ -225,10 +289,14 @@ class TestEnergy:
     Re(conj(what_k) rhs_k)/|k| vanishes to round-off for any field."""
 
     @pytest.mark.parametrize("mean", [0.0, 0.3])
-    @pytest.mark.parametrize("seed", range(6))
-    def test_rhs_conserves_energy(self, shipped_kernel_and_alpha, seed, mean):
+    @pytest.mark.parametrize(
+        "seed, N",
+        [pytest.param(s, 200, id=str(s)) for s in range(6)]
+        + [pytest.param(s, 1024, id=f"{s}-N1024") for s in range(6)],
+    )
+    def test_rhs_conserves_energy(self, shipped_kernel_and_alpha, seed, N, mean):
         kern, a0v = shipped_kernel_and_alpha
-        f = init_field(_cfg(N=200, init=InitSpec("random_smooth", amplitude=1.0, seed=seed)))
+        f = init_field(_cfg(N=N, init=InitSpec("random_smooth", amplitude=1.0, seed=seed)))
         f.what[f.N] = mean
         rhs = convolution_rhs(f, kern, a0v).what
         k = np.abs(f.wavenumbers())
