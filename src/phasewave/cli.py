@@ -74,12 +74,6 @@ def _eta_t(cfg: dict) -> np.ndarray:
     return np.asarray(cfg["eta_t"], dtype=float)
 
 
-def _determinants(pb, eta: Frequency):
-    """Raw and closed Lopatinskii determinants from one shared ModeSet."""
-    modes = normal_modes(pb, eta)
-    return det_raw(pb, eta, modes), det_closed(pb, eta, modes)
-
-
 def _root(cfg: dict, command: str):
     """The surface-wave root, or None after reporting that there is none."""
     pb = build_boundary(cfg)
@@ -214,11 +208,13 @@ def cmd_check(cfg: dict, outdir: Path, seed: int) -> int:
     checks.append(("left-eigenvector-residual", left_res, 1e-11))
     checks.append(("dispersion-residual", disp_res, 1e-12))
 
-    scan_dev = 0.0
-    for e0 in np.linspace(0.05, 0.95, 20) * e0_max:
-        raw, closed = _determinants(pb, Frequency(float(e0), eta_t))
-        scan_dev = max(scan_dev, abs(raw - closed) / max(abs(raw), abs(closed)))
-    checks.append(("delta-raw-vs-closed", scan_dev, 1e-10))
+    sweep = Frequency(np.linspace(0.05, 0.95, 20) * e0_max, eta_t)
+    raw, closed = det_raw(pb, sweep), det_closed(pb, sweep)
+    # np.hypot rounds as Python's complex abs does; np.abs does not.
+    diff = raw - closed
+    gap = np.hypot(diff.real, diff.imag)
+    size = np.maximum(np.hypot(raw.real, raw.imag), np.hypot(closed.real, closed.imag))
+    checks.append(("delta-raw-vs-closed", np.max(gap / size), 1e-10))
 
     try:
         root = find_root(pb, eta_t)
@@ -274,20 +270,18 @@ def cmd_scan(cfg: dict, outdir: Path, seed: int) -> int:
         print(f"scan: range [{lo}, {hi}] not inside the elliptic interval [0, {e0_max})")
         return 1
     grid = np.linspace(lo, hi, sc["steps"])
-    F = root_function(pb, eta_t)
-    rows, signs = [], []
-    for e0 in grid:
-        raw, closed = _determinants(pb, Frequency(float(e0), eta_t))
-        rows.append([float(e0), raw.real, raw.imag, closed.real, closed.imag])
-        # Sign of the root factor, tracked to flag the surface-wave bracket.
-        signs.append(math.copysign(1.0, F(float(e0))))
+    eta = Frequency(grid, eta_t)
+    raw, closed = det_raw(pb, eta), det_closed(pb, eta)
     _write_csv(
         outdir / "scan.csv",
         ["eta0", "re_delta_raw", "im_delta_raw", "re_delta_closed", "im_delta_closed"],
-        rows,
+        np.column_stack([grid, raw.real, raw.imag, closed.real, closed.imag]).tolist(),
     )
-    change = next((i for i in range(1, len(grid)) if signs[i] != signs[i - 1]), None)
-    if change is not None:
+    # Sign of the root factor, tracked to flag the surface-wave bracket.
+    negative = np.signbit(root_function(pb, eta_t)(grid))
+    changes = np.flatnonzero(negative[1:] != negative[:-1])
+    if changes.size:
+        change = changes[0] + 1
         lo, hi = _fmt(grid[change - 1]), _fmt(grid[change])
         print(f"scan: root function changes sign in [{lo}, {hi}]")
     else:

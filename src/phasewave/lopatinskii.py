@@ -4,9 +4,11 @@ projection data (sigma, gamma) attached to that root.
 The determinant is evaluated by two independent functions: `det_raw`, the
 raw (d+2)x(d+2) determinant of the frequency column J(v)eta against the
 boundary images of the incoming modes, and `det_closed`, the closed product
-formula.  Its positive root in the elliptic interval, the surface wave, is
-the positive root of a quadratic in eta0^2 and is computed in closed form by
-`find_root`.  The cofactor functional sigma* at the root comes from the
+formula.  Both, and the root factor from `root_function`, take a float eta0
+or a 1-D array of them and return one value per eta0, so a sweep over
+frequencies is one call.  Its positive root in the elliptic interval, the
+surface wave, is the positive root of a quadratic in eta0^2 and is computed
+in closed form by `find_root`.  The cofactor functional sigma* at the root comes from the
 closed component formulas; `sigma_methods_residual` recomputes it from the
 first-column minors of the raw determinant and compares the two.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -27,44 +29,50 @@ from .modes import (
     ModeSet,
     boundary_operators,
     elliptic_eta0_max,
+    incoming_modes,
     normal_modes,
 )
 
 
-def _raw_columns(modes: ModeSet, ops: BoundaryOperators) -> np.ndarray:
-    """The d+1 boundary columns H R_j^- in mode order."""
-    return (ops.H @ modes.R_minus.T).T
+def _boundary_columns(H: np.ndarray, R_minus: np.ndarray) -> np.ndarray:
+    """The d+1 boundary columns H R_j^- in mode order, per frequency when
+    R_minus is a stack."""
+    return H @ np.swapaxes(R_minus, -1, -2)
 
 
-def det_closed(pb: PhaseBoundary, eta: Frequency, modes: Optional[ModeSet] = None) -> complex:
+def _per_frequency(value) -> Union[complex, np.ndarray]:
+    """A complex scalar for a float eta0, a complex array for an array eta0."""
+    value = np.asarray(value, dtype=complex)
+    return complex(value) if value.ndim == 0 else value
+
+
+def det_closed(pb: PhaseBoundary, eta: Frequency) -> Union[complex, np.ndarray]:
     """The Lopatinskii determinant in factorized form, -[rho][u] Upsilon
-    (eta0^2 + u_r^2 |eta_t|^2)(u_l u_r a_l a_r + c_l^2 c_r^2 eta0^2), from the
-    ModeSet `modes` at `eta` (computed when not given)."""
-    if modes is None:
-        modes = normal_modes(pb, eta)
-    e0 = eta.eta0
+    (eta0^2 + u_r^2 |eta_t|^2)(u_l u_r a_l a_r + c_l^2 c_r^2 eta0^2), at a
+    float eta0 or at each eta0 of a 1-D array."""
+    inc = incoming_modes(pb, eta)
+    e0 = np.asarray(eta.eta0, dtype=float)
     ht2 = eta.ht2
     vl, vr = pb.left, pb.right
-    return complex(
+    return _per_frequency(
         -pb.jump_rho
         * pb.jump_u
-        * modes.frame.upsilon
+        * inc.frame.upsilon
         * (e0 * e0 + vr.u**2 * ht2)
-        * (vl.u * vr.u * modes.a_l * modes.a_r + vl.c2 * vr.c2 * e0 * e0)
+        * (vl.u * vr.u * inc.a_l * inc.a_r + vl.c2 * vr.c2 * e0 * e0)
     )
 
 
-def det_raw(pb: PhaseBoundary, eta: Frequency, modes: Optional[ModeSet] = None) -> complex:
+def det_raw(pb: PhaseBoundary, eta: Frequency) -> Union[complex, np.ndarray]:
     """The Lopatinskii determinant det(J(v)eta, H R_1^-, ..., H R_{d+1}^-) by
-    complex LU, from the ModeSet `modes` at `eta` (computed when not given)."""
-    if modes is None:
-        modes = normal_modes(pb, eta)
+    complex LU, at a float eta0 or at each eta0 of a 1-D array (one stacked
+    LU call)."""
+    inc = incoming_modes(pb, eta)
     ops = boundary_operators(pb, eta)
-    cols = _raw_columns(modes, ops)
-    M = np.empty((pb.d + 2, pb.d + 2), dtype=complex)
-    M[:, 0] = ops.Jeta
-    M[:, 1:] = cols.T
-    return complex(np.linalg.det(M))
+    M = np.empty(ops.Jeta.shape + (pb.d + 2,), dtype=complex)
+    M[..., 0] = ops.Jeta
+    M[..., 1:] = _boundary_columns(ops.H, inc.R_minus)
+    return _per_frequency(np.linalg.det(M))
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,11 +142,11 @@ def _sigma_closed(pb: PhaseBoundary, eta: Frequency, modes: ModeSet) -> SigmaDat
 def _sigma_minors(pb: PhaseBoundary, modes: ModeSet, ops: BoundaryOperators) -> np.ndarray:
     """sigma* from first-column cofactors of the raw determinant."""
     d = pb.d
-    cols = _raw_columns(modes, ops)
-    if np.linalg.matrix_rank(cols.T) < d + 1:
+    cols = _boundary_columns(ops.H, modes.R_minus)
+    if np.linalg.matrix_rank(cols) < d + 1:
         raise InconsistencyError("boundary columns H R_j^- are rank deficient")
     M = np.empty((d + 2, d + 2), dtype=complex)
-    M[:, 1:] = cols.T
+    M[:, 1:] = cols
     sigma_star = np.empty(d + 2, dtype=complex)
     for m in range(d + 2):
         M[:, 0] = 0.0
@@ -192,20 +200,26 @@ def gamma_forms_residual(root: RootData) -> float:
 def root_function(pb: PhaseBoundary, eta_t: np.ndarray):
     """F(eta0) = u_l u_r a_l a_r + c_l^2 c_r^2 eta0^2, the factor of the
     Lopatinskii determinant whose zero in the elliptic interval locates the
-    surface wave."""
+    surface wave.  F takes a float eta0 or a 1-D array of them and returns
+    one value per eta0; any eta0 outside the elliptic interval raises
+    DomainError."""
     vl, vr = pb.left, pb.right
     ht2 = float(np.atleast_1d(eta_t) @ np.atleast_1d(eta_t))
 
     scale = max((vl.c2 - vl.u**2) * ht2, (vr.c2 - vr.u**2) * ht2)
 
-    def F(e0: float) -> float:
+    def F(e0):
+        e0 = np.asarray(e0, dtype=float)[()]
         rad_l = (vl.c2 - vl.u**2) * ht2 - e0 * e0
         rad_r = (vr.c2 - vr.u**2) * ht2 - e0 * e0
-        if rad_l < -1e-12 * scale or rad_r < -1e-12 * scale:
-            raise DomainError(f"eta0={e0} outside the elliptic interval")
-        a_l = -vl.c * math.sqrt(max(rad_l, 0.0))
-        a_r = vr.c * math.sqrt(max(rad_r, 0.0))
-        return vl.u * vr.u * a_l * a_r + vl.c2 * vr.c2 * e0 * e0
+        outside = (rad_l < -1e-12 * scale) | (rad_r < -1e-12 * scale)
+        if outside.any():
+            bad = np.ravel(e0)[np.argmax(np.ravel(outside))]
+            raise DomainError(f"eta0={bad} outside the elliptic interval")
+        a_l = -vl.c * np.sqrt(np.maximum(rad_l, 0.0))
+        a_r = vr.c * np.sqrt(np.maximum(rad_r, 0.0))
+        value = vl.u * vr.u * a_l * a_r + vl.c2 * vr.c2 * e0 * e0
+        return float(value) if value.ndim == 0 else value
 
     return F
 

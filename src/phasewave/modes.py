@@ -16,13 +16,18 @@ the left state, index 2 the acoustic mode of the right state; indices 3..d+1
 are the advected modes (on the left for the + family, on the right for the -
 family).  Every eigenvector is stored in one layout only: a full vector of
 2(d+1) components, left block first, whose off-side block is exactly zero.
+
+`normal_modes` builds both families with their left eigenvectors at a float
+eta0.  `incoming_modes` builds only the incoming (-) family, which is all the
+Lopatinskii determinant reads, at a float eta0 or elementwise along a 1-D
+array of them; `normal_modes` takes that family from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -32,12 +37,20 @@ from .errors import DegeneracyError, DomainError, ParameterError
 
 @dataclass(frozen=True, eq=False)
 class Frequency:
-    """Temporal frequency and tangential wavevector (eta0, eta_t)."""
+    """Temporal frequency and tangential wavevector (eta0, eta_t).
 
-    eta0: float
+    eta0 is a float, or a 1-D array of temporal frequencies that share eta_t;
+    the determinant routes take either, `normal_modes` only a float.
+    """
+
+    eta0: Union[float, np.ndarray]
     eta_t: np.ndarray
 
     def __post_init__(self) -> None:
+        if np.ndim(self.eta0) > 1:
+            raise ParameterError("eta0 must be a float or a 1-D array")
+        if np.ndim(self.eta0) == 1:
+            object.__setattr__(self, "eta0", np.asarray(self.eta0, dtype=float))
         object.__setattr__(self, "eta_t", np.atleast_1d(np.asarray(self.eta_t, dtype=float)))
         if self.eta_t.ndim != 1:
             raise ParameterError("eta_t must be a vector")
@@ -67,12 +80,13 @@ class TangentFrame:
     itself and the remaining columns are an orthonormal basis of its
     orthogonal complement.  Being orthonormal, those columns are their own
     duals inside the complement, so the advected left eigenvectors read them
-    directly.  Upsilon = (-u_r*eta0)^(d-2) * u_r * det(e).
+    directly.  Upsilon = (-u_r*eta0)^(d-2) * u_r * det(e), one value per
+    eta0 when eta0 is an array.
     """
 
     e: np.ndarray
     det_e: float
-    upsilon: float
+    upsilon: Union[float, np.ndarray]
 
 
 def _complement_basis(eta_t: np.ndarray) -> np.ndarray:
@@ -103,8 +117,8 @@ def _complement_basis(eta_t: np.ndarray) -> np.ndarray:
     return np.column_stack(basis)
 
 
-def tangent_frame(eta_t: np.ndarray, u_r: float, eta0: float, d: int) -> TangentFrame:
-    """Build the tangential frame and the scalar Upsilon for a frequency."""
+def tangent_frame(eta_t: np.ndarray, u_r: float, eta0, d: int) -> TangentFrame:
+    """Build the tangential frame and Upsilon for a float or a 1-D array eta0."""
     eta_t = np.atleast_1d(np.asarray(eta_t, dtype=float))
     if eta_t.size != d - 1:
         raise ParameterError(f"eta_t must have length d-1={d - 1}, got {eta_t.size}")
@@ -113,8 +127,13 @@ def tangent_frame(eta_t: np.ndarray, u_r: float, eta0: float, d: int) -> Tangent
     comp = _complement_basis(eta_t)
     e = np.column_stack([eta_t.reshape(-1, 1), comp]) if comp.size else eta_t.reshape(-1, 1)
     det_e = float(np.linalg.det(e))
-    upsilon = (-u_r * eta0) ** (d - 2) * u_r * det_e
-    return TangentFrame(e=e, det_e=det_e, upsilon=upsilon)
+    # The power is a product of d-2 factors, so a float and an array eta0
+    # round alike (C pow and numpy's power loops do not).
+    power = np.ones(np.shape(eta0))
+    for _ in range(d - 2):
+        power = power * (-u_r * eta0)
+    upsilon = power * u_r * det_e
+    return TangentFrame(e=e, det_e=det_e, upsilon=float(upsilon) if upsilon.ndim == 0 else upsilon)
 
 
 def flux_jacobians(state: FluidState, d: int) -> np.ndarray:
@@ -202,39 +221,117 @@ class ModeSet:
     side_plus: Tuple[str, ...]
 
 
-def normal_modes(pb: PhaseBoundary, eta: Frequency) -> ModeSet:
-    """Decay rates, eigenmodes, and right/left eigenvectors at a frequency.
+@dataclass(frozen=True, eq=False)
+class IncomingModes:
+    """The incoming (-) family at a float or along a 1-D array of eta0.
 
-    Requires the frequency to lie in the elliptic region of both states so
-    that the decay radicals a_l < 0 < a_r are real.  For d >= 3 the advected
-    left eigenvectors are singular at eta0 = 0 and a DomainError is raised.
+    Every array carries the shape of eta0 in front: `a_l`, `a_r` and
+    `frame.upsilon` one value per frequency, `beta_minus` the acoustic decay
+    rates (beta_1^-, beta_2^-), and `R_minus` one (d+1, 2(d+1)) block in the
+    layout of `ModeSet.R_minus`.
+    """
+
+    frame: TangentFrame
+    a_l: np.ndarray
+    a_r: np.ndarray
+    beta_minus: np.ndarray
+    R_minus: np.ndarray
+
+
+def incoming_modes(pb: PhaseBoundary, eta: Frequency) -> IncomingModes:
+    """Decay radicals, acoustic decay rates and right eigenvectors R_j^- of
+    the incoming family, elementwise in eta0.
+
+    Raises DomainError when any eta0 leaves the elliptic region of either
+    state, and at eta0 = 0 for d >= 3, where the advected left eigenvectors
+    are singular.  Each complex entry is assembled from the real arithmetic
+    that Python's complex operators perform on it, so a float and an array
+    eta0 give the same bits; numpy's complex product and quotient loops
+    round differently.
     """
     d = pb.d
     vl, vr = pb.left, pb.right
-    e0 = eta.eta0
     et = eta.eta_t
     if et.size != d - 1:
         raise ParameterError(f"eta_t must have length {d - 1}, got {et.size}")
+    # [()] leaves an array as it is and turns a float into a numpy scalar,
+    # whose arithmetic costs a fraction of a 0-d array's.
+    e0 = np.asarray(eta.eta0, dtype=float)[()]
     ht2 = eta.ht2
     frame = tangent_frame(et, vr.u, e0, d)
 
     rad_l = (vl.c2 - vl.u**2) * ht2 - e0 * e0
     rad_r = (vr.c2 - vr.u**2) * ht2 - e0 * e0
-    if rad_l <= 0.0 or rad_r <= 0.0:
+    outside = (rad_l <= 0.0) | (rad_r <= 0.0)
+    if outside.any():
+        i = int(np.argmax(np.ravel(outside)))
         raise DomainError(
-            f"frequency eta0={e0} outside the elliptic region (radicals {rad_l}, {rad_r})"
+            f"frequency eta0={np.ravel(e0)[i]} outside the elliptic region "
+            f"(radicals {np.ravel(rad_l)[i]}, {np.ravel(rad_r)[i]})"
         )
-    if d > 2 and e0 == 0.0:
+    if d > 2 and (e0 == 0.0).any():
         raise DomainError("advected left eigenvectors are singular at eta0=0 for d>=3")
 
-    a_l = -vl.c * math.sqrt(rad_l)
-    a_r = vr.c * math.sqrt(rad_r)
+    a_l = -vl.c * np.sqrt(rad_l)
+    a_r = vr.c * np.sqrt(rad_r)
 
     ml = vl.c2 - vl.u**2
     mr = vr.c2 - vr.u**2
-    b1m = (a_l - 1j * vl.u * e0) / ml
+    n = d + 1
+    # beta_1^- = (a_l - i u_l eta0)/ml and beta_2^- = (-a_r + i u_r eta0)/mr.
+    beta_minus = np.empty(e0.shape + (2,), dtype=complex)
+    beta_minus.real[..., 0] = a_l / ml
+    beta_minus.imag[..., 0] = (0.0 - vl.u * e0) / ml
+    beta_minus.real[..., 1] = -a_r / mr
+    beta_minus.imag[..., 1] = (0.0 + vr.u * e0) / mr
+    b1, b2 = beta_minus[..., 0], beta_minus[..., 1]
+
+    # Each vector is written into its side's block; the other block stays +0.
+    R_minus = np.zeros(e0.shape + (n, 2 * n), dtype=complex)
+    re, im = R_minus.real, R_minus.imag
+    # -i eta0 + u_l beta_1^-, i c_l^2 eta_t, -a_l
+    re[..., 0, 0] = vl.u * b1.real
+    im[..., 0, 0] = -e0 + vl.u * b1.imag
+    R_minus[..., 0, 1:d] = 1j * vl.c2 * et
+    re[..., 0, d] = -a_l
+    # -i eta0 - u_r beta_2^-, i c_r^2 eta_t, -a_r
+    re[..., 1, n] = -(vr.u * b2.real)
+    im[..., 1, n] = -e0 - vr.u * b2.imag
+    R_minus[..., 1, n + 1 : n + d] = 1j * vr.c2 * et
+    re[..., 1, 2 * n - 1] = -a_r
+    # Advected modes of the - family, on the right.
+    for j in range(2, n):
+        evec = frame.e[:, j - 2]
+        re[..., j, n + 1 : n + d] = e0[..., None] * evec
+        re[..., j, 2 * n - 1] = vr.u * float(et @ evec)
+
+    return IncomingModes(frame=frame, a_l=a_l, a_r=a_r, beta_minus=beta_minus, R_minus=R_minus)
+
+
+def normal_modes(pb: PhaseBoundary, eta: Frequency) -> ModeSet:
+    """Decay rates, eigenmodes, and right/left eigenvectors at a float eta0.
+
+    Requires the frequency to lie in the elliptic region of both states so
+    that the decay radicals a_l < 0 < a_r are real.  For d >= 3 the advected
+    left eigenvectors are singular at eta0 = 0 and a DomainError is raised.
+    The incoming family comes from `incoming_modes`; an array eta0 raises
+    ParameterError.
+    """
+    if np.ndim(eta.eta0) != 0:
+        raise ParameterError("normal_modes takes a float eta0, not an array")
+    d = pb.d
+    vl, vr = pb.left, pb.right
+    e0 = eta.eta0
+    et = eta.eta_t
+    ht2 = eta.ht2
+    inc = incoming_modes(pb, eta)
+    frame = inc.frame
+    a_l, a_r = float(inc.a_l), float(inc.a_r)
+
+    ml = vl.c2 - vl.u**2
+    mr = vr.c2 - vr.u**2
+    b1m, b2m = inc.beta_minus
     b1p = -np.conj(b1m)
-    b2m = (-a_r + 1j * vr.u * e0) / mr
     b2p = -np.conj(b2m)
     b3p = 1j * e0 / vl.u
     b3m = -1j * e0 / vr.u
@@ -249,15 +346,13 @@ def normal_modes(pb: PhaseBoundary, eta: Frequency) -> ModeSet:
 
     # Each vector is written into its side's block; the other block stays +0.
     # Only the block is conjugated, so the zero block keeps its sign.
-    R_minus = np.zeros((n, 2 * n), dtype=complex)
+    R_minus = inc.R_minus
     R_plus = np.zeros((n, 2 * n), dtype=complex)
     L_minus = np.zeros((n, 2 * n), dtype=complex)
     L_plus = np.zeros((n, 2 * n), dtype=complex)
     lb, rb = slice(0, n), slice(n, 2 * n)
 
-    R_minus[0, lb] = np.concatenate(([-1j * e0 + vl.u * b1m], 1j * vl.c2 * et, [-a_l]))
     R_plus[0, lb] = np.conj(R_minus[0, lb])
-    R_minus[1, rb] = np.concatenate(([-1j * e0 - vr.u * b2m], 1j * vr.c2 * et, [-a_r]))
     R_plus[1, rb] = np.conj(R_minus[1, rb])
 
     pref_l_minus = ml / (2.0 * a_l * (vl.u * a_l + 1j * vl.c2 * e0))
@@ -276,7 +371,6 @@ def normal_modes(pb: PhaseBoundary, eta: Frequency) -> ModeSet:
         evec = frame.e[:, j - 2]
         dot = float(et @ evec)
         R_plus[j, lb] = np.concatenate(([0.0], e0 * evec, [vl.u * dot]))
-        R_minus[j, rb] = np.concatenate(([0.0], e0 * evec, [vr.u * dot]))
 
     L_plus[2, lb] = np.concatenate(
         ([vl.u], -(e0 / (vl.u * ht2)) * et, [-1.0])
@@ -375,15 +469,16 @@ def _h_side(state: FluidState, mu: float, d: int) -> np.ndarray:
 
 
 def boundary_operators(pb: PhaseBoundary, eta: Frequency) -> BoundaryOperators:
-    """Assemble H (frequency independent) and J(v)eta for a configuration."""
+    """Assemble H (frequency independent) and J(v)eta for a configuration;
+    J(v)eta has one row of d+2 components per eta0 when eta0 is an array."""
     d = pb.d
     H = np.concatenate(
         [_h_side(pb.left, pb.mu, d), -_h_side(pb.right, pb.mu, d)], axis=1
     ).astype(complex)
-    Jeta = np.zeros(d + 2, dtype=complex)
-    Jeta[0] = pb.jump_rho * eta.eta0
-    Jeta[1:d] = pb.jump_p * eta.eta_t
-    Jeta[d + 1] = (pb.mu * pb.jump_rho - pb.jump_p) * eta.eta0
+    Jeta = np.zeros(np.shape(eta.eta0) + (d + 2,), dtype=complex)
+    Jeta[..., 0] = pb.jump_rho * eta.eta0
+    Jeta[..., 1:d] = pb.jump_p * eta.eta_t
+    Jeta[..., d + 1] = (pb.mu * pb.jump_rho - pb.jump_p) * eta.eta0
     return BoundaryOperators(H=H, Jeta=Jeta)
 
 

@@ -149,6 +149,15 @@ class TestScan:
         cfg = write_config(tmp_path, overrides={"scan.eta0_max": 5.0})
         assert main(["scan", "--config", str(cfg), "--out", str(tmp_path)]) == 1
 
+    def test_eta0_zero_at_d3_exits_one(self, tmp_path, capsys):
+        # The grid starts at eta0 = 0, where the advected left eigenvectors
+        # are singular for d >= 3; the whole scan is refused, no file written.
+        cfg = write_config(tmp_path, d=3, eta_t=[0.6, 0.8], overrides={"scan.eta0_min": 0.0})
+        out = tmp_path / "out"
+        assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "singular at eta0=0" in capsys.readouterr().err
+        assert not (out / "scan.csv").exists()
+
 
 class TestRoot:
     def test_report(self, tmp_path):

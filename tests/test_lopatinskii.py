@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from phasewave import (
     FluidState,
     Frequency,
     NoRootError,
+    ParameterError,
     elliptic_eta0_max,
     det_closed,
     det_raw,
@@ -28,6 +30,7 @@ from phasewave.lopatinskii import (
     root_relation_residual,
     sigma_r3_residual,
 )
+from phasewave.config import build_boundary, load_config
 from phasewave.kernel import alpha0_closed
 
 from conftest import FIXTURE_A, fixture_a_boundary, random_boundary, random_frequency
@@ -85,6 +88,72 @@ class TestDeterminant:
         pb = fixture_a_boundary()
         with pytest.raises(DomainError):
             det_raw(pb, Frequency(10.0, [1.0]))
+
+
+# Tangential wavevectors of the shipped configs copied to d = 2, 3 and 4.
+ETA_T = {2: [1.0], 3: [0.6, 0.8], 4: [0.36, 0.48, 0.8]}
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def shipped_boundary(name: str, d: int):
+    cfg = load_config(CONFIGS / f"{name}.json")
+    cfg.update(d=d, eta_t=ETA_T[d])
+    return build_boundary(cfg), np.array(ETA_T[d])
+
+
+def edge_grid(e0_max: float) -> np.ndarray:
+    """eta0 across the elliptic interval, with points near both of its ends
+    and a few negative ones."""
+    ends = [1e-12, 1e-6, 1e-3, 1 - 1e-6, 1 - 1e-12]
+    fracs = np.concatenate((ends, np.linspace(0.01, 0.99, 41)))
+    return np.concatenate((fracs, -fracs[::7])) * e0_max
+
+
+class TestFrequencyArrays:
+    """The determinant routes and the root factor on a 1-D eta0 array."""
+
+    @pytest.mark.parametrize("name", ["fixture_a", "vdw"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_array_bits_equal_per_float_bits(self, name, d):
+        pb, eta_t = shipped_boundary(name, d)
+        grid = edge_grid(elliptic_eta0_max(pb, eta_t))
+        F = root_function(pb, eta_t)
+        for route in (det_raw, det_closed):
+            whole = route(pb, Frequency(grid, eta_t))
+            each = np.array([route(pb, Frequency(float(e0), eta_t)) for e0 in grid])
+            assert whole.dtype == complex and whole.shape == grid.shape
+            assert whole.tobytes() == each.tobytes(), route.__name__
+        assert F(grid).tobytes() == np.array([F(float(e0)) for e0 in grid]).tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_any_point_outside_the_elliptic_interval_refused(self, d):
+        pb, eta_t = shipped_boundary("fixture_a", d)
+        e0_max = elliptic_eta0_max(pb, eta_t)
+        for bad in (1.01 * e0_max, -1.01 * e0_max):
+            eta = Frequency(np.array([0.3 * e0_max, bad, 0.6 * e0_max]), eta_t)
+            for route in (det_raw, det_closed):
+                with pytest.raises(DomainError):
+                    route(pb, eta)
+            with pytest.raises(DomainError):
+                root_function(pb, eta_t)(eta.eta0)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_eta0_zero_refused_at_d3_and_above(self, d):
+        pb, eta_t = shipped_boundary("fixture_a", d)
+        eta = Frequency(np.array([0.4, 0.0, 0.5]), eta_t)
+        for route in (det_raw, det_closed):
+            with pytest.raises(DomainError, match="eta0=0"):
+                route(pb, eta)
+
+    def test_eta0_zero_accepted_at_d2(self):
+        pb, eta_t = shipped_boundary("fixture_a", 2)
+        grid = np.array([0.0, 0.5])
+        raw = det_raw(pb, Frequency(grid, eta_t))
+        assert raw[0] == det_raw(pb, Frequency(0.0, eta_t))
+
+    def test_two_dimensional_eta0_refused(self):
+        with pytest.raises(ParameterError):
+            Frequency(np.ones((2, 2)), [1.0])
 
 
 class TestFindRoot:

@@ -12,6 +12,7 @@ from phasewave import (
     DomainError,
     FluidState,
     Frequency,
+    ParameterError,
     boundary_operators,
     d2_flux_normal,
     d2_flux_tangential,
@@ -25,6 +26,7 @@ from phasewave.config import build_boundary, load_config
 from phasewave.modes import (
     biorthogonality_matrices,
     dg0,
+    incoming_modes,
     mode_matrix,
     mode_residuals,
     tangential_symbol,
@@ -184,6 +186,41 @@ class TestNormalModes:
         pb = fixture_a_boundary(d=3)
         with pytest.raises(DomainError):
             normal_modes(pb, Frequency(0.0, [1.0, 0.0]))
+
+    def test_array_eta0_rejected(self):
+        pb = fixture_a_boundary()
+        with pytest.raises(ParameterError):
+            normal_modes(pb, Frequency(np.array([0.3, 0.5]), [1.0]))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_incoming_family_rounds_as_python_complex(self, d):
+        # The printed acoustic entries evaluated in Python complex arithmetic,
+        # bit for bit, at every eta0 of an array: a float and an array eta0
+        # then round alike, and alike to the scalar formulas.
+        def bits(z):
+            return np.complex128(z).tobytes()
+
+        rng = np.random.default_rng(40 + d)
+        for _ in range(10):
+            pb = random_boundary(rng, d)
+            vl, vr, n = pb.left, pb.right, d + 1
+            et = random_frequency(rng, pb).eta_t
+            ht2 = float(et @ et)
+            grid = rng.uniform(-0.99, 0.99, 17) * elliptic_eta0_max(pb, et)
+            if d == 2:
+                grid[3] = 0.0
+            inc = incoming_modes(pb, Frequency(grid, et))
+            for k, e0 in enumerate(grid.tolist()):
+                a_l = -vl.c * math.sqrt((vl.c2 - vl.u**2) * ht2 - e0 * e0)
+                a_r = vr.c * math.sqrt((vr.c2 - vr.u**2) * ht2 - e0 * e0)
+                b1 = (a_l - 1j * vl.u * e0) / (vl.c2 - vl.u**2)
+                b2 = (-a_r + 1j * vr.u * e0) / (vr.c2 - vr.u**2)
+                R = inc.R_minus[k]
+                assert (inc.a_l[k], inc.a_r[k]) == (a_l, a_r)
+                assert inc.beta_minus[k].tobytes() == bits(b1) + bits(b2)
+                assert bits(R[0, 0]) == bits(-1j * e0 + vl.u * b1)
+                assert bits(R[1, n]) == bits(-1j * e0 - vr.u * b2)
+                assert bits(R[0, d]) == bits(-a_l) and bits(R[1, 2 * n - 1]) == bits(-a_r)
 
     def test_dispersion_relation(self):
         pb = fixture_a_boundary()

@@ -1,13 +1,13 @@
 """The CLI on the shipped configurations: work per subcommand and rerun
 byte-identity of every output file."""
 
-import json
 import sys
 from pathlib import Path
 
 import pytest
 
 import phasewave.kernel
+import phasewave.lopatinskii
 import phasewave.modes
 from phasewave.cli import main
 
@@ -29,23 +29,25 @@ def count_calls(monkeypatch, owner, attr: str) -> list:
     return calls
 
 
-@pytest.fixture
-def normal_modes_calls(monkeypatch):
-    return count_calls(monkeypatch, phasewave.modes, "normal_modes")
-
-
-def test_scan_builds_one_mode_set_per_point(tmp_path, normal_modes_calls):
+def test_scan_makes_one_call_per_determinant_route(tmp_path, monkeypatch):
+    # The whole eta0 grid goes through each route as one array.
+    raw = count_calls(monkeypatch, phasewave.lopatinskii, "det_raw")
+    closed = count_calls(monkeypatch, phasewave.lopatinskii, "det_closed")
+    modes = count_calls(monkeypatch, phasewave.modes, "normal_modes")
     config = CONFIGS / "fixture_a.json"
-    steps = json.loads(config.read_text())["scan"]["steps"]
     assert main(["scan", "--config", str(config), "--out", str(tmp_path)]) == 0
-    assert len(normal_modes_calls) == steps == 100
+    assert (len(raw), len(closed), len(modes)) == (1, 1, 0)
 
 
-def test_check_builds_one_mode_set_per_frequency(tmp_path, normal_modes_calls):
-    # 8 sampled frequencies, 20 raw-vs-closed points, 1 at the root.
+def test_check_builds_one_mode_set_per_sampled_frequency(tmp_path, monkeypatch):
+    # 8 sampled frequencies and the root; the 20-point raw-vs-closed sweep
+    # is one call of each determinant route.
+    raw = count_calls(monkeypatch, phasewave.lopatinskii, "det_raw")
+    closed = count_calls(monkeypatch, phasewave.lopatinskii, "det_closed")
+    modes = count_calls(monkeypatch, phasewave.modes, "normal_modes")
     config = CONFIGS / "fixture_a.json"
     assert main(["check", "--config", str(config), "--out", str(tmp_path)]) == 0
-    assert len(normal_modes_calls) == 29
+    assert (len(modes), len(raw), len(closed)) == (9, 1, 1)
 
 
 def test_coeffs_evaluates_each_value_once(tmp_path, monkeypatch):
