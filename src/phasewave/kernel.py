@@ -324,7 +324,8 @@ class KernelConstants:
 
 
 def kernel_constants(root: RootData) -> KernelConstants:
-    """Evaluate every closed-form kernel constant at the root."""
+    """Evaluate every closed-form kernel constant at the root.  Raises
+    DegeneracyError when alpha0 or Q_nat, the scales of their residuals, is 0."""
     pb, eta, m = root.pb, root.eta, root.modes
     vl, vr = pb.left, pb.right
     e0 = eta.eta0
@@ -374,6 +375,9 @@ def kernel_constants(root: RootData) -> KernelConstants:
         + Q_sharp
     )
     a0 = alpha0_closed(root)
+    vanished = [name for name, value in (("alpha0", a0), ("Q_nat", Q_nat)) if value == 0]
+    if vanished:
+        raise DegeneracyError(f"{' and '.join(vanished)} vanished at the root eta0 = {e0!r}")
     return KernelConstants(
         alpha0=float(a0.real),
         Q=complex(Q),
@@ -432,11 +436,7 @@ def corollary_closed(root: RootData, kc: KernelConstants, k: float, kp: float) -
     """Region-wise closed form of the summed kernel before final assembly."""
     vl, vr = root.pb.left, root.pb.right
     if k > 0.0 and kp > 0.0:
-        return (
-            (vl.pp / 2.0 + vl.c2 / vl.rho) * kc.Q_l
-            + (vr.pp / 2.0 + vr.c2 / vr.rho) * kc.Q_r
-            + kc.Q_sharp
-        )
+        return kc.Q_nat
     if k > 0.0 > kp and k + kp > 0.0:
         return (
             (vl.pp / 2.0 - vl.c2 / vl.rho) * np.conj(kc.Q_l)

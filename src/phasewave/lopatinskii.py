@@ -4,11 +4,11 @@ projection data (sigma, gamma) attached to that root.
 The determinant is evaluated by two independent functions: `det_raw`, the
 raw (d+2)x(d+2) determinant of the frequency column J(v)eta against the
 boundary images of the incoming modes, and `det_closed`, the closed product
-formula.  Both, and the root factor from `root_function`, take a float eta0
-or a 1-D array of them and return one value per eta0, so a sweep over
-frequencies is one call.  Its positive root in the elliptic interval, the
-surface wave, is the positive root of a quadratic in eta0^2 and is computed
-in closed form by `find_root`.  The cofactor functional sigma* at the root comes from the
+formula.  Both, and the root factor `root_factor(pb, eta)`, take a float
+eta0 or a 1-D array of them and return one value per eta0, so a sweep over
+frequencies is one call.  The zero of the root factor, the surface wave, is
+the positive root of a quadratic in eta0^2, computed in closed form by
+`find_root`.  The cofactor functional sigma* at the root comes from the
 closed component formulas; `sigma_methods_residual` recomputes it from the
 first-column minors of the raw determinant and compares the two.
 """
@@ -22,12 +22,13 @@ from typing import Tuple, Union
 import numpy as np
 
 from .equilibrium import PhaseBoundary
-from .errors import DegeneracyError, DomainError, InconsistencyError, NoRootError
+from .errors import DegeneracyError, InconsistencyError, NoRootError
 from .modes import (
     BoundaryOperators,
     Frequency,
     ModeSet,
     boundary_operators,
+    decay_radicals,
     elliptic_eta0_max,
     incoming_modes,
     normal_modes,
@@ -46,20 +47,32 @@ def _per_frequency(value) -> Union[complex, np.ndarray]:
     return complex(value) if value.ndim == 0 else value
 
 
+def _root_factor(pb: PhaseBoundary, e0, a_l, a_r):
+    """F = u_l u_r a_l a_r + c_l^2 c_r^2 eta0^2, elementwise; its only copy."""
+    vl, vr = pb.left, pb.right
+    return vl.u * vr.u * a_l * a_r + vl.c2 * vr.c2 * e0 * e0
+
+
+def root_factor(pb: PhaseBoundary, eta: Frequency) -> Union[float, np.ndarray]:
+    """F(eta0), the factor of the determinant whose zero is the surface wave,
+    from the decay radicals alone; `decay_radicals` refuses any eta0 outside
+    the elliptic interval."""
+    value = _root_factor(pb, eta.eta0, *decay_radicals(pb, eta))
+    return float(value) if np.ndim(value) == 0 else value
+
+
 def det_closed(pb: PhaseBoundary, eta: Frequency) -> Union[complex, np.ndarray]:
     """The Lopatinskii determinant in factorized form, -[rho][u] Upsilon
-    (eta0^2 + u_r^2 |eta_t|^2)(u_l u_r a_l a_r + c_l^2 c_r^2 eta0^2), at a
-    float eta0 or at each eta0 of a 1-D array."""
+    (eta0^2 + u_r^2 |eta_t|^2) F(eta0), at a float eta0 or at each eta0 of a
+    1-D array."""
     inc = incoming_modes(pb, eta)
     e0 = np.asarray(eta.eta0, dtype=float)
-    ht2 = eta.ht2
-    vl, vr = pb.left, pb.right
     return _per_frequency(
         -pb.jump_rho
         * pb.jump_u
         * inc.frame.upsilon
-        * (e0 * e0 + vr.u**2 * ht2)
-        * (vl.u * vr.u * inc.a_l * inc.a_r + vl.c2 * vr.c2 * e0 * e0)
+        * (e0 * e0 + pb.right.u**2 * eta.ht2)
+        * _root_factor(pb, e0, inc.a_l, inc.a_r)
     )
 
 
@@ -197,38 +210,11 @@ def gamma_forms_residual(root: RootData) -> float:
     )
 
 
-def root_function(pb: PhaseBoundary, eta_t: np.ndarray):
-    """F(eta0) = u_l u_r a_l a_r + c_l^2 c_r^2 eta0^2, the factor of the
-    Lopatinskii determinant whose zero in the elliptic interval locates the
-    surface wave.  F takes a float eta0 or a 1-D array of them and returns
-    one value per eta0; any eta0 outside the elliptic interval raises
-    DomainError."""
-    vl, vr = pb.left, pb.right
-    ht2 = float(np.atleast_1d(eta_t) @ np.atleast_1d(eta_t))
-
-    scale = max((vl.c2 - vl.u**2) * ht2, (vr.c2 - vr.u**2) * ht2)
-
-    def F(e0):
-        e0 = np.asarray(e0, dtype=float)[()]
-        rad_l = (vl.c2 - vl.u**2) * ht2 - e0 * e0
-        rad_r = (vr.c2 - vr.u**2) * ht2 - e0 * e0
-        outside = (rad_l < -1e-12 * scale) | (rad_r < -1e-12 * scale)
-        if outside.any():
-            bad = np.ravel(e0)[np.argmax(np.ravel(outside))]
-            raise DomainError(f"eta0={bad} outside the elliptic interval")
-        a_l = -vl.c * np.sqrt(np.maximum(rad_l, 0.0))
-        a_r = vr.c * np.sqrt(np.maximum(rad_r, 0.0))
-        value = vl.u * vr.u * a_l * a_r + vl.c2 * vr.c2 * e0 * e0
-        return float(value) if value.ndim == 0 else value
-
-    return F
-
-
 def find_root(pb: PhaseBoundary, eta_t: np.ndarray) -> RootData:
     """The positive Lopatinskii root in closed form, with all data at it.
 
     Squaring the root factor F(eta0) = u_l u_r a_l a_r + c_l^2 c_r^2 eta0^2
-    gives, in x = eta0^2,
+    (`root_factor`) gives, in x = eta0^2,
 
         (C - U) x^2 + U (A + B) x - U A B = 0,
 
@@ -250,8 +236,6 @@ def find_root(pb: PhaseBoundary, eta_t: np.ndarray) -> RootData:
     """
     eta_t = np.atleast_1d(np.asarray(eta_t, dtype=float))
     ht2 = float(eta_t @ eta_t)
-    if not ht2 > 0.0:
-        raise DegeneracyError("tangential wavevector must be nonzero")
     vl, vr = pb.left, pb.right
     A = (vl.c2 - vl.u**2) * ht2
     B = (vr.c2 - vr.u**2) * ht2
@@ -259,17 +243,19 @@ def find_root(pb: PhaseBoundary, eta_t: np.ndarray) -> RootData:
     den = t * (A + B) + math.hypot(t * (A - B), 2.0 * math.sqrt(A * B))
     e0 = math.sqrt(2.0 * A * B * t / den) if den > 0.0 else 0.0
 
+    eta = Frequency(eta0=e0, eta_t=eta_t)  # refuses eta_t = 0 (e0 = 0 then)
     scale = vl.c2 * vr.c2 * e0 * e0
     if not (
         0.0 < e0 < elliptic_eta0_max(pb, eta_t)
         and scale > 0.0
-        and abs(root_function(pb, eta_t)(e0)) / scale <= 1e-12
+        and abs(root_factor(pb, eta)) / scale <= 1e-12
     ):
         raise NoRootError(f"floating point cannot represent the root (eta0 = {e0!r})")
 
-    eta = Frequency(eta0=e0, eta_t=eta_t)
-    modes = normal_modes(pb, eta)
-    sigma = _sigma_closed(pb, eta, modes)
+    # The finiteness test below reports an overflow here as NoRootError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        modes = normal_modes(pb, eta)
+        sigma = _sigma_closed(pb, eta, modes)
     arrays = (
         modes.beta_minus, modes.beta_plus, modes.R_minus, modes.R_plus,
         modes.L_minus, modes.L_plus, sigma.sigma_star,
@@ -282,12 +268,10 @@ def find_root(pb: PhaseBoundary, eta_t: np.ndarray) -> RootData:
 
 
 def root_relation_residual(root: RootData) -> float:
-    """Relative residual of u_l u_r a_l a_r + c_l^2 c_r^2 eta0^2 at the root."""
+    """Residual of the root factor F at the root, relative to c_l^2 c_r^2 eta0^2."""
     pb, modes, e0 = root.pb, root.modes, root.eta.eta0
     scale = pb.left.c2 * pb.right.c2 * e0 * e0
-    return abs(
-        pb.left.u * pb.right.u * modes.a_l * modes.a_r + scale
-    ) / scale
+    return abs(_root_factor(pb, e0, modes.a_l, modes.a_r)) / scale
 
 
 def gamma_linear_residual(root: RootData) -> float:

@@ -20,7 +20,8 @@ family).  Every eigenvector is stored in one layout only: a full vector of
 `normal_modes` builds both families with their left eigenvectors at a float
 eta0.  `incoming_modes` builds only the incoming (-) family, which is all the
 Lopatinskii determinant reads, at a float eta0 or elementwise along a 1-D
-array of them; `normal_modes` takes that family from it.
+array of them; `normal_modes` takes that family from it.  `decay_radicals`
+is the one test of the elliptic region.
 """
 
 from __future__ import annotations
@@ -238,28 +239,12 @@ class IncomingModes:
     R_minus: np.ndarray
 
 
-def incoming_modes(pb: PhaseBoundary, eta: Frequency) -> IncomingModes:
-    """Decay radicals, acoustic decay rates and right eigenvectors R_j^- of
-    the incoming family, elementwise in eta0.
-
-    Raises DomainError when any eta0 leaves the elliptic region of either
-    state, and at eta0 = 0 for d >= 3, where the advected left eigenvectors
-    are singular.  Each complex entry is assembled from the real arithmetic
-    that Python's complex operators perform on it, so a float and an array
-    eta0 give the same bits; numpy's complex product and quotient loops
-    round differently.
-    """
-    d = pb.d
+def decay_radicals(pb: PhaseBoundary, eta: Frequency):
+    """The decay radicals a_l < 0 < a_r, elementwise in eta0; the one test of
+    the elliptic region, raising DomainError where either radicand is <= 0."""
     vl, vr = pb.left, pb.right
-    et = eta.eta_t
-    if et.size != d - 1:
-        raise ParameterError(f"eta_t must have length {d - 1}, got {et.size}")
-    # [()] leaves an array as it is and turns a float into a numpy scalar,
-    # whose arithmetic costs a fraction of a 0-d array's.
     e0 = np.asarray(eta.eta0, dtype=float)[()]
     ht2 = eta.ht2
-    frame = tangent_frame(et, vr.u, e0, d)
-
     rad_l = (vl.c2 - vl.u**2) * ht2 - e0 * e0
     rad_r = (vr.c2 - vr.u**2) * ht2 - e0 * e0
     outside = (rad_l <= 0.0) | (rad_r <= 0.0)
@@ -269,11 +254,33 @@ def incoming_modes(pb: PhaseBoundary, eta: Frequency) -> IncomingModes:
             f"frequency eta0={np.ravel(e0)[i]} outside the elliptic region "
             f"(radicals {np.ravel(rad_l)[i]}, {np.ravel(rad_r)[i]})"
         )
+    return -vl.c * np.sqrt(rad_l), vr.c * np.sqrt(rad_r)
+
+
+def incoming_modes(pb: PhaseBoundary, eta: Frequency) -> IncomingModes:
+    """Decay radicals, acoustic decay rates and right eigenvectors R_j^- of
+    the incoming family, elementwise in eta0.
+
+    Raises DomainError when any eta0 leaves the elliptic region of either
+    state (`decay_radicals`), and at eta0 = 0 for d >= 3, where the advected
+    left eigenvectors are singular.  Each complex entry is assembled from the
+    real arithmetic that Python's complex operators perform on it, so a float
+    and an array eta0 give the same bits; numpy's complex product and
+    quotient loops round differently.
+    """
+    d = pb.d
+    vl, vr = pb.left, pb.right
+    et = eta.eta_t
+    if et.size != d - 1:
+        raise ParameterError(f"eta_t must have length {d - 1}, got {et.size}")
+    # [()] leaves an array as it is and turns a float into a numpy scalar,
+    # whose arithmetic costs a fraction of a 0-d array's.
+    e0 = np.asarray(eta.eta0, dtype=float)[()]
+    frame = tangent_frame(et, vr.u, e0, d)
+
+    a_l, a_r = decay_radicals(pb, eta)
     if d > 2 and (e0 == 0.0).any():
         raise DomainError("advected left eigenvectors are singular at eta0=0 for d>=3")
-
-    a_l = -vl.c * np.sqrt(rad_l)
-    a_r = vr.c * np.sqrt(rad_r)
 
     ml = vl.c2 - vl.u**2
     mr = vr.c2 - vr.u**2

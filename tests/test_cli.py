@@ -223,6 +223,21 @@ class TestCoeffs:
         assert main(["coeffs", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         assert "no surface wave" in capsys.readouterr().out
 
+    def test_vanishing_constants_are_a_failed_row(self, tmp_path, capsys):
+        # fixture_a scaled to u_l = 1e-150: the root is representable, but
+        # alpha0 and Q_nat underflow to 0 there.
+        u_l = 1e-150
+        cfg = write_config(
+            tmp_path, overrides={"left.u": u_l, "right.u": u_l / 0.45}
+        )
+        assert main(["coeffs", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        report = json.loads((tmp_path / "coeffs.json").read_text())
+        assert report["pass"] is False
+        (row,) = report["invariants"]
+        assert row["name"].startswith("kernel-constants (") and row["pass"] is False
+        assert "alpha0 and Q_nat vanished" in row["name"]
+        assert capsys.readouterr().out.strip() == f"coeffs: FAIL ({row['name']})"
+
 
 class TestSimulate:
     def test_zero_amplitude_zero_l2(self, tmp_path):

@@ -26,7 +26,7 @@ from phasewave.lopatinskii import (
     gamma_alternative_forms,
     gamma_linear_residual,
     lemma4_residuals,
-    root_function,
+    root_factor,
     root_relation_residual,
     sigma_r3_residual,
 )
@@ -117,25 +117,28 @@ class TestFrequencyArrays:
     def test_array_bits_equal_per_float_bits(self, name, d):
         pb, eta_t = shipped_boundary(name, d)
         grid = edge_grid(elliptic_eta0_max(pb, eta_t))
-        F = root_function(pb, eta_t)
         for route in (det_raw, det_closed):
             whole = route(pb, Frequency(grid, eta_t))
             each = np.array([route(pb, Frequency(float(e0), eta_t)) for e0 in grid])
             assert whole.dtype == complex and whole.shape == grid.shape
             assert whole.tobytes() == each.tobytes(), route.__name__
-        assert F(grid).tobytes() == np.array([F(float(e0)) for e0 in grid]).tobytes()
+        whole = root_factor(pb, Frequency(grid, eta_t))
+        each = np.array([root_factor(pb, Frequency(float(e0), eta_t)) for e0 in grid])
+        assert whole.tobytes() == each.tobytes()
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_any_point_outside_the_elliptic_interval_refused(self, d):
         pb, eta_t = shipped_boundary("fixture_a", d)
         e0_max = elliptic_eta0_max(pb, eta_t)
-        for bad in (1.01 * e0_max, -1.01 * e0_max):
+        # (1 + 1e-13) e0_max is refused by every route alike: the elliptic
+        # test is one function, with no slack past the edge.
+        for bad in (1.01 * e0_max, -1.01 * e0_max, (1.0 + 1e-13) * e0_max):
             eta = Frequency(np.array([0.3 * e0_max, bad, 0.6 * e0_max]), eta_t)
-            for route in (det_raw, det_closed):
+            for route in (det_raw, det_closed, root_factor):
                 with pytest.raises(DomainError):
                     route(pb, eta)
             with pytest.raises(DomainError):
-                root_function(pb, eta_t)(eta.eta0)
+                root_factor(pb, Frequency(bad, eta_t))
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_eta0_zero_refused_at_d3_and_above(self, d):
@@ -204,8 +207,9 @@ class TestFindRoot:
         root = find_root(pb, eta_t)
         e0 = root.eta.eta0
         assert 0.0 < e0 < elliptic_eta0_max(pb, eta_t)
-        F = root_function(pb, eta_t)
-        assert F(e0 * (1.0 - 1e-12)) < 0.0 < F(e0 * (1.0 + 1e-12))
+        below = root_factor(pb, Frequency(e0 * (1.0 - 1e-12), eta_t))
+        above = root_factor(pb, Frequency(e0 * (1.0 + 1e-12), eta_t))
+        assert below < 0.0 < above
         assert root_relation_residual(root) <= 1e-12
 
     @pytest.mark.parametrize("d,eta_t", [(2, [1.0]), (3, [0.6, 0.8])])
