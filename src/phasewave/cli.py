@@ -18,6 +18,7 @@ could not represent the root, an empty scan interval).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -386,7 +387,9 @@ _COMMANDS = {
 }
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later `main` calls."""
     parser = argparse.ArgumentParser(
         prog="phasewave",
         description="Surface waves on subsonic reversible phase boundaries.",
@@ -398,7 +401,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     command, needs = _COMMANDS[args.command]
 
     try:

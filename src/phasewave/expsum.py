@@ -1,59 +1,58 @@
 """Exact arithmetic with finite sums of vector exponentials on z in [0, inf).
 
-A profile is a finite sum of terms c * exp(lam * z) with complex vector
-coefficient c and complex rate lam.  The class is closed under addition,
+A profile is a finite sum of terms c_t * exp(lam_t * z) with complex vector
+coefficients c_t and complex rates lam_t.  It is stored as two arrays:
+`coeffs`, shape (m, T), whose column t is c_t (components first, terms
+second), and `rates`, shape (T,).  The class is closed under addition,
 differentiation, linear maps of the coefficients, and bilinear pairing of
 two profiles (rates add).  The half-line integral is a finite sum -c/lam,
 exact whenever every rate has negative real part, which removes all
 discretization error from the kernel integrals built on top of it.
+
+Every operation acts on all terms at once, so the maps and forms handed to
+`map_coeffs` and `pair_bilinear` receive (m, T) arrays.  Indexing the
+component axis (`x[0]`, `x[1:-1]`, `x[-1]`) works unchanged; a contraction
+over components must be axis-aware (a matrix on the left, or a sum over
+axis 0), never a plain `@` between two coefficient arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class ExpTerm:
-    coeff: np.ndarray
-    rate: complex
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExpProfile:
     """Vector-valued finite exponential sum over z >= 0."""
 
-    terms: Tuple[ExpTerm, ...]
+    coeffs: np.ndarray
+    rates: np.ndarray
 
     @staticmethod
     def from_terms(pairs) -> "ExpProfile":
-        terms = tuple(
-            ExpTerm(np.asarray(c, dtype=complex), complex(lam)) for c, lam in pairs
-        )
-        return ExpProfile(terms)
+        coeffs, rates = zip(*pairs)
+        return ExpProfile(np.array(coeffs, dtype=complex).T, np.array(rates, dtype=complex))
 
     def __call__(self, z: float) -> np.ndarray:
-        if not self.terms:
-            raise ValueError("empty profile")
-        out = np.zeros_like(self.terms[0].coeff)
-        for t in self.terms:
-            out = out + t.coeff * np.exp(t.rate * z)
-        return out
+        return self.coeffs @ np.exp(self.rates * z)
 
     def __add__(self, other: "ExpProfile") -> "ExpProfile":
-        return ExpProfile(self.terms + other.terms)
+        return ExpProfile(
+            np.concatenate((self.coeffs, other.coeffs), axis=1),
+            np.concatenate((self.rates, other.rates)),
+        )
 
     def map_coeffs(self, f: Callable[[np.ndarray], np.ndarray]) -> "ExpProfile":
-        """Apply a linear map to every coefficient (rates unchanged)."""
-        return ExpProfile(tuple(ExpTerm(np.asarray(f(t.coeff)), t.rate) for t in self.terms))
+        """Apply a linear map to every coefficient column (rates unchanged)."""
+        return ExpProfile(np.asarray(f(self.coeffs)), self.rates)
 
     def derivative(self) -> "ExpProfile":
-        return ExpProfile(tuple(ExpTerm(t.rate * t.coeff, t.rate) for t in self.terms))
+        return ExpProfile(self.coeffs * self.rates, self.rates)
 
     def integral(self) -> np.ndarray:
         """Exact value of the integral over [0, inf).
@@ -61,37 +60,32 @@ class ExpProfile:
         Terms with an identically zero coefficient are dropped; any remaining
         term with Re(rate) >= 0 makes the integral divergent and raises.
         """
-        live = [t for t in self.terms if np.any(t.coeff != 0.0)]
-        if not live:
-            return np.zeros_like(self.terms[0].coeff)
-        for t in live:
-            if t.rate.real >= 0.0:
-                raise DomainError(
-                    f"non-decaying integrand: rate {t.rate} has Re >= 0"
-                )
-        out = np.zeros_like(live[0].coeff)
-        for t in live:
-            out = out - t.coeff / t.rate
-        return out
+        live = self.coeffs.any(axis=0)
+        rates = self.rates[live]
+        growing = rates.real >= 0.0
+        if growing.any():
+            raise DomainError(
+                f"non-decaying integrand: rate {complex(rates[growing][0])} has Re >= 0"
+            )
+        return -(self.coeffs[:, live] / rates).sum(axis=1)
+
+
+def _pair_rates(p: ExpProfile, q: ExpProfile) -> np.ndarray:
+    """Rates of all term pairs, p's term outer and q's inner."""
+    return (p.rates[:, None] + q.rates[None, :]).ravel()
 
 
 def pair_bilinear(
     p: ExpProfile, q: ExpProfile, form: Callable[[np.ndarray, np.ndarray], np.ndarray]
 ) -> ExpProfile:
-    """Profile of form(c_p, c_q) over all term pairs; rates add."""
-    terms = []
-    for tp in p.terms:
-        for tq in q.terms:
-            terms.append(ExpTerm(np.asarray(form(tp.coeff, tq.coeff)), tp.rate + tq.rate))
-    return ExpProfile(tuple(terms))
+    """Profile of form(c_p, c_q) over all term pairs; rates add.
+
+    form is called once, on the stacked (m, Tp*Tq) coefficient pairs."""
+    x = np.repeat(p.coeffs, q.rates.size, axis=1)
+    y = np.tile(q.coeffs, (1, p.rates.size))
+    return ExpProfile(np.asarray(form(x, y)), _pair_rates(p, q))
 
 
 def pair_dot(row: ExpProfile, col: ExpProfile) -> ExpProfile:
     """Scalar profile row(z) . col(z) (plain dot, no conjugation)."""
-    terms = []
-    for tr in row.terms:
-        for tc in col.terms:
-            terms.append(
-                ExpTerm(np.atleast_1d(tr.coeff @ tc.coeff), tr.rate + tc.rate)
-            )
-    return ExpProfile(tuple(terms))
+    return ExpProfile((row.coeffs.T @ col.coeffs).reshape(1, -1), _pair_rates(row, col))

@@ -134,13 +134,9 @@ def dual_profile(root: RootData, k: float) -> ExpProfile:
     if k <= 0.0:
         raise DomainError(f"dual profile requires k > 0, got {k}")
     m = root.modes
-    sig = root.sigma.sigma_star
-    H = root.ops.H
-    terms = []
-    for p in range(root.pb.d + 1):
-        coeff = (sig @ (H @ m.R_plus[p])) * np.conj(m.L_plus[p])
-        terms.append((coeff, -k * m.beta_plus[p]))
-    return ExpProfile.from_terms(terms)
+    sig, H = root.sigma.sigma_star, root.ops.H
+    advected = np.array([sig @ (H @ r) for r in m.R_plus])
+    return ExpProfile(advected * np.conj(m.L_plus).T, -k * m.beta_plus)
 
 
 def _omegas(root: RootData) -> Tuple[complex, complex, complex]:
@@ -223,11 +219,14 @@ def _ftilde_apply(state, mu: float, d: int, vec: np.ndarray) -> np.ndarray:
 
 
 def _blockwise(root: RootData, fl, fr):
-    """Build a full-space bilinear map from two one-sided bilinear maps."""
+    """Build a full-space bilinear map from two one-sided bilinear maps.
+
+    x and y are (2(d+1), T) stacks of coefficient columns, as `pair_bilinear`
+    passes them; fl gets the left block rows, fr the right block rows."""
     n = root.pb.d + 1
 
     def bil(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = np.zeros(2 * n, dtype=complex)
+        out = np.zeros((2 * n,) + x.shape[1:], dtype=complex)
         out[:n] = fl(x[:n], y[:n])
         out[n:] = fr(x[n:], y[n:])
         return out
@@ -239,7 +238,9 @@ def q_oracle(root: RootData, k: float, kp: float) -> Tuple[complex, complex, com
     """The five kernel pieces at (k, k'), each from its abstract definition.
 
     Valid for k != 0, k' != 0, k + k' > 0, which covers the two regions the
-    closed forms are stated on.  All z-integrals are exact.
+    closed forms are stated on.  All z-integrals are exact: each integrand is
+    an `ExpProfile`, and every product of profiles pairs all their terms in
+    one array operation.
     """
     if k == 0.0 or kp == 0.0:
         raise DegeneracyError("kernel pieces are undefined on the axes")
@@ -265,14 +266,19 @@ def q_oracle(root: RootData, k: float, kp: float) -> Tuple[complex, complex, com
         _ftilde_apply(vr, pb.mu, d, Sr @ tsum[n:]) - _ftilde_apply(vl, pb.mu, d, Sl @ tsum[:n])
     )
 
-    # q2: entropy-augmented normal second differential of the traces.
-    q2 = -(
-        sig
-        @ (
-            d2_flux_normal(vr, tk[n:], tkp[n:])
-            - d2_flux_normal(vl, tk[:n], tkp[:n])
-        )
+    # q2 and q4 read one profile of the entropy-augmented normal second
+    # differential, the d+2 left block rows over the d+2 right block rows.
+    # By bilinearity its value at z = 0 is the differential of the traces.
+    m = d + 2
+    vn = pair_bilinear(
+        rk,
+        rkp,
+        lambda x, y: np.concatenate(
+            (d2_flux_normal(vl, x[:n], y[:n]), d2_flux_normal(vr, x[n:], y[n:]))
+        ),
     )
+    at0 = vn(0.0)
+    q2 = -(sig @ (at0[m:] - at0[:m]))
 
     L = dual_profile(root, total)
 
@@ -285,13 +291,9 @@ def q_oracle(root: RootData, k: float, kp: float) -> Tuple[complex, complex, com
     v3 = pair_bilinear(rk, rkp, bil3)
     q3 = 1j * total * pair_dot(L, v3).integral()[0]
 
-    # q4: z-derivative of the folded normal second differential.
-    bil4 = _blockwise(
-        root,
-        lambda x, y: -d2_flux_normal(vl, x, y)[: d + 1],
-        lambda x, y: d2_flux_normal(vr, x, y)[: d + 1],
-    )
-    v4 = pair_bilinear(rk, rkp, bil4)
+    # q4: z-derivative of the folded normal second differential: the flux
+    # rows of each block, the left block negated.
+    v4 = vn.map_coeffs(lambda c: np.concatenate((-c[:n], c[m : m + n])))
     q4 = pair_dot(L, v4.derivative()).integral()[0]
 
     # q5: folded tangential symbol applied to the z-derivative of the profile.

@@ -27,6 +27,7 @@ from .modes import (
     BoundaryOperators,
     Frequency,
     ModeSet,
+    binary_scale,
     boundary_operators,
     decay_radicals,
     elliptic_eta0_max,
@@ -287,7 +288,7 @@ def gamma_linear_residual(root: RootData) -> float:
         + root.gamma1 * ops.H @ modes.R_minus[0]
         + root.gamma2 * ops.H @ modes.R_minus[1]
     )
-    scale = 2.0 ** -math.frexp(float(np.max(np.abs(ops.Jeta))))[1]
+    scale = binary_scale(ops.Jeta)
     return float(np.linalg.norm(scale * vec) / np.linalg.norm(scale * ops.Jeta))
 
 

@@ -407,9 +407,27 @@ def normal_modes(pb: PhaseBoundary, eta: Frequency) -> ModeSet:
     )
 
 
-def _split(x: np.ndarray) -> Tuple[complex, np.ndarray, complex]:
-    """Split a d+1 component vector into (density, tangential, normal) parts."""
+def _split(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split d+1 components (axis 0) into (density, tangential, normal) parts."""
     return x[0], x[1:-1], x[-1]
+
+
+def _columns(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """x and y as contiguous complex (m, T) stacks of T column vectors; a
+    single vector becomes one column."""
+    x = np.ascontiguousarray(x, dtype=complex)
+    y = np.ascontiguousarray(y, dtype=complex)
+    if x.shape != y.shape:
+        raise ParameterError("perturbation vectors must have equal shapes")
+    return x.reshape(x.shape[0], -1), y.reshape(y.shape[0], -1)
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_i a[i] b[i] over the component axis, one (T,) row at a time.
+
+    Every product pairs a row with a row or with a scalar, so each column
+    rounds the same alone as inside a stack of any width."""
+    return sum((ai * bi for ai, bi in zip(a, b)), np.zeros(b.shape[1:], dtype=complex))
 
 
 def d2_flux_tangential(
@@ -419,22 +437,24 @@ def d2_flux_tangential(
 
     Complex-bilinear in (x, y); equals the polarization of the quadratic form
     obtained by differentiating the tangential fluxes twice at the reference
-    state.  Output has d+1 components.
+    state.  Output has d+1 components.  x and y may also be (d+1, T) stacks
+    of vectors; the output is then (d+1, T), column by column.
     """
     eta_t = np.asarray(eta_t, dtype=complex)
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    if x.size != y.size or x.size != eta_t.size + 2:
+    xs, ys = _columns(x, y)
+    if xs.shape[0] != eta_t.size + 2:
         raise ParameterError("perturbation vectors must have length d+1")
-    px, jx, nx = _split(x)
-    py, jy, ny = _split(y)
+    px, jx, nx = _split(xs)
+    py, jy, ny = _split(ys)
     rho, u, pp = state.rho, state.u, state.pp
-    etjx = eta_t @ jx
-    etjy = eta_t @ jy
-    out = np.zeros(x.size, dtype=complex)
-    out[1:-1] = pp * px * py * eta_t + (etjx * jy + etjy * jx) / rho
+    etjx = _row_dot(eta_t, jx)
+    etjy = _row_dot(eta_t, jy)
+    pxy = pp * px * py
+    out = np.zeros(xs.shape, dtype=complex)
+    for i, et in enumerate(eta_t):
+        out[1 + i] = pxy * et + (etjx * jy[i] + etjy * jx[i]) / rho
     out[-1] = (etjx * (ny - u * py) + etjy * (nx - u * px)) / rho
-    return out
+    return out.reshape(np.shape(x))
 
 
 def d2_flux_normal(state: FluidState, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -442,23 +462,24 @@ def d2_flux_normal(state: FluidState, x: np.ndarray, y: np.ndarray) -> np.ndarra
 
     Output has d+2 components: the d+1 conservative normal-flux rows followed
     by the entropy-flux row.  The first d+1 rows are the plain normal flux.
+    x and y may also be (d+1, T) stacks of vectors; the output is then
+    (d+2, T), column by column.
     """
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    if x.size != y.size:
-        raise ParameterError("perturbation vectors must have equal length")
-    px, jx, nx = _split(x)
-    py, jy, ny = _split(y)
+    xs, ys = _columns(x, y)
+    px, jx, nx = _split(xs)
+    py, jy, ny = _split(ys)
     rho, u, c2, pp = state.rho, state.u, state.c2, state.pp
     wx = nx - u * px
     wy = ny - u * py
-    out = np.zeros(x.size + 1, dtype=complex)
-    out[1:-2] = (wx * jy + wy * jx) / rho
-    out[-2] = pp * px * py + 2.0 * wx * wy / rho
-    out[-1] = pp * u * px * py + (
-        3.0 * u * wx * wy - u * c2 * px * py + c2 * (px * ny + py * nx) + u * (jx @ jy)
+    pxy, wxy = px * py, wx * wy
+    out = np.zeros((xs.shape[0] + 1, xs.shape[1]), dtype=complex)
+    for i in range(len(jx)):
+        out[1 + i] = (wx * jy[i] + wy * jx[i]) / rho
+    out[-2] = pp * pxy + 2.0 * wxy / rho
+    out[-1] = pp * u * pxy + (
+        3.0 * u * wxy - u * c2 * pxy + c2 * (px * ny + py * nx) + u * _row_dot(jx, jy)
     ) / rho
-    return out
+    return out.reshape((out.shape[0],) + np.shape(x)[1:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -505,12 +526,20 @@ def dispersion_residual(modes: ModeSet) -> float:
     return worst
 
 
+def binary_scale(a: np.ndarray) -> float:
+    """The power of two that brings max|a| into [0.5, 1).  Multiplying by it
+    is exact, and it keeps the squares inside a norm of a from overflowing or
+    underflowing on extreme states."""
+    return math.ldexp(1.0, -math.frexp(abs(a).max())[1])
+
+
 def mode_residuals(modes: ModeSet) -> Tuple[float, float]:
     """Largest relative residuals of the right and of the left eigenvectors.
 
     Each mode's matrix is built once and applied to both vectors, read from
     the block its side names; the maximum runs over every mode of both
-    families.
+    families.  The matrix and each vector are scaled by `binary_scale` before
+    the norms; the scales cancel exactly in each residual.
     """
     pb, eta, n = modes.pb, modes.eta, modes.pb.d + 1
     right = left = 0.0
@@ -521,7 +550,8 @@ def mode_residuals(modes: ModeSet) -> Tuple[float, float]:
         for j, side in enumerate(sides):
             state, blk = (pb.left, slice(0, n)) if side == "l" else (pb.right, slice(n, 2 * n))
             M = mode_matrix(state, eta, betas[j], side)
-            r, l = R[j, blk], L[j, blk]
+            M = binary_scale(M) * M
+            r, l = (binary_scale(v) * v for v in (R[j, blk], L[j, blk]))
             scale = np.linalg.norm(M)
             right = max(right, float(np.linalg.norm(M @ r) / (np.linalg.norm(r) * scale)))
             left = max(left, float(np.linalg.norm(np.conj(l) @ M) / (np.linalg.norm(l) * scale)))

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from phasewave import __version__
 from phasewave.cli import main
 from phasewave.errors import NoRootError
 
@@ -344,3 +345,24 @@ class TestDeterminism:
         assert main(["simulate", "--config", str(cfg), "--out", str(out1), "--seed", "1"]) == 0
         assert main(["simulate", "--config", str(cfg), "--out", str(out2), "--seed", "2"]) == 0
         assert (out1 / "diag.csv").read_bytes() != (out2 / "diag.csv").read_bytes()
+
+
+class TestArgv:
+    def test_bad_argv_between_two_commands(self, tmp_path, capsys):
+        # main builds its parser once per process; a refused argv must leave
+        # it usable for the next call, with no option carried over.
+        cfg = write_config(tmp_path)
+        assert main(["root", "--config", str(cfg), "--out", str(tmp_path / "a"), "--seed", "3"]) == 0
+        with pytest.raises(SystemExit) as refused:
+            main(["coeffs", "--seed", "three", "--config", str(cfg)])
+        assert refused.value.code == 2
+        assert "invalid int value: 'three'" in capsys.readouterr().err
+        assert main(["coeffs", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a" / "root.json").is_file()
+        assert (tmp_path / "b" / "coeffs.json").is_file()
+
+    def test_version_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["--version"])
+        assert done.value.code == 0
+        assert capsys.readouterr().out.strip() == __version__

@@ -7,6 +7,7 @@ needs but the file lacks; every one is reported before any physics runs.
 """
 
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -243,6 +244,23 @@ def test_nonfinite_mode_data_named_by_check(tmp_path, capsys):
     assert last["name"].startswith("surface-wave-root (") and last["pass"] is False
     assert "not finite" in last["name"]
     assert capsys.readouterr().out.strip() == f"check: FAIL ({last['name']})"
+
+
+@pytest.mark.parametrize("u_l", [TINY_U, 1e-160])
+def test_mode_residual_norms_do_not_overflow(tmp_path, capsys, u_l):
+    # The mode matrices there have entries near 5e155, whose squares overflow
+    # unless mode_residuals scales them first; check then writes check.json
+    # with its eigenvector rows instead of dying on a RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = run(tmp_path, "check", left__u=u_l, right__u=u_l / 0.45)
+    assert rc == 1
+    report = json.loads((tmp_path / "out" / "check.json").read_text())
+    rows = {item["name"]: item for item in report["invariants"]}
+    for name in ("eigenvector-residual", "left-eigenvector-residual"):
+        assert math.isfinite(float(rows[name]["residual"])) or not rows[name]["pass"]
+    captured = capsys.readouterr()
+    assert captured.out.startswith("check: FAIL (surface-wave-root (") and captured.err == ""
 
 
 def test_rank_deficient_root_row_named_by_check(tmp_path, capsys):

@@ -151,8 +151,8 @@ class TestProfiles:
         n = root_a.pb.d + 1
         for k in (0.5, 2.0):
             tp = trace_profile(root_a, k)
-            for term in tp.terms:
-                assert term.rate.real < 0.0
+            for rate in tp.rates:
+                assert rate.real < 0.0
             trace = tp(0.0)
             assert np.allclose(trace[:n], root_a.gamma1 * m.R_minus[0, :n])
             assert np.allclose(trace[n:], root_a.gamma2 * m.R_minus[1, n:])
@@ -309,7 +309,8 @@ class TestOracle:
             )
             integrand = pair_dot(L, pair_bilinear(rk, rkp, bil3))
             exact = integrand.integral()[0]
-            zmax = max(np.log(1e-16) / t.rate.real for t in integrand.terms if np.any(t.coeff != 0))
+            live = np.any(integrand.coeffs != 0, axis=0)
+            zmax = max(np.log(1e-16) / rate.real for rate in integrand.rates[live])
             re = quad(lambda z: integrand(z)[0].real, 0, zmax, epsabs=1e-10, epsrel=1e-10, limit=300)[0]
             im = quad(lambda z: integrand(z)[0].imag, 0, zmax, epsabs=1e-10, epsrel=1e-10, limit=300)[0]
             assert abs(exact - (re + 1j * im)) <= 1e-8 * max(1.0, abs(exact))

@@ -501,6 +501,22 @@ class TestSecondDifferentials:
             polarized = 0.25 * (form(x + y, x + y) - form(x - y, x - y))
             assert np.allclose(form(x, y), polarized, rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_stacked_columns_match_single_calls(self, d):
+        # The kernel oracle hands both forms (d+1, T) stacks of coefficient
+        # columns; each output column must be bit for bit the single call.
+        rng = np.random.default_rng(40 + d)
+        state = FluidState(rho=1.1, u=0.5, c2=2.0, pp=0.3)
+        for width in (1, 2, 7, 36):
+            eta_t = rng.normal(size=d - 1)
+            x, y = (rng.normal(size=(d + 1, width)) + 1j * rng.normal(size=(d + 1, width)) for _ in range(2))
+            tang = d2_flux_tangential(state, eta_t, x, y)
+            norm = d2_flux_normal(state, x, y)
+            assert tang.shape == (d + 1, width) and norm.shape == (d + 2, width)
+            for t in range(width):
+                assert np.array_equal(tang[:, t], d2_flux_tangential(state, eta_t, x[:, t], y[:, t]))
+                assert np.array_equal(norm[:, t], d2_flux_normal(state, x[:, t], y[:, t]))
+
     def test_shape_mismatch(self):
         state = FluidState(rho=1.1, u=0.5, c2=2.0, pp=0.3)
         with pytest.raises(Exception):
