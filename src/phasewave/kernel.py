@@ -503,9 +503,10 @@ def _spread(vals) -> float:
 def oracle_vs_closed(root: RootData, kc: KernelConstants, samples: Iterable[Tuple[float, float]]) -> Dict:
     """Compare summed oracle kernels against the closed forms over samples.
 
-    Returns the maximum relative deviation, the region-constancy and
-    mixed-region proportionality spreads, the oracle sum at each sample, and
-    the conjugation of Q that q5 follows at the first mixed-region sample.
+    Returns the maximum relative deviation (NaN if any deviation is), the
+    region-constancy and mixed-region proportionality spreads, the oracle sum
+    at each sample, and the conjugation of Q that q5 follows at the first
+    mixed-region sample.
     """
     sums = {}
     devs = []
@@ -528,7 +529,7 @@ def oracle_vs_closed(root: RootData, kc: KernelConstants, samples: Iterable[Tupl
                 pattern = "conjugate" if dev_conj <= dev_plain else "plain"
 
     return {
-        "max_relative_deviation": float(max(devs)) if devs else 0.0,
+        "max_relative_deviation": float(np.max(devs)) if devs else 0.0,
         "region1_constancy": _spread(region1_vals),
         "region2_proportionality": _spread(region2_ratios),
         "oracle_sums": sums,

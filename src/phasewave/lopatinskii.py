@@ -6,11 +6,12 @@ raw (d+2)x(d+2) determinant of the frequency column J(v)eta against the
 boundary images of the incoming modes, and `det_closed`, the closed product
 formula.  Both, and the root factor `root_factor(pb, eta)`, take a float
 eta0 or a 1-D array of them and return one value per eta0, so a sweep over
-frequencies is one call.  The zero of the root factor, the surface wave, is
-the positive root of a quadratic in eta0^2, computed in closed form by
-`find_root`.  The cofactor functional sigma* at the root comes from the
-closed component formulas; `sigma_methods_residual` recomputes it from the
-first-column minors of the raw determinant and compares the two.
+frequencies is one call; each route reads one `normal_modes` call.  The zero
+of the root factor, the surface wave, is the positive root of a quadratic in
+eta0^2, computed in closed form by `find_root`.  The cofactor functional
+sigma* at the root comes from the closed component formulas;
+`sigma_methods_residual` recomputes it from the first-column minors of the
+raw determinant and compares the two.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .modes import (
     boundary_operators,
     decay_radicals,
     elliptic_eta0_max,
-    incoming_modes,
     normal_modes,
 )
 
@@ -66,7 +66,7 @@ def det_closed(pb: PhaseBoundary, eta: Frequency) -> Union[complex, np.ndarray]:
     """The Lopatinskii determinant in factorized form, -[rho][u] Upsilon
     (eta0^2 + u_r^2 |eta_t|^2) F(eta0), at a float eta0 or at each eta0 of a
     1-D array."""
-    inc = incoming_modes(pb, eta)
+    inc = normal_modes(pb, eta)
     e0 = np.asarray(eta.eta0, dtype=float)
     return _per_frequency(
         -pb.jump_rho
@@ -81,7 +81,7 @@ def det_raw(pb: PhaseBoundary, eta: Frequency) -> Union[complex, np.ndarray]:
     """The Lopatinskii determinant det(J(v)eta, H R_1^-, ..., H R_{d+1}^-) by
     complex LU, at a float eta0 or at each eta0 of a 1-D array (one stacked
     LU call)."""
-    inc = incoming_modes(pb, eta)
+    inc = normal_modes(pb, eta)
     ops = boundary_operators(pb, eta)
     M = np.empty(ops.Jeta.shape + (pb.d + 2,), dtype=complex)
     M[..., 0] = ops.Jeta
@@ -204,10 +204,13 @@ def gamma_alternative_forms(root: RootData) -> Tuple[complex, complex]:
 
 
 def gamma_forms_residual(root: RootData) -> float:
-    """Largest relative gap between the two printed forms of gamma_1, gamma_2."""
+    """Largest relative gap between the two printed forms of gamma_1, gamma_2;
+    a NaN in either gap gives NaN."""
     h1, h2 = gamma_alternative_forms(root)
-    return max(
-        abs(root.gamma1 - h1) / abs(root.gamma1), abs(root.gamma2 - h2) / abs(root.gamma2)
+    return float(
+        np.maximum(
+            abs(root.gamma1 - h1) / abs(root.gamma1), abs(root.gamma2 - h2) / abs(root.gamma2)
+        )
     )
 
 
@@ -326,7 +329,8 @@ def lemma4_residuals(root: RootData) -> np.ndarray:
 
 
 def dd1_factorization_residual(root: RootData) -> float:
-    """Both factorizations of eta0 * D_{d+1} must agree at the root."""
+    """Both factorizations of eta0 * D_{d+1} must agree at the root; a NaN in
+    any of them gives NaN."""
     pb, eta, modes = root.pb, root.eta, root.modes
     vl, vr = pb.left, pb.right
     e0 = eta.eta0
@@ -335,8 +339,8 @@ def dd1_factorization_residual(root: RootData) -> float:
     lhs = -w2 * (vr.u * al - 1j * vl.c2 * e0) * (vl.u * ar + 1j * vr.c2 * e0)
     rhs = w2 * (vr.u * al + 1j * vl.c2 * e0) * (vl.u * ar - 1j * vr.c2 * e0)
     target = e0 * root.sigma.Dd1
-    scale = max(abs(lhs), abs(target))
-    return max(abs(lhs - target), abs(rhs - target)) / scale
+    scale = np.maximum(abs(lhs), abs(target))
+    return float(np.maximum(abs(lhs - target), abs(rhs - target)) / scale)
 
 
 def sigma_r3_residual(root: RootData) -> float:

@@ -18,10 +18,10 @@ family).  Every eigenvector is stored in one layout only: a full vector of
 2(d+1) components, left block first, whose off-side block is exactly zero.
 
 `normal_modes` builds both families with their left eigenvectors at a float
-eta0.  `incoming_modes` builds only the incoming (-) family, which is all the
-Lopatinskii determinant reads, at a float eta0 or elementwise along a 1-D
-array of them; `normal_modes` takes that family from it.  `decay_radicals`
-is the one test of the elliptic region.
+eta0 or elementwise along a 1-D array of them, every array carrying eta0's
+shape in front; the Lopatinskii determinant reads its incoming (-) family.
+`mode_residuals` and `dispersion_residual` return one value per eta0.
+`decay_radicals` is the one test of the elliptic region.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ from .errors import DegeneracyError, DomainError, ParameterError
 class Frequency:
     """Temporal frequency and tangential wavevector (eta0, eta_t).
 
-    eta0 is a float, or a 1-D array of temporal frequencies that share eta_t;
-    the determinant routes take either, `normal_modes` only a float.
+    eta0 is a float, or a 1-D array of temporal frequencies that share eta_t.
     """
 
     eta0: Union[float, np.ndarray]
@@ -161,10 +160,11 @@ def flux_jacobians(state: FluidState, d: int) -> np.ndarray:
 
 
 def tangential_symbol(state: FluidState, eta: Frequency) -> np.ndarray:
-    """The matrix eta0*I + sum_k eta_t[k] * A^k at the given state."""
+    """The matrix eta0*I + sum_k eta_t[k] * A^k at the given state, one per
+    eta0 when eta0 is an array."""
     d = eta.eta_t.size + 1
     A = flux_jacobians(state, d)
-    S = eta.eta0 * np.eye(d + 1)
+    S = np.multiply.outer(eta.eta0, np.eye(d + 1))
     for k in range(d - 1):
         S = S + eta.eta_t[k] * A[k]
     return S
@@ -173,15 +173,17 @@ def tangential_symbol(state: FluidState, eta: Frequency) -> np.ndarray:
 def mode_matrix(state: FluidState, eta: Frequency, beta: complex, side: str) -> np.ndarray:
     """Symbol of the interior operator annihilating a mode e^{beta z}.
 
-    side 'l' uses the folded sign (-beta*A^d), side 'r' the plain one.
+    side 'l' uses the folded sign (-beta*A^d), side 'r' the plain one.  beta
+    may be an array whose shape broadcasts against eta0's; the matrices then
+    carry the broadcast shape in front.
     """
     d = eta.eta_t.size + 1
-    Ad = flux_jacobians(state, d)[d - 1]
+    bA = np.multiply.outer(beta, flux_jacobians(state, d)[d - 1])
     S = tangential_symbol(state, eta)
     if side == "l":
-        return 1j * S - beta * Ad
+        return 1j * S - bA
     if side == "r":
-        return 1j * S + beta * Ad
+        return 1j * S + bA
     raise ParameterError(f"side must be 'l' or 'r', got {side!r}")
 
 
@@ -199,19 +201,21 @@ def dg0(state: FluidState, mu: float, d: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ModeSet:
-    """All eigenmodes and eigenvectors of a configuration at one frequency.
+    """All eigenmodes and eigenvectors of a configuration, elementwise in eta0.
 
-    Arrays are indexed by mode number j-1 (j = 1..d+1).  Each eigenvector is
-    stored once, as a full 2(d+1) vector: `R_minus[j]` and `L_minus[j]` carry
-    the right and left vectors of the mode in the block `side_minus[j]`
-    names ('l' first, 'r' second), and the other block is exactly +0.
+    Every array carries eta0's shape in front, then the mode number j-1
+    (j = 1..d+1); at a float eta0, `a_l` and `a_r` are floats.  Each
+    eigenvector is stored once, as a full 2(d+1) vector: `R_minus[..., j, :]`
+    and `L_minus[..., j, :]` carry the right and left vectors of the mode in
+    the block `side_minus[j]` names ('l' first, 'r' second), and the other
+    block is exactly +0.
     """
 
     pb: PhaseBoundary
     eta: Frequency
     frame: TangentFrame
-    a_l: float
-    a_r: float
+    a_l: Union[float, np.ndarray]
+    a_r: Union[float, np.ndarray]
     beta_minus: np.ndarray
     beta_plus: np.ndarray
     R_minus: np.ndarray
@@ -220,23 +224,6 @@ class ModeSet:
     L_plus: np.ndarray
     side_minus: Tuple[str, ...]
     side_plus: Tuple[str, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class IncomingModes:
-    """The incoming (-) family at a float or along a 1-D array of eta0.
-
-    Every array carries the shape of eta0 in front: `a_l`, `a_r` and
-    `frame.upsilon` one value per frequency, `beta_minus` the acoustic decay
-    rates (beta_1^-, beta_2^-), and `R_minus` one (d+1, 2(d+1)) block in the
-    layout of `ModeSet.R_minus`.
-    """
-
-    frame: TangentFrame
-    a_l: np.ndarray
-    a_r: np.ndarray
-    beta_minus: np.ndarray
-    R_minus: np.ndarray
 
 
 def decay_radicals(pb: PhaseBoundary, eta: Frequency):
@@ -257,22 +244,21 @@ def decay_radicals(pb: PhaseBoundary, eta: Frequency):
     return -vl.c * np.sqrt(rad_l), vr.c * np.sqrt(rad_r)
 
 
-def incoming_modes(pb: PhaseBoundary, eta: Frequency) -> IncomingModes:
-    """Decay radicals, acoustic decay rates and right eigenvectors R_j^- of
-    the incoming family, elementwise in eta0.
+def normal_modes(pb: PhaseBoundary, eta: Frequency) -> ModeSet:
+    """Decay rates, eigenmodes, and right/left eigenvectors, elementwise in eta0.
 
     Raises DomainError when any eta0 leaves the elliptic region of either
     state (`decay_radicals`), and at eta0 = 0 for d >= 3, where the advected
-    left eigenvectors are singular.  Each complex entry is assembled from the
-    real arithmetic that Python's complex operators perform on it, so a float
-    and an array eta0 give the same bits; numpy's complex product and
-    quotient loops round differently.
+    left eigenvectors are singular.  The decay rates and the right vectors
+    are assembled from the real arithmetic that Python's complex operators
+    perform on them, and every complex product of the left vectors is an
+    array operation, so a float and an array eta0 give the same bits; numpy's
+    complex scalar and array loops round differently.
     """
     d = pb.d
     vl, vr = pb.left, pb.right
     et = eta.eta_t
-    if et.size != d - 1:
-        raise ParameterError(f"eta_t must have length {d - 1}, got {et.size}")
+    ht2 = eta.ht2
     # [()] leaves an array as it is and turns a float into a numpy scalar,
     # whose arithmetic costs a fraction of a 0-d array's.
     e0 = np.asarray(eta.eta0, dtype=float)[()]
@@ -285,15 +271,22 @@ def incoming_modes(pb: PhaseBoundary, eta: Frequency) -> IncomingModes:
     ml = vl.c2 - vl.u**2
     mr = vr.c2 - vr.u**2
     n = d + 1
-    # beta_1^- = (a_l - i u_l eta0)/ml and beta_2^- = (-a_r + i u_r eta0)/mr.
-    beta_minus = np.empty(e0.shape + (2,), dtype=complex)
+    lb, rb = slice(0, n), slice(n, 2 * n)
+    # beta_1^- = (a_l - i u_l eta0)/ml, beta_2^- = (-a_r + i u_r eta0)/mr and
+    # beta_j^- = -i eta0/u_r; the + family has -conj(beta_1,2^-) and i eta0/u_l.
+    beta_minus = np.zeros(e0.shape + (n,), dtype=complex)
     beta_minus.real[..., 0] = a_l / ml
     beta_minus.imag[..., 0] = (0.0 - vl.u * e0) / ml
     beta_minus.real[..., 1] = -a_r / mr
     beta_minus.imag[..., 1] = (0.0 + vr.u * e0) / mr
+    beta_minus.imag[..., 2:] = (-e0 / vr.u)[..., None]
+    beta_plus = np.zeros_like(beta_minus)
+    beta_plus[..., :2] = -np.conj(beta_minus[..., :2])
+    beta_plus.imag[..., 2:] = (e0 / vl.u)[..., None]
     b1, b2 = beta_minus[..., 0], beta_minus[..., 1]
 
     # Each vector is written into its side's block; the other block stays +0.
+    # Only the block is conjugated, so the zero block keeps its sign.
     R_minus = np.zeros(e0.shape + (n, 2 * n), dtype=complex)
     re, im = R_minus.real, R_minus.imag
     # -i eta0 + u_l beta_1^-, i c_l^2 eta_t, -a_l
@@ -306,96 +299,52 @@ def incoming_modes(pb: PhaseBoundary, eta: Frequency) -> IncomingModes:
     im[..., 1, n] = -e0 - vr.u * b2.imag
     R_minus[..., 1, n + 1 : n + d] = 1j * vr.c2 * et
     re[..., 1, 2 * n - 1] = -a_r
-    # Advected modes of the - family, on the right.
-    for j in range(2, n):
-        evec = frame.e[:, j - 2]
-        re[..., j, n + 1 : n + d] = e0[..., None] * evec
-        re[..., j, 2 * n - 1] = vr.u * float(et @ evec)
+    R_plus = np.zeros_like(R_minus)
+    R_plus[..., 0, lb] = np.conj(R_minus[..., 0, lb])
+    R_plus[..., 1, rb] = np.conj(R_minus[..., 1, rb])
 
-    return IncomingModes(frame=frame, a_l=a_l, a_r=a_r, beta_minus=beta_minus, R_minus=R_minus)
-
-
-def normal_modes(pb: PhaseBoundary, eta: Frequency) -> ModeSet:
-    """Decay rates, eigenmodes, and right/left eigenvectors at a float eta0.
-
-    Requires the frequency to lie in the elliptic region of both states so
-    that the decay radicals a_l < 0 < a_r are real.  For d >= 3 the advected
-    left eigenvectors are singular at eta0 = 0 and a DomainError is raised.
-    The incoming family comes from `incoming_modes`; an array eta0 raises
-    ParameterError.
-    """
-    if np.ndim(eta.eta0) != 0:
-        raise ParameterError("normal_modes takes a float eta0, not an array")
-    d = pb.d
-    vl, vr = pb.left, pb.right
-    e0 = eta.eta0
-    et = eta.eta_t
-    ht2 = eta.ht2
-    inc = incoming_modes(pb, eta)
-    frame = inc.frame
-    a_l, a_r = float(inc.a_l), float(inc.a_r)
-
-    ml = vl.c2 - vl.u**2
-    mr = vr.c2 - vr.u**2
-    b1m, b2m = inc.beta_minus
-    b1p = -np.conj(b1m)
-    b2p = -np.conj(b2m)
-    b3p = 1j * e0 / vl.u
-    b3m = -1j * e0 / vr.u
-
-    n = d + 1
-    beta_minus = np.empty(n, dtype=complex)
-    beta_plus = np.empty(n, dtype=complex)
-    beta_minus[0], beta_plus[0] = b1m, b1p
-    beta_minus[1], beta_plus[1] = b2m, b2p
-    beta_minus[2:] = b3m
-    beta_plus[2:] = b3p
-
-    # Each vector is written into its side's block; the other block stays +0.
-    # Only the block is conjugated, so the zero block keeps its sign.
-    R_minus = inc.R_minus
-    R_plus = np.zeros((n, 2 * n), dtype=complex)
-    L_minus = np.zeros((n, 2 * n), dtype=complex)
-    L_plus = np.zeros((n, 2 * n), dtype=complex)
-    lb, rb = slice(0, n), slice(n, 2 * n)
-
-    R_plus[0, lb] = np.conj(R_minus[0, lb])
-    R_plus[1, rb] = np.conj(R_minus[1, rb])
-
-    pref_l_minus = ml / (2.0 * a_l * (vl.u * a_l + 1j * vl.c2 * e0))
-    L_minus[0, lb] = pref_l_minus * np.concatenate(
-        ([1j * e0 - 2.0 * vl.u * b1p], -1j * et, [b1p])
-    )
-    L_plus[0, lb] = np.conj(L_minus[0, lb])
-    pref_r_minus = mr / (2.0 * a_r * (vr.u * a_r + 1j * vr.c2 * e0))
-    L_minus[1, rb] = pref_r_minus * np.concatenate(
-        ([-1j * e0 - 2.0 * vr.u * b2p], 1j * et, [b2p])
-    )
-    L_plus[1, rb] = np.conj(L_minus[1, rb])
+    L_minus = np.zeros_like(R_minus)
+    L_plus = np.zeros_like(R_minus)
+    # Acoustic: ml/(2 a_l (u_l a_l + i c_l^2 eta0)) (i eta0 - 2 u_l beta_1^+,
+    # -i eta_t, beta_1^+) on the left, and its mirror image on the right.
+    for row, blk, s, a, m, sgn in ((0, lb, vl, a_l, ml, 1.0), (1, rb, vr, a_r, mr, -1.0)):
+        bp = beta_plus[..., row]
+        vec = np.empty(e0.shape + (n,), dtype=complex)
+        vec[..., 0] = sgn * 1j * e0 - 2.0 * s.u * bp
+        vec[..., 1:d] = -sgn * 1j * et
+        vec[..., d] = bp
+        pref = m / (2.0 * a * (s.u * a + 1j * s.c2 * e0))
+        L_minus[..., row, blk] = pref[..., None] * vec
+        L_plus[..., row, blk] = np.conj(L_minus[..., row, blk])
 
     # Advected modes: the + family on the left, the - family on the right.
     for j in range(2, n):
         evec = frame.e[:, j - 2]
         dot = float(et @ evec)
-        R_plus[j, lb] = np.concatenate(([0.0], e0 * evec, [vl.u * dot]))
+        R_plus.real[..., j, 1:d] = e0[..., None] * evec
+        R_plus.real[..., j, d] = vl.u * dot
+        R_minus.real[..., j, n + 1 : n + d] = e0[..., None] * evec
+        R_minus.real[..., j, 2 * n - 1] = vr.u * dot
+    # l_3 = s (-u, eta0/(u |eta_t|^2) eta_t, 1)/(eta0^2 + u^2 |eta_t|^2) and
+    # l_j = s (0, e_{j-2}, 0)/(u eta0) for j > 3, with s = -1, u = u_l for the
+    # + family and s = 1, u = u_r for the - family.
+    for blk, u, sgn, L in ((lb, vl.u, -1.0, L_plus), (rb, vr.u, 1.0, L_minus)):
+        l3 = L.real[..., 2, blk]
+        den = e0 * e0 + u**2 * ht2
+        l3[..., 0] = -sgn * u / den
+        l3[..., 1:d] = (sgn * (e0 / (u * ht2)))[..., None] * et / den[..., None]
+        l3[..., d] = sgn / den
+        for j in range(3, n):
+            dual = np.concatenate(([0.0], frame.e[:, j - 2], [0.0]))
+            L.real[..., j, blk] = dual * (sgn / (u * e0))[..., None]
 
-    L_plus[2, lb] = np.concatenate(
-        ([vl.u], -(e0 / (vl.u * ht2)) * et, [-1.0])
-    ) / (e0 * e0 + vl.u**2 * ht2)
-    L_minus[2, rb] = np.concatenate(
-        ([-vr.u], (e0 / (vr.u * ht2)) * et, [1.0])
-    ) / (e0 * e0 + vr.u**2 * ht2)
-    for j in range(3, n):
-        dual = np.concatenate(([0.0], frame.e[:, j - 2], [0.0]))
-        L_plus[j, lb] = dual * (-1.0 / (vl.u * e0))
-        L_minus[j, rb] = dual * (1.0 / (vr.u * e0))
-
+    scalar = e0.ndim == 0
     return ModeSet(
         pb=pb,
         eta=eta,
         frame=frame,
-        a_l=a_l,
-        a_r=a_r,
+        a_l=float(a_l) if scalar else a_l,
+        a_r=float(a_r) if scalar else a_r,
         beta_minus=beta_minus,
         beta_plus=beta_plus,
         R_minus=R_minus,
@@ -510,52 +459,71 @@ def boundary_operators(pb: PhaseBoundary, eta: Frequency) -> BoundaryOperators:
     return BoundaryOperators(H=H, Jeta=Jeta)
 
 
-def dispersion_residual(modes: ModeSet) -> float:
-    """Largest relative residual of the acoustic decay rates in their dispersion relation.
+def dispersion_residual(modes: ModeSet) -> Union[float, np.ndarray]:
+    """Largest relative residual of the acoustic decay rates in their dispersion
+    relation, one value per eta0; a non-finite rate gives a non-finite value.
 
     beta_1^- (left, folded side) and beta_2^- (right) must be roots of
     (c^2 - u^2) beta^2 +- 2i u eta0 beta + eta0^2 - c^2 |eta_t|^2, with the
     + sign on the left; each residual is relative to c^2 |eta_t|^2.
     """
-    pb, e0, ht2 = modes.pb, modes.eta.eta0, modes.eta.ht2
-    worst = 0.0
-    sides = ((1.0, modes.beta_minus[0], pb.left), (-1.0, modes.beta_minus[1], pb.right))
-    for sgn, beta, s in sides:
-        val = (s.c2 - s.u**2) * beta**2 + sgn * 2j * s.u * e0 * beta + e0 * e0 - s.c2 * ht2
-        worst = max(worst, abs(val) / abs(s.c2 * ht2))
-    return worst
+    pb, ht2 = modes.pb, modes.eta.ht2
+    e0 = np.asarray(modes.eta.eta0, dtype=float)[..., None]
+    c2 = np.array([pb.left.c2, pb.right.c2])
+    u = np.array([pb.left.u, -pb.right.u])  # the sign of the middle term
+    beta = modes.beta_minus[..., :2]
+    val = (c2 - u * u) * beta**2 + 2j * u * e0 * beta + e0 * e0 - c2 * ht2
+    return np.max(np.abs(val) / (c2 * ht2), axis=-1)
 
 
-def binary_scale(a: np.ndarray) -> float:
-    """The power of two that brings max|a| into [0.5, 1).  Multiplying by it
-    is exact, and it keeps the squares inside a norm of a from overflowing or
-    underflowing on extreme states."""
-    return math.ldexp(1.0, -math.frexp(abs(a).max())[1])
+def binary_scale(a: np.ndarray, axes: int = 1) -> np.ndarray:
+    """The power of two that brings max|a| over the trailing `axes` axes into
+    [0.5, 1), with those axes kept at length 1.  Multiplying by it is exact,
+    and it keeps the squares inside a norm of a from overflowing or
+    underflowing on extreme states.  A non-finite maximum gives 1."""
+    top = np.abs(a).max(axis=tuple(range(-axes, 0)), keepdims=True)
+    return np.ldexp(1.0, -np.frexp(top)[1])
 
 
-def mode_residuals(modes: ModeSet) -> Tuple[float, float]:
-    """Largest relative residuals of the right and of the left eigenvectors.
+def _block_residual(M: np.ndarray, V: np.ndarray, blk: slice, off: slice, left: bool) -> np.ndarray:
+    """Relative residual of each row of V against the matrix M of its mode,
+    modes first: the block blk of a right (or, with left, conjugated left)
+    vector must be annihilated by M, and the off-side block must vanish."""
+    V = binary_scale(V) * V
+    v = V[..., blk]
+    image = (np.conj(v)[..., None, :] @ M)[..., 0, :] if left else (M @ v[..., None])[..., 0]
+    size = np.linalg.norm(v, axis=-1)
+    eig = np.linalg.norm(image, axis=-1) / (size * np.linalg.norm(M, axis=(-2, -1)))
+    return np.maximum(eig, np.linalg.norm(V[..., off], axis=-1) / size)
 
-    Each mode's matrix is built once and applied to both vectors, read from
-    the block its side names; the maximum runs over every mode of both
-    families.  The matrix and each vector are scaled by `binary_scale` before
-    the norms; the scales cancel exactly in each residual.
+
+def mode_residuals(modes: ModeSet) -> Tuple[Union[float, np.ndarray], Union[float, np.ndarray]]:
+    """Largest relative residuals of the right and of the left eigenvectors,
+    one value per eta0, over every mode of both families.
+
+    The modes of one family on one side share one call of `mode_matrix`, with
+    the mode axis in front; each matrix is applied to both vectors, read from
+    the block its side names.  A nonzero off-side block counts as a residual
+    relative to the vector.  The matrices and vectors are scaled by
+    `binary_scale` before the norms; the scales cancel exactly in each
+    residual.  A non-finite entry gives a non-finite value.
     """
     pb, eta, n = modes.pb, modes.eta, modes.pb.d + 1
-    right = left = 0.0
+    right, left = [], []
     for betas, R, L, sides in (
         (modes.beta_minus, modes.R_minus, modes.L_minus, modes.side_minus),
         (modes.beta_plus, modes.R_plus, modes.L_plus, modes.side_plus),
     ):
-        for j, side in enumerate(sides):
-            state, blk = (pb.left, slice(0, n)) if side == "l" else (pb.right, slice(n, 2 * n))
-            M = mode_matrix(state, eta, betas[j], side)
-            M = binary_scale(M) * M
-            r, l = (binary_scale(v) * v for v in (R[j, blk], L[j, blk]))
-            scale = np.linalg.norm(M)
-            right = max(right, float(np.linalg.norm(M @ r) / (np.linalg.norm(r) * scale)))
-            left = max(left, float(np.linalg.norm(np.conj(l) @ M) / (np.linalg.norm(l) * scale)))
-    return right, left
+        for side, state, blk, off in (
+            ("l", pb.left, slice(0, n), slice(n, 2 * n)),
+            ("r", pb.right, slice(n, 2 * n), slice(0, n)),
+        ):
+            j = [k for k, s in enumerate(sides) if s == side]
+            M = mode_matrix(state, eta, np.moveaxis(betas[..., j], -1, 0), side)
+            M = binary_scale(M, 2) * M
+            right.append(_block_residual(M, np.moveaxis(R[..., j, :], -2, 0), blk, off, False))
+            left.append(_block_residual(M, np.moveaxis(L[..., j, :], -2, 0), blk, off, True))
+    return np.max(np.concatenate(right), axis=0), np.max(np.concatenate(left), axis=0)
 
 
 def biorthogonality_matrices(modes: ModeSet) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

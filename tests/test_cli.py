@@ -123,6 +123,37 @@ class TestCheck:
         ]
         assert capsys.readouterr().out.strip() == "check: FAIL (sigma-r3-relation)"
 
+    @pytest.mark.parametrize(
+        "field,entry,row",
+        [
+            ("L_plus", (2, 0), "left-eigenvector-residual"),
+            ("R_minus", (1, 2), "eigenvector-residual"),
+            ("beta_minus", (1,), "dispersion-residual"),
+        ],
+    )
+    def test_nonfinite_sampled_mode_fails_its_row(self, tmp_path, monkeypatch, field, entry, row):
+        # A NaN at one of the 8 sampled frequencies reaches the row's maximum.
+        import dataclasses
+
+        import phasewave.cli as cli_mod
+
+        build = cli_mod.normal_modes
+
+        def poisoned(pb, eta):
+            modes = build(pb, eta)
+            arr = getattr(modes, field).copy()
+            arr[(3,) + entry] = np.nan
+            return dataclasses.replace(modes, **{field: arr})
+
+        monkeypatch.setattr(cli_mod, "normal_modes", poisoned)
+        cfg = write_config(tmp_path)
+        with np.errstate(invalid="ignore"):
+            assert main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        report = json.loads((tmp_path / "check.json").read_text())
+        rows = {item["name"]: item for item in report["invariants"]}
+        assert rows[row]["residual"] == "nan" and rows[row]["pass"] is False
+        assert report["pass"] is False
+
 
 class TestScan:
     def test_hundred_rows_agree(self, tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -314,6 +316,13 @@ class TestOracle:
             re = quad(lambda z: integrand(z)[0].real, 0, zmax, epsabs=1e-10, epsrel=1e-10, limit=300)[0]
             im = quad(lambda z: integrand(z)[0].imag, 0, zmax, epsabs=1e-10, epsrel=1e-10, limit=300)[0]
             assert abs(exact - (re + 1j * im)) <= 1e-8 * max(1.0, abs(exact))
+
+    def test_max_deviation_keeps_a_nan(self, root_a):
+        # Q_l enters the mixed-region closed forms only, so the NaN deviations
+        # come after finite ones; a Python max over them returned about 1e-15.
+        kc = dataclasses.replace(kernel_constants(root_a), Q_l=complex(math.nan))
+        rep = oracle_vs_closed(root_a, kc, [(1.0, 2.0), (2.0, -1.0)])
+        assert math.isnan(rep["max_relative_deviation"])
 
     def test_report_on_random_state(self):
         rng = np.random.default_rng(77)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -24,12 +25,14 @@ from phasewave.lopatinskii import (
     _sigma_minors,
     dd1_factorization_residual,
     gamma_alternative_forms,
+    gamma_forms_residual,
     gamma_linear_residual,
     lemma4_residuals,
     root_factor,
     root_relation_residual,
     sigma_r3_residual,
 )
+from phasewave.modes import dispersion_residual, mode_residuals
 from phasewave.config import build_boundary, load_config
 from phasewave.kernel import alpha0_closed
 
@@ -110,7 +113,8 @@ def edge_grid(e0_max: float) -> np.ndarray:
 
 
 class TestFrequencyArrays:
-    """The determinant routes and the root factor on a 1-D eta0 array."""
+    """The modes, their residuals, the determinant routes and the root factor
+    on a 1-D eta0 array."""
 
     @pytest.mark.parametrize("name", ["fixture_a", "vdw"])
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -125,6 +129,19 @@ class TestFrequencyArrays:
         whole = root_factor(pb, Frequency(grid, eta_t))
         each = np.array([root_factor(pb, Frequency(float(e0), eta_t)) for e0 in grid])
         assert whole.tobytes() == each.tobytes()
+        whole = normal_modes(pb, Frequency(grid, eta_t))
+        each = [normal_modes(pb, Frequency(float(e0), eta_t)) for e0 in grid]
+        assert whole.frame.upsilon.tobytes() == np.array([m.frame.upsilon for m in each]).tobytes()
+        fields = ("a_l", "a_r", "beta_minus", "beta_plus", "R_minus", "R_plus", "L_minus", "L_plus")
+        for field in fields:
+            stacked = np.array([getattr(m, field) for m in each])
+            assert getattr(whole, field).tobytes() == stacked.tobytes(), field
+        assert np.array(mode_residuals(whole)).T.tobytes() == np.array(
+            [mode_residuals(m) for m in each]
+        ).tobytes()
+        assert dispersion_residual(whole).tobytes() == np.array(
+            [dispersion_residual(m) for m in each]
+        ).tobytes()
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_any_point_outside_the_elliptic_interval_refused(self, d):
@@ -268,6 +285,10 @@ class TestSigma:
     def test_dd1_factorizations(self, root_a):
         assert dd1_factorization_residual(root_a) <= 1e-10
 
+    def test_dd1_factorizations_keep_nan(self, root_a):
+        sigma = dataclasses.replace(root_a.sigma, Dd1=complex(math.nan))
+        assert math.isnan(dd1_factorization_residual(dataclasses.replace(root_a, sigma=sigma)))
+
     def test_sigma_r3_relation(self, root_a, root_a3):
         for root in (root_a, root_a3):
             assert sigma_r3_residual(root) <= 1e-10
@@ -276,6 +297,12 @@ class TestSigma:
 class TestGamma:
     def test_linear_relation(self, root_a):
         assert gamma_linear_residual(root_a) <= 1e-10
+
+    def test_forms_residual_keeps_a_nan_in_the_second_gap(self, root_a):
+        # A Python max over (gap1, nan) returned gap1, about 3e-16.
+        assert gamma_forms_residual(root_a) <= 1e-12
+        root = dataclasses.replace(root_a, gamma2=complex(math.nan))
+        assert math.isnan(gamma_forms_residual(root))
 
     @pytest.mark.parametrize("u_l", [1e-50, 1e-100, 1e-150])
     def test_linear_relation_tiny_states(self, u_l):

@@ -26,7 +26,7 @@ from phasewave.config import build_boundary, load_config
 from phasewave.modes import (
     biorthogonality_matrices,
     dg0,
-    incoming_modes,
+    dispersion_residual,
     mode_matrix,
     mode_residuals,
     tangential_symbol,
@@ -187,10 +187,9 @@ class TestNormalModes:
         with pytest.raises(DomainError):
             normal_modes(pb, Frequency(0.0, [1.0, 0.0]))
 
-    def test_array_eta0_rejected(self):
-        pb = fixture_a_boundary()
-        with pytest.raises(ParameterError):
-            normal_modes(pb, Frequency(np.array([0.3, 0.5]), [1.0]))
+    def test_eta_t_length_refused_by_the_frame(self):
+        with pytest.raises(ParameterError, match="eta_t must have length"):
+            normal_modes(fixture_a_boundary(3), Frequency(0.5, [1.0]))
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_incoming_family_rounds_as_python_complex(self, d):
@@ -209,15 +208,15 @@ class TestNormalModes:
             grid = rng.uniform(-0.99, 0.99, 17) * elliptic_eta0_max(pb, et)
             if d == 2:
                 grid[3] = 0.0
-            inc = incoming_modes(pb, Frequency(grid, et))
+            m = normal_modes(pb, Frequency(grid, et))
             for k, e0 in enumerate(grid.tolist()):
                 a_l = -vl.c * math.sqrt((vl.c2 - vl.u**2) * ht2 - e0 * e0)
                 a_r = vr.c * math.sqrt((vr.c2 - vr.u**2) * ht2 - e0 * e0)
                 b1 = (a_l - 1j * vl.u * e0) / (vl.c2 - vl.u**2)
                 b2 = (-a_r + 1j * vr.u * e0) / (vr.c2 - vr.u**2)
-                R = inc.R_minus[k]
-                assert (inc.a_l[k], inc.a_r[k]) == (a_l, a_r)
-                assert inc.beta_minus[k].tobytes() == bits(b1) + bits(b2)
+                R = m.R_minus[k]
+                assert (m.a_l[k], m.a_r[k]) == (a_l, a_r)
+                assert m.beta_minus[k, :2].tobytes() == bits(b1) + bits(b2)
                 assert bits(R[0, 0]) == bits(-1j * e0 + vl.u * b1)
                 assert bits(R[1, n]) == bits(-1j * e0 - vr.u * b2)
                 assert bits(R[0, d]) == bits(-a_l) and bits(R[1, 2 * n - 1]) == bits(-a_r)
@@ -280,6 +279,28 @@ class TestNormalModes:
         right, left = mode_residuals(dataclasses.replace(m, L_plus=L))
         assert left > 1e-11
         assert right <= 1e-12
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field,entry", [("L_plus", (2, 0)), ("R_minus", (1, 2))])
+    def test_nonfinite_vector_entry_gives_nonfinite_residual(self, field, entry, value):
+        # L_plus[2, 0] lies in its mode's block, R_minus[1, 2] in the off-side
+        # block, which must be exactly 0.  Only that eta0's residual is hit.
+        m = normal_modes(fixture_a_boundary(), Frequency(np.array([0.5, 0.9, 1.1]), [1.0]))
+        arr = getattr(m, field).copy()
+        arr[(1,) + entry] = value
+        with np.errstate(invalid="ignore", over="ignore"):
+            right, left = mode_residuals(dataclasses.replace(m, **{field: arr}))
+        hit, other = (right, left) if field == "R_minus" else (left, right)
+        assert not np.isfinite(hit[1]) and np.isfinite(hit[[0, 2]]).all()
+        assert np.isfinite(other).all()
+
+    def test_nan_decay_rate_gives_nan_dispersion_residual(self):
+        m = normal_modes(fixture_a_boundary(), Frequency(np.array([0.5, 0.9]), [1.0]))
+        beta = m.beta_minus.copy()
+        beta[1, 1] = np.nan
+        with np.errstate(invalid="ignore"):
+            res = dispersion_residual(dataclasses.replace(m, beta_minus=beta))
+        assert res[0] <= 1e-12 and np.isnan(res[1])
 
     def test_conjugation_symmetry_under_full_frequency_flip(self):
         pb = fixture_a_boundary()
