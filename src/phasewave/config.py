@@ -82,7 +82,6 @@ _SIM = {
     "T": (_NUMBER, True),
     "init": (_INIT, True),
     "output_every": (_INTEGER, False),
-    "blowup_factor": (_NUMBER, False),
     "snapshots": (_BOOLEAN, False),
     "physical": (_BOOLEAN, False),
 }
@@ -155,16 +154,11 @@ def _fields(section: dict, table: dict) -> dict:
     }
 
 
-def fluid_state(cfg: dict, side: str) -> FluidState:
-    """The raw `left` or `right` state of a validated configuration."""
-    return FluidState(**_fields(cfg[side], _STATE))
-
-
 def boundary_and_eos(cfg: dict) -> Tuple[PhaseBoundary, Optional[EquationOfState]]:
     """The configured boundary and the equation of state it was solved from
     (None for raw states)."""
     if "eos" not in cfg:
-        left, right = fluid_state(cfg, "left"), fluid_state(cfg, "right")
+        left, right = (FluidState(**_fields(cfg[side], _STATE)) for side in ("left", "right"))
         return make_phase_boundary(left, right, cfg["d"], float(cfg["mu"])), None
     eos = vdw_eos(**cfg["eos"])
     lo, hi = cfg["brackets"]

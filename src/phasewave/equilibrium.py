@@ -31,6 +31,10 @@ from .errors import (
 )
 
 
+# Relative tolerance of the jump conditions a boundary is assembled under.
+_JUMP_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class EquationOfState:
     """Barotropic pressure law with the derived coefficients the theory needs.
@@ -156,20 +160,15 @@ def mass_flux_residual(left: FluidState, right: FluidState) -> float:
     return abs(j_l - right.rho * right.u) / abs(j_l)
 
 
-def make_phase_boundary(
-    left: FluidState,
-    right: FluidState,
-    d: int,
-    mu: float,
-    tol: float = 1e-10,
-) -> PhaseBoundary:
+def make_phase_boundary(left: FluidState, right: FluidState, d: int, mu: float) -> PhaseBoundary:
     """Validate two states against the jump conditions and assemble the boundary.
 
-    The mass fluxes of the two sides must agree to relative tolerance `tol`,
-    and the density and velocity jumps must both be nonzero.  When both
-    pressures are provided the normal momentum balance is enforced; when
-    either is missing, pressures are normalized to p_l = 0 with the jump fixed
-    by momentum balance, [p] = -j*[u].
+    The mass fluxes of the two sides must agree to relative tolerance 1e-10
+    (`mass_flux_residual`), and the density and velocity jumps must exceed
+    1e-14 relative.  When both pressures are provided the normal momentum
+    balance is enforced to the same 1e-10; when either is missing, pressures
+    are normalized to p_l = 0 with the jump fixed by momentum balance,
+    [p] = -j*[u].  A violation raises a PhasewaveError naming it.
     """
     if d < 2:
         raise ParameterError(f"spatial dimension must be at least 2, got {d}")
@@ -177,7 +176,7 @@ def make_phase_boundary(
         raise ParameterError(f"mu must be finite, got {mu}")
 
     j = left.rho * left.u
-    if mass_flux_residual(left, right) > tol:
+    if mass_flux_residual(left, right) > _JUMP_TOL:
         raise InconsistencyError(
             f"mass-flux mismatch: rho_l*u_l={j} vs rho_r*u_r={right.rho * right.u}"
         )
@@ -192,7 +191,7 @@ def make_phase_boundary(
 
     if left.p is not None and right.p is not None:
         mom = (right.p + right.rho * right.u**2) - (left.p + left.rho * left.u**2)
-        if abs(mom) > tol * max(1.0, abs(left.p)):
+        if abs(mom) > _JUMP_TOL * max(1.0, abs(left.p)):
             raise InconsistencyError(f"normal momentum jump violated: residual {mom}")
         jump_p = right.p - left.p
     else:
@@ -205,22 +204,18 @@ def make_phase_boundary(
 
 
 def boundary_from_eos(
-    eos: EquationOfState,
-    rho_l: float,
-    rho_r: float,
-    j: float,
-    d: int,
-    tol: float = 1e-10,
+    eos: EquationOfState, rho_l: float, rho_r: float, j: float, d: int
 ) -> PhaseBoundary:
-    """Assemble and validate a boundary from two densities and a mass flux."""
+    """Assemble and validate a boundary from two densities and a mass flux;
+    the total enthalpy must be continuous to relative tolerance 1e-10."""
     u_l, u_r = j / rho_l, j / rho_r
     left = FluidState(rho_l, u_l, eos.sound_speed_sq(rho_l), eos.pressure_dd(rho_l), eos.pressure(rho_l))
     right = FluidState(rho_r, u_r, eos.sound_speed_sq(rho_r), eos.pressure_dd(rho_r), eos.pressure(rho_r))
     mu_l = 0.5 * u_l**2 + eos.gibbs(rho_l)
     mu_r = 0.5 * u_r**2 + eos.gibbs(rho_r)
-    if abs(mu_l - mu_r) > tol * max(1.0, abs(mu_l)):
+    if abs(mu_l - mu_r) > _JUMP_TOL * max(1.0, abs(mu_l)):
         raise InconsistencyError(f"total enthalpy not continuous: {mu_l} vs {mu_r}")
-    return make_phase_boundary(left, right, d, 0.5 * (mu_l + mu_r), tol)
+    return make_phase_boundary(left, right, d, 0.5 * (mu_l + mu_r))
 
 
 def jump_residuals(eos: EquationOfState, rho_l: float, rho_r: float, j: float) -> Tuple[float, float]:

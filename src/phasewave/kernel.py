@@ -23,6 +23,7 @@ Hamiltonian symmetry); `hamiltonian_symmetry_residual` checks it on the oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Iterable, Tuple
 
 import numpy as np
@@ -34,8 +35,8 @@ from .modes import (
     Frequency,
     d2_flux_normal,
     d2_flux_tangential,
-    dg0,
     tangential_symbol,
+    with_entropy_row,
 )
 
 
@@ -83,15 +84,14 @@ def alpha0_abstract(root: RootData) -> complex:
     return complex(total)
 
 
-def alpha0_fd(root: RootData, rel_step: float = 1e-6) -> complex:
+def alpha0_fd(root: RootData) -> complex:
     """alpha0 as a centered finite difference of `det_closed` in eta0 at the
-    root: the coefficient is the determinant's derivative there."""
-    pb, eta = root.pb, root.eta
-    e0 = eta.eta0
-    h = rel_step * e0
-    dp = det_closed(pb, Frequency(e0 + h, eta.eta_t))
-    dm = det_closed(pb, Frequency(e0 - h, eta.eta_t))
-    return (dp - dm) / (2.0 * h)
+    root, with step h = 1e-6 eta0: the coefficient is the determinant's
+    derivative there.  Both points share one `det_closed` call."""
+    e0, eta_t = root.eta.eta0, root.eta.eta_t
+    h = 1e-6 * e0
+    dp, dm = det_closed(root.pb, Frequency(np.array([e0 + h, e0 - h]), eta_t))
+    return complex((dp - dm) / (2.0 * h))
 
 
 def alpha0_residuals(root: RootData, alpha0: float) -> Tuple[float, float, float]:
@@ -210,28 +210,15 @@ def _sigma_of(root: RootData, total: float) -> np.ndarray:
     raise DegeneracyError("sigma is undefined at zero total wavenumber")
 
 
-def _ftilde_apply(state, mu: float, d: int, vec: np.ndarray) -> np.ndarray:
-    """Augment a d+1 flux vector with its entropy row dg0 . vec."""
-    out = np.empty(d + 2, dtype=complex)
-    out[: d + 1] = vec
-    out[d + 1] = dg0(state, mu, d) @ vec
-    return out
-
-
-def _blockwise(root: RootData, fl, fr):
-    """Build a full-space bilinear map from two one-sided bilinear maps.
+def _blockwise(fl, fr, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """A full-space bilinear map from two one-sided ones, bound to fl and fr
+    with `functools.partial`.
 
     x and y are (2(d+1), T) stacks of coefficient columns, as `pair_bilinear`
-    passes them; fl gets the left block rows, fr the right block rows."""
-    n = root.pb.d + 1
-
-    def bil(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = np.zeros((2 * n,) + x.shape[1:], dtype=complex)
-        out[:n] = fl(x[:n], y[:n])
-        out[n:] = fr(x[n:], y[n:])
-        return out
-
-    return bil
+    passes them; fl maps the left block rows and fr the right block rows, and
+    their outputs are stacked, left first."""
+    n = x.shape[0] // 2
+    return np.concatenate((fl(x[:n], y[:n]), fr(x[n:], y[n:])))
 
 
 def q_oracle(root: RootData, k: float, kp: float) -> Tuple[complex, complex, complex, complex, complex]:
@@ -263,7 +250,7 @@ def q_oracle(root: RootData, k: float, kp: float) -> Tuple[complex, complex, com
     Sr = tangential_symbol(vr, eta)
     tsum = tk + tkp
     q1 = sig @ (
-        _ftilde_apply(vr, pb.mu, d, Sr @ tsum[n:]) - _ftilde_apply(vl, pb.mu, d, Sl @ tsum[:n])
+        with_entropy_row(vr, pb.mu, Sr @ tsum[n:]) - with_entropy_row(vl, pb.mu, Sl @ tsum[:n])
     )
 
     # q2 and q4 read one profile of the entropy-augmented normal second
@@ -271,11 +258,7 @@ def q_oracle(root: RootData, k: float, kp: float) -> Tuple[complex, complex, com
     # By bilinearity its value at z = 0 is the differential of the traces.
     m = d + 2
     vn = pair_bilinear(
-        rk,
-        rkp,
-        lambda x, y: np.concatenate(
-            (d2_flux_normal(vl, x[:n], y[:n]), d2_flux_normal(vr, x[n:], y[n:]))
-        ),
+        rk, rkp, partial(_blockwise, partial(d2_flux_normal, vl), partial(d2_flux_normal, vr))
     )
     at0 = vn(0.0)
     q2 = -(sig @ (at0[m:] - at0[:m]))
@@ -283,10 +266,10 @@ def q_oracle(root: RootData, k: float, kp: float) -> Tuple[complex, complex, com
     L = dual_profile(root, total)
 
     # q3: tangential second differentials under the z-integral.
-    bil3 = _blockwise(
-        root,
-        lambda x, y: d2_flux_tangential(vl, eta.eta_t, x, y),
-        lambda x, y: d2_flux_tangential(vr, eta.eta_t, x, y),
+    bil3 = partial(
+        _blockwise,
+        partial(d2_flux_tangential, vl, eta.eta_t),
+        partial(d2_flux_tangential, vr, eta.eta_t),
     )
     v3 = pair_bilinear(rk, rkp, bil3)
     q3 = 1j * total * pair_dot(L, v3).integral()[0]

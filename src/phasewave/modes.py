@@ -199,6 +199,12 @@ def dg0(state: FluidState, mu: float, d: int) -> np.ndarray:
     return out
 
 
+def with_entropy_row(state: FluidState, mu: float, x: np.ndarray) -> np.ndarray:
+    """The d+1 rows of x (a vector or a matrix) followed by the entropy row
+    dg0 . x: the flux of the entropy-augmented system."""
+    return np.concatenate((x, (dg0(state, mu, x.shape[0] - 1) @ x)[np.newaxis]))
+
+
 @dataclass(frozen=True, eq=False)
 class ModeSet:
     """All eigenmodes and eigenvectors of a configuration, elementwise in eta0.
@@ -439,19 +445,16 @@ class BoundaryOperators:
     Jeta: np.ndarray
 
 
-def _h_side(state: FluidState, mu: float, d: int) -> np.ndarray:
-    """One side of H: the normal flux Jacobian stacked over the entropy row."""
-    Ad = flux_jacobians(state, d)[d - 1]
-    return np.vstack([Ad, dg0(state, mu, d) @ Ad])
-
-
 def boundary_operators(pb: PhaseBoundary, eta: Frequency) -> BoundaryOperators:
     """Assemble H (frequency independent) and J(v)eta for a configuration;
-    J(v)eta has one row of d+2 components per eta0 when eta0 is an array."""
+    J(v)eta has one row of d+2 components per eta0 when eta0 is an array.
+    Each side of H is that side's normal flux Jacobian over its entropy row,
+    the right side negated."""
     d = pb.d
-    H = np.concatenate(
-        [_h_side(pb.left, pb.mu, d), -_h_side(pb.right, pb.mu, d)], axis=1
-    ).astype(complex)
+    left, right = (
+        with_entropy_row(s, pb.mu, flux_jacobians(s, d)[d - 1]) for s in (pb.left, pb.right)
+    )
+    H = np.concatenate([left, -right], axis=1).astype(complex)
     Jeta = np.zeros(np.shape(eta.eta0) + (d + 2,), dtype=complex)
     Jeta[..., 0] = pb.jump_rho * eta.eta0
     Jeta[..., 1:d] = pb.jump_p * eta.eta_t

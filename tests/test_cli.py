@@ -58,14 +58,6 @@ class TestCheck:
         assert report["pass"] is True
         assert all(item["pass"] for item in report["invariants"])
 
-    def test_mass_flux_violation_named(self, tmp_path):
-        cfg = write_config(tmp_path, overrides={"right.rho": 0.4})
-        assert main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 1
-        report = json.loads((tmp_path / "check.json").read_text())
-        assert report["pass"] is False
-        failed = [item["name"] for item in report["invariants"] if not item["pass"]]
-        assert "mass-flux" in failed
-
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -379,6 +371,17 @@ class TestDeterminism:
 
 
 class TestArgv:
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    def test_negative_seed_override_exits_two(self, tmp_path, capsys, command):
+        # The override obeys the config's own rule, seed >= 0, and is refused
+        # before any physics runs.
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as refused:
+            main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), "--seed", "-1"])
+        assert refused.value.code == 2
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_argv_between_two_commands(self, tmp_path, capsys):
         # main builds its parser once per process; a refused argv must leave
         # it usable for the next call, with no option carried over.

@@ -119,7 +119,7 @@ def test_schema_problem_exits_two(tmp_path, command, base, changes):
 SIM_ROWS = [
     ("sim.init.A", {"sim__init__A": "x"}),
     ("sim.output_every", {"sim__output_every": "x"}),
-    ("sim.blowup_factor", {"sim__blowup_factor": None}),
+    ("sim.physical", {"sim__physical": 1}),
     ("sim.snapshots", {"sim__snapshots": "false"}),
     ("sim.output_every", {"sim__output_every": 2.7}),
     ("sim.init.seed", {"sim__init__seed": 1.5}),
@@ -133,13 +133,48 @@ def test_sim_field_exits_two_and_is_named(tmp_path, capsys, field, changes):
     assert field in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["check", "scan"])
+@pytest.mark.parametrize(
+    "value",
+    [
+        pytest.param(None, id="null"),
+        pytest.param(-1, id="negative"),
+        pytest.param(0.5, id="below-one"),
+        pytest.param(1, id="one"),
+        pytest.param(1e6, id="fixed-threshold"),
+    ],
+)
+def test_blowup_factor_is_an_unknown_sim_field(tmp_path, capsys, value):
+    # The H2 breaking threshold is fixed in `evolve`; a config that sets it
+    # is refused like any other unknown field, before any step runs.
+    assert run(tmp_path, "simulate", sim__blowup_factor=value) == 2
+    assert "unknown field(s) ['blowup_factor'] in sim" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "diag.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["scan", "root"])
 def test_inadmissible_state_exits_one(tmp_path, command):
     assert run(tmp_path, command, left__rho=-1) == 1
-    if command == "check":
-        report = json.loads((tmp_path / "out" / "check.json").read_text())
-        assert report["pass"] is False
-        assert any(item["name"].startswith("fluid-state") for item in report["invariants"])
+
+
+@pytest.mark.parametrize(
+    "base, changes",
+    [
+        pytest.param(RAW, {"left__rho": -1}, id="negative-density"),
+        pytest.param(RAW, {"right__rho": 0.4}, id="mass-flux-mismatch"),
+        pytest.param(RAW, {"right": RAW["left"]}, id="equal-states"),
+        pytest.param(EOS, {"eos__RT": -1}, id="eos-negative-RT"),
+    ],
+)
+def test_boundary_failure_is_one_phase_boundary_row(tmp_path, capsys, base, changes):
+    # check builds its boundary as the other subcommands do; whatever the
+    # library refuses, from a state invariant to a missed jump condition or
+    # an equation of state, is its one, failed row, and check.json is written.
+    assert run(tmp_path, "check", base, **changes) == 1
+    report = json.loads((tmp_path / "out" / "check.json").read_text())
+    assert report["pass"] is False
+    [row] = report["invariants"]
+    assert row["name"].startswith("phase-boundary (") and row["pass"] is False
+    assert capsys.readouterr().out.strip() == f"check: FAIL ({row['name']})"
 
 
 BUMP = {"sim__init__name": "gaussian_bump"}
@@ -149,16 +184,13 @@ BUMP = {"sim__init__name": "gaussian_bump"}
     "change",
     [
         pytest.param({"sim__dk": -0.1}, id="dk"),
-        pytest.param({"sim__blowup_factor": -1}, id="blowup-negative"),
-        pytest.param({"sim__blowup_factor": 0.5}, id="blowup-below-one"),
-        pytest.param({"sim__blowup_factor": 1}, id="blowup-one"),
         pytest.param({**BUMP, "sim__init__s": 0}, id="width-zero"),
         pytest.param({**BUMP, "sim__init__s": -0.5}, id="width-negative"),
     ],
 )
 def test_nonpositive_wavenumber_step_exits_one(tmp_path, change):
-    # A blow-up factor <= 1 would flag breaking on the first step, and a zero
-    # bump width gives a NaN spectrum; both are refused before any step runs.
+    # A zero bump width gives a NaN spectrum; it is refused, as a nonpositive
+    # dk is, before any step runs.
     assert run(tmp_path, "simulate", **change) == 1
     assert not (tmp_path / "out" / "diag.csv").exists()
 
@@ -246,11 +278,13 @@ def test_nonfinite_mode_data_named_by_check(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == f"check: FAIL ({last['name']})"
 
 
-@pytest.mark.parametrize("u_l", [TINY_U, 1e-160])
+@pytest.mark.parametrize("u_l", [TINY_U, 1e-160, 1e-165, 1e-200, 1e-300])
 def test_mode_residual_norms_do_not_overflow(tmp_path, capsys, u_l):
-    # The mode matrices there have entries near 5e155, whose squares overflow
-    # unless mode_residuals scales them first; check then writes check.json
-    # with its eigenvector rows instead of dying on a RuntimeWarning.
+    # The mode matrices there have entries near 5e155 and up, whose squares
+    # overflow unless mode_residuals scales them first; check then writes
+    # check.json with its eigenvector rows instead of dying on a
+    # RuntimeWarning.  From 1e-165 down both determinants of the sweep
+    # underflow to 0, and their relative gap is a NaN, failed row.
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         rc = run(tmp_path, "check", left__u=u_l, right__u=u_l / 0.45)

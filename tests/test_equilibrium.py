@@ -104,7 +104,7 @@ class TestMakePhaseBoundary:
         left = FluidState(**FIXTURE_A["left"])
         right = FluidState(rho=0.4, u=2.0, c2=9.0, pp=0.5)
         with pytest.raises(InconsistencyError):
-            make_phase_boundary(left, right, 2, 1.0, tol=1e-10)
+            make_phase_boundary(left, right, 2, 1.0)
 
     def test_zero_jump_degenerate(self):
         state = FluidState(rho=1.0, u=0.9, c2=4.0, pp=0.5)
@@ -152,7 +152,7 @@ class TestSolveReversibleBoundary:
     def test_round_trip_validates(self):
         eos = vdw_eos(*VDW_ARGS)
         pb = solve_reversible_boundary(eos, VAPOR_BRACKET, LIQUID_BRACKET, 2)
-        pb2 = make_phase_boundary(pb.left, pb.right, 2, pb.mu, tol=1e-10)
+        pb2 = make_phase_boundary(pb.left, pb.right, 2, pb.mu)
         assert pb2.j == pytest.approx(pb.j, rel=1e-14)
 
     def test_mu_equality(self):

@@ -299,15 +299,17 @@ class TestOracle:
             rk = trace_profile(root_a, k)
             rkp = trace_profile(root_a, kp)
             d = root_a.pb.d
+            from functools import partial
+
             from phasewave.expsum import pair_bilinear
             from phasewave.kernel import _blockwise
             from phasewave.modes import d2_flux_tangential
 
             vl, vr = root_a.pb.left, root_a.pb.right
-            bil3 = _blockwise(
-                root_a,
-                lambda x, y: d2_flux_tangential(vl, root_a.eta.eta_t, x, y),
-                lambda x, y: d2_flux_tangential(vr, root_a.eta.eta_t, x, y),
+            bil3 = partial(
+                _blockwise,
+                partial(d2_flux_tangential, vl, root_a.eta.eta_t),
+                partial(d2_flux_tangential, vr, root_a.eta.eta_t),
             )
             integrand = pair_dot(L, pair_bilinear(rk, rkp, bil3))
             exact = integrand.integral()[0]
