@@ -37,7 +37,6 @@ from .kernel import (
     build_kernel,
     dual_profile,
     kernel_constants,
-    kernel_eval,
     oracle_vs_closed,
     q_oracle,
     trace_profile,
@@ -67,9 +66,9 @@ from .simulate import (
     SimConfig,
     SpectralField,
     convolution_rhs,
+    evolve,
     init_field,
     rk4_step,
-    run_simulation,
 )
 
 __all__ = [
@@ -96,7 +95,6 @@ __all__ = [
     "build_kernel",
     "dual_profile",
     "kernel_constants",
-    "kernel_eval",
     "oracle_vs_closed",
     "q_oracle",
     "trace_profile",
@@ -120,7 +118,7 @@ __all__ = [
     "SimConfig",
     "SpectralField",
     "convolution_rhs",
+    "evolve",
     "init_field",
     "rk4_step",
-    "run_simulation",
 ]

@@ -7,13 +7,15 @@ files are comma-separated with LF line endings.  Identical configuration and
 seed produce byte-identical outputs.
 
 The whole configuration is validated once, against the schema in
-`phasewave.config`, before any physics runs.  Exit codes: 0 success; 2 an
-unreadable file, malformed JSON, a schema problem (an unknown, missing or
-mistyped field at any level, `sim` and `sim.init` included, or a section the
-subcommand needs) or a negative --seed; 1 a physics or value-range failure
-(a failed invariant, an inadmissible state or parameter, no surface wave
-because floating point could not represent the root, an empty scan
-interval).
+`phasewave.config`, before any physics runs.  `eta_t` is always required;
+`scan` needs the `scan` section and `simulate` the `sim` section.  Exit
+codes: 0 success; 2 an unreadable file, malformed JSON, a schema problem (an
+unknown, missing or mistyped field at any level, `sim` and `sim.init`
+included, or a section the subcommand needs) or a negative --seed; 1 a
+physics or value-range failure (a failed invariant, an inadmissible state or
+parameter, no surface wave because floating point could not represent the
+root, an empty scan interval).  The seed, the config's `seed` or --seed,
+fixes check's sample frequencies and the 'random_smooth' initial spectrum.
 """
 
 from __future__ import annotations
@@ -150,72 +152,60 @@ def _judge(command: str, path: Path, rows: List[Tuple[str, float, float]], extra
 
 def cmd_check(cfg: dict, outdir: Path, seed: int) -> int:
     checks: List[Tuple[str, float, float]] = []
-
-    def fail(name: str) -> int:
-        checks.append((name, math.inf, 0.0))
-        return _judge("check", outdir / "check.json", checks, {})
-
+    # A step the library refuses (an inadmissible state or a jump condition
+    # the states miss, a refused frequency such as eta_t = 0, no root, a root
+    # row's own linear algebra at the edge of floating point) ends check with
+    # one more, failed row `<stage> (<reason>)`; check.json is still written.
+    stage = "phase-boundary"
     try:
         pb, eos = boundary_and_eos(cfg)
-    except PhasewaveError as exc:
-        # An inadmissible state, a jump condition the states miss or a failed
-        # equilibrium solve is a failed row; the message names which.
-        return fail(f"phase-boundary ({exc})")
-    if eos is None:
-        checks.append(("mass-flux", mass_flux_residual(pb.left, pb.right), 1e-10))
-    else:
-        mom, rev = jump_residuals(eos, pb.left.rho, pb.right.rho, pb.j)
-        scale = max(1.0, abs(pb.left.p))
-        checks.append(("momentum-jump", abs(mom) / scale, 1e-12))
-        checks.append(("enthalpy-jump", abs(rev) / scale, 1e-12))
+        if eos is None:
+            checks.append(("mass-flux", mass_flux_residual(pb.left, pb.right), 1e-10))
+        else:
+            mom, rev = jump_residuals(eos, pb.left.rho, pb.right.rho, pb.j)
+            scale = max(1.0, abs(pb.left.p))
+            checks.append(("momentum-jump", abs(mom) / scale, 1e-12))
+            checks.append(("enthalpy-jump", abs(rev) / scale, 1e-12))
 
-    eta_t = _eta_t(cfg)
-    e0_max = elliptic_eta0_max(pb, eta_t)
-    rng = np.random.default_rng(seed)
-
-    try:
+        stage = "eigenvector-residual"
+        eta_t = _eta_t(cfg)
+        e0_max = elliptic_eta0_max(pb, eta_t)
+        rng = np.random.default_rng(seed)
         modes = normal_modes(pb, Frequency(rng.uniform(0.05, 0.95, 8) * e0_max, eta_t))
         right, left = mode_residuals(modes)
         disp = dispersion_residual(modes)
-    except PhasewaveError as exc:
-        # A refused frequency (eta_t = 0, say) is a failed row; check.json is written.
-        return fail(f"eigenvector-residual ({exc})")
-    # np.max keeps a NaN residual, so a non-finite mode fails its row.
-    checks.append(("eigenvector-residual", np.max(right), 1e-11))
-    checks.append(("left-eigenvector-residual", np.max(left), 1e-11))
-    checks.append(("dispersion-residual", np.max(disp), 1e-12))
+        # np.max keeps a NaN residual, so a non-finite mode fails its row.
+        checks.append(("eigenvector-residual", np.max(right), 1e-11))
+        checks.append(("left-eigenvector-residual", np.max(left), 1e-11))
+        checks.append(("dispersion-residual", np.max(disp), 1e-12))
 
-    sweep = Frequency(np.linspace(0.05, 0.95, 20) * e0_max, eta_t)
-    raw, closed = det_raw(pb, sweep), det_closed(pb, sweep)
-    # np.hypot rounds as Python's complex abs does; np.abs does not.
-    diff = raw - closed
-    gap = np.hypot(diff.real, diff.imag)
-    size = np.maximum(np.hypot(raw.real, raw.imag), np.hypot(closed.real, closed.imag))
-    # Where both determinants underflow to 0 the ratio is NaN, a failed row.
-    with np.errstate(invalid="ignore"):
-        checks.append(("delta-raw-vs-closed", np.max(gap / size), 1e-10))
+        stage = "delta-raw-vs-closed"
+        sweep = Frequency(np.linspace(0.05, 0.95, 20) * e0_max, eta_t)
+        raw, closed = det_raw(pb, sweep), det_closed(pb, sweep)
+        # np.hypot rounds as Python's complex abs does; np.abs does not.
+        diff = raw - closed
+        gap = np.hypot(diff.real, diff.imag)
+        size = np.maximum(np.hypot(raw.real, raw.imag), np.hypot(closed.real, closed.imag))
+        # Where both determinants underflow to 0 the ratio is NaN, a failed row.
+        with np.errstate(invalid="ignore"):
+            checks.append(("delta-raw-vs-closed", np.max(gap / size), 1e-10))
 
-    try:
+        stage = "surface-wave-root"
         root = find_root(pb, eta_t)
-    except NoRootError as exc:
-        return fail(f"surface-wave-root ({exc})")
-    root_rows = [
-        ("root-relation", root_relation_residual, 1e-12),
-        ("gamma-linear-relation", gamma_linear_residual, 1e-10),
-        ("gamma-forms", gamma_forms_residual, 1e-12),
-        ("sigma-minors-vs-closed", sigma_methods_residual, 1e-10),
-        ("lemma4-identities", lambda r: float(np.max(lemma4_residuals(r))), 1e-10),
-        ("sigma-r3-relation", sigma_r3_residual, 1e-10),
-        ("dd1-factorizations", dd1_factorization_residual, 1e-10),
-    ]
-    for name, residual, tol in root_rows:
-        try:
-            value = residual(root)
-        except PhasewaveError as exc:
-            # A root at the edge of floating point can make a row's own
-            # linear algebra fail; that is a failed row, not a missing file.
-            return fail(f"{name} ({exc})")
-        checks.append((name, value, tol))
+        root_rows = [
+            ("root-relation", root_relation_residual, 1e-12),
+            ("gamma-linear-relation", gamma_linear_residual, 1e-10),
+            ("gamma-forms", gamma_forms_residual, 1e-12),
+            ("sigma-minors-vs-closed", sigma_methods_residual, 1e-10),
+            ("lemma4-identities", lambda r: float(np.max(lemma4_residuals(r))), 1e-10),
+            ("sigma-r3-relation", sigma_r3_residual, 1e-10),
+            ("dd1-factorizations", dd1_factorization_residual, 1e-10),
+        ]
+        for stage, residual, tol in root_rows:
+            checks.append((stage, residual(root), tol))
+    except PhasewaveError as exc:
+        checks.append((f"{stage} ({exc})", math.inf, 0.0))
+        return _judge("check", outdir / "check.json", checks, {})
 
     def matrix(arr) -> list:
         return [[complex(v) for v in row] for row in np.atleast_2d(arr)]
@@ -360,11 +350,11 @@ def cmd_simulate(cfg: dict, outdir: Path, seed: int) -> int:
 
 # Each subcommand with the optional sections it needs.
 _COMMANDS = {
-    "check": (cmd_check, ("eta_t",)),
-    "scan": (cmd_scan, ("eta_t", "scan")),
-    "root": (cmd_root, ("eta_t",)),
-    "coeffs": (cmd_coeffs, ("eta_t",)),
-    "simulate": (cmd_simulate, ("eta_t", "sim")),
+    "check": (cmd_check, ()),
+    "scan": (cmd_scan, ("scan",)),
+    "root": (cmd_root, ()),
+    "coeffs": (cmd_coeffs, ()),
+    "simulate": (cmd_simulate, ("sim",)),
 }
 
 

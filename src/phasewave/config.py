@@ -44,7 +44,6 @@ _NUMBER = ("a finite number", _finite)
 _INTEGER = ("an integer", lambda v: type(v) is int)
 _BOOLEAN = ("true or false", lambda v: type(v) is bool)
 _STRING = ("a string", lambda v: type(v) is str)
-_SEED = _int_at_least(0)
 _VECTOR = (
     "a nonempty array of finite numbers",
     lambda v: type(v) is list and len(v) > 0 and all(map(_finite, v)),
@@ -72,7 +71,6 @@ _INIT = {
     "A": (_NUMBER, False),
     "k0": (_NUMBER, False),
     "s": (_NUMBER, False),
-    "seed": (_SEED, False),
 }
 _FIELD = {"A": "amplitude", "s": "width"}
 _SIM = {
@@ -93,11 +91,11 @@ _TOP = {
     "eos": (_EOS, False),
     "brackets": (_BRACKETS, False),
     "mass_flux": (_NUMBER, False),
-    "eta_t": (_VECTOR, False),
+    "eta_t": (_VECTOR, True),
     "scan": (_SCAN, False),
     "sim": (_SIM, False),
     "output_dir": (_STRING, False),
-    "seed": (_SEED, False),
+    "seed": (_int_at_least(0), False),
 }
 
 
@@ -140,7 +138,7 @@ def load_config(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON: {exc}") from exc
     _validate(cfg, _EOS_TOP if type(cfg) is dict and "eos" in cfg else _RAW_TOP)
-    if "eta_t" in cfg and len(cfg["eta_t"]) != cfg["d"] - 1:
+    if len(cfg["eta_t"]) != cfg["d"] - 1:
         raise ConfigError(f"eta_t must have length d-1={cfg['d'] - 1}")
     return cfg
 

@@ -32,6 +32,8 @@ from .errors import (
 
 
 # Relative tolerance of the jump conditions a boundary is assembled under.
+# Each test reads `not residual <= _JUMP_TOL`, so a NaN residual (rho*u
+# overflowing to inf on both sides, say) fails it.
 _JUMP_TOL = 1e-10
 
 
@@ -176,7 +178,7 @@ def make_phase_boundary(left: FluidState, right: FluidState, d: int, mu: float) 
         raise ParameterError(f"mu must be finite, got {mu}")
 
     j = left.rho * left.u
-    if mass_flux_residual(left, right) > _JUMP_TOL:
+    if not mass_flux_residual(left, right) <= _JUMP_TOL:
         raise InconsistencyError(
             f"mass-flux mismatch: rho_l*u_l={j} vs rho_r*u_r={right.rho * right.u}"
         )
@@ -191,7 +193,7 @@ def make_phase_boundary(left: FluidState, right: FluidState, d: int, mu: float) 
 
     if left.p is not None and right.p is not None:
         mom = (right.p + right.rho * right.u**2) - (left.p + left.rho * left.u**2)
-        if abs(mom) > _JUMP_TOL * max(1.0, abs(left.p)):
+        if not abs(mom) <= _JUMP_TOL * max(1.0, abs(left.p)):
             raise InconsistencyError(f"normal momentum jump violated: residual {mom}")
         jump_p = right.p - left.p
     else:
@@ -213,7 +215,7 @@ def boundary_from_eos(
     right = FluidState(rho_r, u_r, eos.sound_speed_sq(rho_r), eos.pressure_dd(rho_r), eos.pressure(rho_r))
     mu_l = 0.5 * u_l**2 + eos.gibbs(rho_l)
     mu_r = 0.5 * u_r**2 + eos.gibbs(rho_r)
-    if abs(mu_l - mu_r) > _JUMP_TOL * max(1.0, abs(mu_l)):
+    if not abs(mu_l - mu_r) <= _JUMP_TOL * max(1.0, abs(mu_l)):
         raise InconsistencyError(f"total enthalpy not continuous: {mu_l} vs {mu_r}")
     return make_phase_boundary(left, right, d, 0.5 * (mu_l + mu_r))
 

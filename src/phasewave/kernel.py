@@ -201,15 +201,6 @@ def dual_profile_packaged(root: RootData, k: float) -> ExpProfile:
 # ---------------------------------------------------------------------------
 
 
-def _sigma_of(root: RootData, total: float) -> np.ndarray:
-    """sigma* extended to signed total wavenumbers (conjugate for negatives)."""
-    if total > 0.0:
-        return root.sigma.sigma_star
-    if total < 0.0:
-        return np.conj(root.sigma.sigma_star)
-    raise DegeneracyError("sigma is undefined at zero total wavenumber")
-
-
 def _blockwise(fl, fr, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """A full-space bilinear map from two one-sided ones, bound to fl and fr
     with `functools.partial`.
@@ -238,7 +229,7 @@ def q_oracle(root: RootData, k: float, kp: float) -> Tuple[complex, complex, com
     pb, eta = root.pb, root.eta
     d = pb.d
     vl, vr = pb.left, pb.right
-    sig = _sigma_of(root, total)
+    sig = root.sigma.sigma_star
 
     n = d + 1
     rk = trace_profile(root, k)
@@ -444,10 +435,8 @@ def build_kernel(root: RootData) -> Kernel:
 
 
 def q_grid(kernel: Kernel, K: np.ndarray, KP: np.ndarray) -> np.ndarray:
-    """Vectorized kernel values over arrays of (k, k') pairs.
-
-    The grid point (0, 0) is mapped to 0; the scalar evaluator raises there.
-    """
+    """The completed kernel at arrays (or floats) of (k, k') pairs; the
+    point (0, 0) is mapped to 0."""
     Qn = kernel.constants.Q_nat
     K = np.asarray(K, dtype=float)
     KP = np.asarray(KP, dtype=float)
@@ -466,13 +455,6 @@ def q_grid(kernel: Kernel, K: np.ndarray, KP: np.ndarray) -> np.ndarray:
     ax = ((B == 0.0) & (A > 0.0)) | ((A == 0.0) & (B > 0.0))
     vals[ax] = Qn.real
     return np.where(neg, np.conj(vals), vals)
-
-
-def kernel_eval(kernel: Kernel, k: float, kp: float) -> complex:
-    """Completed kernel value at a single (k, k'); raises at (0, 0)."""
-    if k == 0.0 and kp == 0.0:
-        raise DomainError("kernel is undefined at (0, 0)")
-    return complex(q_grid(kernel, np.array(k), np.array(kp))[()])
 
 
 def _spread(vals) -> float:

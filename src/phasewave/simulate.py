@@ -51,8 +51,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import DegeneracyError, ParameterError
-from .kernel import Kernel, build_kernel
-from .lopatinskii import find_root
+from .kernel import Kernel
 
 # Modes 0.._DIRECT_MODES form the base block of the RHS products, evaluated
 # directly; each dyadic band above it is added by FFT.  At 256 modes both
@@ -66,13 +65,13 @@ _BLOWUP_FACTOR = 1e6
 
 @dataclass(frozen=True, eq=False)
 class InitSpec:
-    """Named initial spectrum with its parameters."""
+    """Named initial spectrum with its parameters; 'random_smooth' draws
+    from the run's seed, the `default_seed` of `init_field` and `evolve`."""
 
     name: str
     amplitude: float = 1.0
     k0: float = 1.0
     width: float = 1.0
-    seed: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not self.width > 0.0:
@@ -169,8 +168,9 @@ def init_field(config: SimConfig, default_seed: int = 0) -> SpectralField:
     """Build the named initial spectrum, projected onto Hermitian symmetry.
 
     Profiles: 'single_mode' places the amplitude at +-k0; 'gaussian_bump' is
-    A exp(-(|k|-k0)^2/width^2); 'random_smooth' draws seeded complex
-    amplitudes with an algebraic |k|^-4 envelope (zero mean mode).
+    A exp(-(|k|-k0)^2/width^2); 'random_smooth' draws complex amplitudes
+    from `default_seed`, the run's seed, with an algebraic |k|^-4 envelope
+    (zero mean mode).
     """
     N, dk = config.N, config.dk
     k = dk * np.arange(-N, N + 1)
@@ -186,8 +186,7 @@ def init_field(config: SimConfig, default_seed: int = 0) -> SpectralField:
     elif spec.name == "gaussian_bump":
         w = (A * np.exp(-((np.abs(k) - spec.k0) ** 2) / spec.width**2)).astype(complex)
     elif spec.name == "random_smooth":
-        seed = spec.seed if spec.seed is not None else default_seed
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(default_seed)
         phases = rng.uniform(0.0, 2.0 * np.pi, size=2 * N + 1)
         mags = rng.uniform(0.5, 1.0, size=2 * N + 1)
         with np.errstate(divide="ignore"):
@@ -350,21 +349,15 @@ class SimResult:
     breaking_tau: Optional[float]
 
 
-def run_simulation(pb, eta_t, config: SimConfig, default_seed: int = 0) -> SimResult:
-    """Pipeline: root -> kernel -> `evolve`, which stops early when the H2
-    proxy exceeds 1e6 times its initial value or any amplitude stops being
-    finite; the first such time is reported as the breaking time.
-    """
-    kernel = build_kernel(find_root(pb, eta_t))
-    return evolve(kernel, kernel.constants.alpha0, config, default_seed=default_seed)
-
-
 def evolve(kernel: Kernel, alpha0: float, config: SimConfig, default_seed: int = 0) -> SimResult:
-    """Time-step an initial spectrum with a prebuilt kernel.
+    """Time-step an initial spectrum with a prebuilt kernel: the library's
+    one simulation entry point, after `find_root` and `build_kernel`.
 
-    The state is the half spectrum n = 0..N, and the RHS weights are built
-    once per run.  The full spectrum is mirrored only for snapshots and for
-    the returned field.
+    The initial spectrum is `init_field(config, default_seed)`, so
+    'random_smooth' draws from the run's seed.  The state is the half
+    spectrum n = 0..N, and the RHS weights are built once per run.  The full
+    spectrum is mirrored only for snapshots and for the returned field.  The
+    run stops early at breaking, by the test the module docstring states.
     """
     N, dk, dt = config.N, config.dk, config.dt
     half = init_field(config, default_seed=default_seed).what[N:]

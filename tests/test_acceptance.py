@@ -348,7 +348,7 @@ def test_criterion_8_determinism(tmp_path):
             "T": 0.5,
             "output_every": 10,
             "snapshots": True,
-            "init": {"name": "random_smooth", "A": 0.5, "seed": 7},
+            "init": {"name": "random_smooth", "A": 0.5},
         },
         "seed": 7,
     }

@@ -316,10 +316,8 @@ class TestSimulate:
         # at -k must be its exact conjugate mirror at every snapshot.
         cfg = write_config(
             tmp_path,
-            overrides={
-                "sim.init": {"name": "random_smooth", "A": 0.5, "seed": 3},
-                "sim.snapshots": True,
-            },
+            overrides={"sim.init": {"name": "random_smooth", "A": 0.5}, "sim.snapshots": True},
+            seed=3,
         )
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         header, rows = read_csv(tmp_path / "snapshots.csv")
@@ -352,7 +350,8 @@ class TestDeterminism:
     def test_simulate_byte_identical(self, tmp_path):
         cfg = write_config(
             tmp_path,
-            overrides={"sim.init": {"name": "random_smooth", "A": 0.5, "seed": 7}, "sim.snapshots": True},
+            overrides={"sim.init": {"name": "random_smooth", "A": 0.5}, "sim.snapshots": True},
+            seed=7,
         )
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["simulate", "--config", str(cfg), "--out", str(out1)]) == 0

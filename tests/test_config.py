@@ -98,7 +98,7 @@ SCHEMA_ROWS = [
     # type limits that are part of the schema
     ("simulate", RAW, {"sim__N": 4}),
     ("scan", RAW, {"scan__steps": 2.0}),
-    # a section the subcommand needs
+    # eta_t, which every subcommand needs, and a section one subcommand needs
     ("check", RAW, {"eta_t": DELETE}),
     ("scan", RAW, {"eta_t": DELETE}),
     ("root", RAW, {"eta_t": DELETE}),
@@ -122,8 +122,8 @@ SIM_ROWS = [
     ("sim.physical", {"sim__physical": 1}),
     ("sim.snapshots", {"sim__snapshots": "false"}),
     ("sim.output_every", {"sim__output_every": 2.7}),
-    ("sim.init.seed", {"sim__init__seed": 1.5}),
-    ("sim.init.seed", {"sim__init__seed": "abc"}),
+    # The run's seed is the top-level `seed`; sim.init has none.
+    pytest.param("unknown field(s) ['seed'] in sim.init", {"sim__init__seed": 7}, id="sim.init.seed"),
 ]
 
 
@@ -131,6 +131,12 @@ SIM_ROWS = [
 def test_sim_field_exits_two_and_is_named(tmp_path, capsys, field, changes):
     assert run(tmp_path, "simulate", **changes) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "scan", "root", "coeffs", "simulate"])
+def test_missing_eta_t_is_a_schema_error(tmp_path, capsys, command):
+    assert run(tmp_path, command, eta_t=DELETE) == 2
+    assert "missing field(s) ['eta_t'] in configuration" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -156,11 +162,27 @@ def test_inadmissible_state_exits_one(tmp_path, command):
     assert run(tmp_path, command, left__rho=-1) == 1
 
 
+# fixture_a scaled so that rho*u overflows to inf on both sides.
+OVERFLOW = {
+    "left": {"rho": 1e300, "u": 1e10, "c2": 4e20, "pp": 0.5},
+    "right": {"rho": 0.45e300, "u": 2e10, "c2": 9e20, "pp": 0.5},
+}
+
+
+@pytest.mark.parametrize("command", ["scan", "root", "coeffs", "simulate"])
+def test_overflowing_mass_flux_exits_one(tmp_path, capsys, command):
+    assert run(tmp_path, command, **OVERFLOW) == 1
+    err = capsys.readouterr().err
+    assert err == f"{command}: mass-flux mismatch: rho_l*u_l=inf vs rho_r*u_r=inf\n"
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "base, changes",
     [
         pytest.param(RAW, {"left__rho": -1}, id="negative-density"),
         pytest.param(RAW, {"right__rho": 0.4}, id="mass-flux-mismatch"),
+        pytest.param(RAW, OVERFLOW, id="mass-flux-overflow"),
         pytest.param(RAW, {"right": RAW["left"]}, id="equal-states"),
         pytest.param(EOS, {"eos__RT": -1}, id="eos-negative-RT"),
     ],

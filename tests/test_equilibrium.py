@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,20 @@ class TestMakePhaseBoundary:
         left = FluidState(**FIXTURE_A["left"])
         right = FluidState(rho=0.4, u=2.0, c2=9.0, pp=0.5)
         with pytest.raises(InconsistencyError):
+            make_phase_boundary(left, right, 2, 1.0)
+
+    def test_overflowing_mass_flux_rejected(self):
+        # rho*u overflows to inf on both sides, so the residual is NaN; a
+        # NaN residual is a mismatch, not a pass.
+        left = FluidState(rho=1e300, u=1e10, c2=4e20, pp=0.5)
+        right = FluidState(rho=0.45e300, u=2e10, c2=9e20, pp=0.5)
+        with pytest.raises(InconsistencyError, match="mass-flux mismatch: rho_l\\*u_l=inf"):
+            make_phase_boundary(left, right, 2, 1.0)
+
+    def test_nan_momentum_residual_rejected(self):
+        left = FluidState(rho=1.0, u=0.9, c2=4.0, pp=0.5, p=float("nan"))
+        right = FluidState(rho=0.45, u=2.0, c2=9.0, pp=0.5, p=1.0)
+        with pytest.raises(InconsistencyError, match="normal momentum jump violated"):
             make_phase_boundary(left, right, 2, 1.0)
 
     def test_zero_jump_degenerate(self):
@@ -243,3 +259,12 @@ class TestSolveReversibleBoundary:
         eos = vdw_eos(*VDW_ARGS)
         with pytest.raises(InconsistencyError):
             boundary_from_eos(eos, 0.005, 2.5, 1e-3, 2)
+
+    def test_boundary_from_eos_rejects_nan_enthalpy(self):
+        # The solved pair meets every other jump condition, so the NaN
+        # enthalpy residual is what refuses it, by name.
+        eos = vdw_eos(*VDW_ARGS)
+        pb = solve_reversible_boundary(eos, VAPOR_BRACKET, LIQUID_BRACKET, 2)
+        nan_gibbs = dataclasses.replace(eos, gibbs=lambda rho: float("nan"))
+        with pytest.raises(InconsistencyError, match="total enthalpy not continuous"):
+            boundary_from_eos(nan_gibbs, pb.left.rho, pb.right.rho, pb.j, 2)

@@ -4,7 +4,11 @@ Tools that instrument the package look up every name in `phasewave.__all__`,
 so a name left there after its object is gone breaks them at import time.
 """
 
+from pathlib import Path
+
 import phasewave
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -24,3 +28,15 @@ def test_route_functions_are_exported():
     # public function; spans recorded around calls are named after them.
     routes = {"det_raw", "det_closed", "alpha0_closed", "alpha0_abstract", "alpha0_fd"}
     assert routes <= set(phasewave.__all__)
+
+
+def test_readme_library_sketch_runs():
+    # The README's Python block is the documented use of the public names;
+    # it must run as written, so a removed or renamed name shows here.
+    sketch = README.read_text(encoding="utf-8").split("## Library sketch", 1)[1]
+    code = sketch.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(code, namespace)
+    res = namespace["res"]
+    assert res.breaking_tau is None
+    assert res.diagnostics[-1].tau == 2.0

@@ -17,7 +17,6 @@ from phasewave import (
     dual_profile,
     find_root,
     kernel_constants,
-    kernel_eval,
     oracle_vs_closed,
     q_oracle,
     trace_profile,
@@ -26,7 +25,6 @@ from phasewave.config import build_boundary, load_config
 from phasewave.expsum import pair_dot
 from phasewave.kernel import (
     _omegas,
-    _sigma_of,
     b_identity_values,
     corollary_closed,
     dual_profile_packaged,
@@ -217,12 +215,6 @@ class TestProfiles:
             * (pb.left.u * m.a_l - 1j * pb.left.c2 * e0)
         )
         assert abs(om2 - ref) <= 1e-12 * abs(om2)
-
-    def test_sigma_of_sign_extension(self, root_a):
-        assert np.array_equal(_sigma_of(root_a, 2.0), root_a.sigma.sigma_star)
-        assert np.array_equal(_sigma_of(root_a, -2.0), np.conj(root_a.sigma.sigma_star))
-        with pytest.raises(DegeneracyError):
-            _sigma_of(root_a, 0.0)
 
 
 class TestOracle:
@@ -445,13 +437,12 @@ class TestCompletedKernel:
     def test_region_values(self, root_a):
         kern = build_kernel(root_a)
         Qn = kern.constants.Q_nat
-        assert kernel_eval(kern, 2.0, 3.0) == Qn
-        assert kernel_eval(kern, 2.0, -1.0) == pytest.approx(np.conj(Qn) * 0.5, rel=1e-15)
-        assert kernel_eval(kern, -2.0, -3.0) == np.conj(Qn)
-        assert kernel_eval(kern, 1.0, -1.0) == 0.0
-        assert kernel_eval(kern, 1.0, 0.0) == pytest.approx(Qn.real)
-        with pytest.raises(DomainError):
-            kernel_eval(kern, 0.0, 0.0)
+        assert complex(q_grid(kern, 2.0, 3.0)) == Qn
+        assert complex(q_grid(kern, 2.0, -1.0)) == pytest.approx(np.conj(Qn) * 0.5, rel=1e-15)
+        assert complex(q_grid(kern, -2.0, -3.0)) == np.conj(Qn)
+        assert complex(q_grid(kern, 1.0, -1.0)) == 0.0
+        assert complex(q_grid(kern, 1.0, 0.0)) == pytest.approx(Qn.real)
+        assert complex(q_grid(kern, 0.0, 0.0)) == 0.0
 
     @given(
         k=st.floats(-5.0, 5.0, allow_nan=False),
@@ -459,16 +450,14 @@ class TestCompletedKernel:
     )
     @settings(max_examples=200, deadline=None)
     def test_completion_symmetries(self, root_a, k, kp):
-        if k == 0.0 and kp == 0.0:
-            return
         kern = build_kernel(root_a)
-        v = kernel_eval(kern, k, kp)
-        assert kernel_eval(kern, kp, k) == v
-        assert kernel_eval(kern, -k, -kp) == np.conj(v)
+        v = complex(q_grid(kern, k, kp))
+        assert complex(q_grid(kern, kp, k)) == v
+        assert complex(q_grid(kern, -k, -kp)) == np.conj(v)
 
     def test_antidiagonal_continuity(self, root_a):
         kern = build_kernel(root_a)
-        vals = [abs(kernel_eval(kern, 1.0, -1.0 + e)) for e in (1e-3, 1e-6, 1e-9)]
+        vals = [abs(complex(q_grid(kern, 1.0, -1.0 + e))) for e in (1e-3, 1e-6, 1e-9)]
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] <= 1e-8 * abs(kern.constants.Q_nat)
 
@@ -479,4 +468,4 @@ class TestCompletedKernel:
         KP = rng.uniform(-3, 3, size=40)
         grid = q_grid(kern, K, KP)
         for i in range(K.size):
-            assert grid[i] == kernel_eval(kern, float(K[i]), float(KP[i]))
+            assert grid[i] == q_grid(kern, float(K[i]), float(KP[i]))

@@ -11,10 +11,9 @@ from phasewave import (
     build_kernel,
     convolution_rhs,
     find_root,
+    evolve,
     init_field,
-    kernel_eval,
     rk4_step,
-    run_simulation,
 )
 from phasewave.config import build_boundary, load_config
 from phasewave.kernel import kernel_constants, q_grid
@@ -23,7 +22,6 @@ from phasewave.simulate import (
     SimConfig,
     SpectralField,
     _rhs_weights,
-    evolve,
     physical_reconstruction,
 )
 
@@ -89,7 +87,7 @@ class TestInitField:
         assert np.all(f.what == 0.0)
 
     def test_random_smooth_hermitian_exact(self):
-        f = init_field(_cfg(init=InitSpec("random_smooth", amplitude=1.0, seed=7)))
+        f = init_field(_cfg(init=InitSpec("random_smooth", amplitude=1.0)), 7)
         assert f.hermitian_deviation() == 0.0
         assert f.what[f.N] == 0.0
 
@@ -125,7 +123,7 @@ class TestConvolutionRhs:
 
     def test_quadratic_homogeneity(self, kernel_and_alpha):
         kern, a0v = kernel_and_alpha
-        f = init_field(_cfg(init=InitSpec("random_smooth", amplitude=1.0, seed=11)))
+        f = init_field(_cfg(init=InitSpec("random_smooth", amplitude=1.0)), 11)
         r1 = convolution_rhs(f, kern, a0v).what
         r3 = convolution_rhs(SpectralField(f.dk, 3.0 * f.what), kern, a0v).what
         assert np.max(np.abs(r3 - 9.0 * r1)) <= 1e-13 * max(np.max(np.abs(r1)), 1e-30) * 9.0
@@ -140,7 +138,7 @@ class TestConvolutionRhs:
 
     def test_hermitian_output(self, kernel_and_alpha):
         kern, a0v = kernel_and_alpha
-        f = init_field(_cfg(init=InitSpec("random_smooth", amplitude=2.0, seed=3)))
+        f = init_field(_cfg(init=InitSpec("random_smooth", amplitude=2.0)), 3)
         rhs = convolution_rhs(f, kern, a0v)
         assert rhs.hermitian_deviation() == 0.0
 
@@ -152,8 +150,7 @@ class TestConvolutionRhs:
 
     def test_matches_brute_force(self, kernel_and_alpha):
         kern, a0v = kernel_and_alpha
-        cfg = _cfg(N=12, init=InitSpec("random_smooth", amplitude=1.5, seed=5))
-        f = init_field(cfg)
+        f = init_field(_cfg(N=12, init=InitSpec("random_smooth", amplitude=1.5)), 5)
         fast = convolution_rhs(f, kern, a0v).what
         N, dk = f.N, f.dk
         ref = np.zeros_like(f.what)
@@ -164,7 +161,7 @@ class TestConvolutionRhs:
                     if n - m == 0 and m == 0:
                         continue
                     acc += (
-                        kernel_eval(kern, (n - m) * dk, m * dk)
+                        q_grid(kern, (n - m) * dk, m * dk)
                         / (4.0 * np.pi)
                         * f.what[N + n - m]
                         * f.what[N + m]
@@ -188,7 +185,7 @@ class TestConvolutionRhs:
         kern, a0v = kernel_and_alpha
         bump = InitSpec("gaussian_bump", amplitude=0.5, k0=1.0, width=0.5)
         if profile == "random_smooth":
-            f = init_field(_cfg(dk=0.05, N=N, init=InitSpec("random_smooth", amplitude=1.0, seed=5)))
+            f = init_field(_cfg(dk=0.05, N=N, init=InitSpec("random_smooth", amplitude=1.0)), 5)
         elif profile == "gaussian_bump":
             f = init_field(_cfg(dk=0.05, N=N, init=bump))
         else:
@@ -207,10 +204,11 @@ class TestConvolutionRhs:
         about eps ||p||^2 in every mode, while the true high modes are tiny."""
         kern, a0v = kernel_and_alpha
         if profile == "random_smooth":
-            f = init_field(_cfg(dk=0.05, N=N, init=InitSpec("random_smooth", amplitude=1.0, seed=5)))
+            f = init_field(_cfg(dk=0.05, N=N, init=InitSpec("random_smooth", amplitude=1.0)), 5)
         else:
-            init = InitSpec("random_smooth", amplitude=0.01, seed=5)
-            f = evolve(kern, a0v, _cfg(dk=0.05, N=N, T=0.5, init=init, output_every=10**9)).field
+            init = InitSpec("random_smooth", amplitude=0.01)
+            cfg = _cfg(dk=0.05, N=N, T=0.5, init=init, output_every=10**9)
+            f = evolve(kern, a0v, cfg, default_seed=5).field
         inv_m, w_conv, w_mixed, w_axis = _rhs_weights(N, f.dk, kern, a0v)
         half = f.what[N:]
         got = convolution_rhs(f, kern, a0v).what[N:]
@@ -240,7 +238,7 @@ class TestConvolutionRhs:
         # Up to 256 modes there is no FFT band: the RHS is the two direct
         # products, so grids of this size give the same bits as before bands.
         kern, a0v = kernel_and_alpha
-        f = init_field(_cfg(dk=0.05, N=N, init=InitSpec("random_smooth", amplitude=1.0, seed=5)))
+        f = init_field(_cfg(dk=0.05, N=N, init=InitSpec("random_smooth", amplitude=1.0)), 5)
         f.what[N] = 0.3
         inv_m, w_conv, w_mixed, w_axis = _rhs_weights(N, f.dk, kern, a0v)
         half = f.what[N:]
@@ -265,14 +263,14 @@ class TestConvolutionRhs:
 
     def test_complex_alpha_with_zero_imaginary_part_accepted(self, kernel_and_alpha):
         kern, a0v = kernel_and_alpha
-        f = init_field(_cfg(init=InitSpec("random_smooth", amplitude=1.0, seed=2)))
+        f = init_field(_cfg(init=InitSpec("random_smooth", amplitude=1.0)), 2)
         got = convolution_rhs(f, kern, complex(a0v, 0.0)).what
         assert np.array_equal(got, convolution_rhs(f, kern, a0v).what)
 
     def test_large_grid_in_linear_memory(self, kernel_and_alpha):
         # A dense (2N+1)^2 kernel matrix at N=8192 would take about 4 GiB.
         kern, a0v = kernel_and_alpha
-        f = init_field(_cfg(dk=0.01, N=8192, init=InitSpec("random_smooth", amplitude=1.0, seed=2)))
+        f = init_field(_cfg(dk=0.01, N=8192, init=InitSpec("random_smooth", amplitude=1.0)), 2)
         tracemalloc.start()
         try:
             rhs = convolution_rhs(f, kern, a0v)
@@ -296,7 +294,7 @@ class TestEnergy:
     )
     def test_rhs_conserves_energy(self, shipped_kernel_and_alpha, seed, N, mean):
         kern, a0v = shipped_kernel_and_alpha
-        f = init_field(_cfg(N=N, init=InitSpec("random_smooth", amplitude=1.0, seed=seed)))
+        f = init_field(_cfg(N=N, init=InitSpec("random_smooth", amplitude=1.0)), seed)
         f.what[f.N] = mean
         rhs = convolution_rhs(f, kern, a0v).what
         k = np.abs(f.wavenumbers())
@@ -307,7 +305,7 @@ class TestEnergy:
         assert abs(rate) <= 1e-14 * scale
 
     def test_energy_formula(self):
-        f = init_field(_cfg(N=16, init=InitSpec("random_smooth", amplitude=1.0, seed=8)))
+        f = init_field(_cfg(N=16, init=InitSpec("random_smooth", amplitude=1.0)), 8)
         f.what[f.N] = 5.0
         ref = math.fsum(
             abs(w) ** 2 / abs(kn) * f.dk for kn, w in zip(f.wavenumbers(), f.what) if kn != 0.0
@@ -358,11 +356,11 @@ class TestRk4:
 
     def test_evolve_is_rk4_iterated(self, kernel_and_alpha):
         kern, a0v = kernel_and_alpha
-        cfg = _cfg(N=48, dt=0.02, T=0.3, init=InitSpec("random_smooth", amplitude=0.5, seed=6))
-        f = init_field(cfg)
+        cfg = _cfg(N=48, dt=0.02, T=0.3, init=InitSpec("random_smooth", amplitude=0.5))
+        f = init_field(cfg, 6)
         for _ in range(15):
             f = rk4_step(f, kern, a0v, cfg.dt)
-        assert np.array_equal(evolve(kern, a0v, cfg).field.what, f.what)
+        assert np.array_equal(evolve(kern, a0v, cfg, default_seed=6).field.what, f.what)
 
     @pytest.mark.parametrize("N", [8, 1024])
     def test_h2_matches_exact_sum(self, N):
@@ -391,8 +389,8 @@ class TestRk4:
 
 class TestRunSimulation:
     def test_pipeline_diagnostics(self, pb_a):
-        cfg = _cfg(T=0.2, output_every=5)
-        res = run_simulation(pb_a, [1.0], cfg)
+        kern = build_kernel(find_root(pb_a, np.array([1.0])))
+        res = evolve(kern, kern.constants.alpha0, _cfg(T=0.2, output_every=5))
         assert res.breaking_tau is None
         assert res.diagnostics[0].tau == 0.0
         assert res.diagnostics[-1].tau == pytest.approx(0.2)
@@ -475,13 +473,13 @@ class TestRunSimulation:
 
     def test_evolve_keeps_exact_hermitian_symmetry(self, kernel_and_alpha):
         kern, a0v = kernel_and_alpha
-        cfg = _cfg(N=64, T=1.0, init=InitSpec("random_smooth", amplitude=0.5, seed=9))
-        res = evolve(kern, a0v, cfg)
+        cfg = _cfg(N=64, T=1.0, init=InitSpec("random_smooth", amplitude=0.5))
+        res = evolve(kern, a0v, cfg, default_seed=9)
         assert np.all(np.isfinite(res.field.what))
         assert res.field.hermitian_deviation() == 0.0
 
     def test_physical_reconstruction_matches_direct_sum(self):
-        f = init_field(_cfg(N=32, init=InitSpec("random_smooth", amplitude=1.0, seed=4)))
+        f = init_field(_cfg(N=32, init=InitSpec("random_smooth", amplitude=1.0)), 4)
         x, w = physical_reconstruction(f)
         direct = np.real(np.exp(1j * np.outer(x, f.wavenumbers())) @ f.what) * f.dk
         # Both routes carry round-off only; 1e-13 of the peak allows for the
