@@ -89,10 +89,16 @@ def _root(cfg: dict, command: str):
 def _fmt(x: float) -> str:
     if not math.isfinite(x):
         return '"%s"' % repr(float(x))
-    return format(float(x), ".17g")
+    return format(x, ".17g")
 
 
 def _to_json(obj, indent: int = 0) -> str:
+    # Complex and float values are most of every report, so they are tested
+    # first.
+    if isinstance(obj, (complex, np.complexfloating)):
+        return f"[{_fmt(obj.real)}, {_fmt(obj.imag)}]"
+    if isinstance(obj, (float, np.floating)):
+        return _fmt(obj)
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -111,10 +117,6 @@ def _to_json(obj, indent: int = 0) -> str:
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if obj is None or isinstance(obj, (bool, str)):
         return json.dumps(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return f"[{_fmt(obj.real)}, {_fmt(obj.imag)}]"
-    if isinstance(obj, (float, np.floating)):
-        return _fmt(float(obj))
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     raise TypeError(f"cannot serialize {type(obj)}")
@@ -127,7 +129,7 @@ def _write_json(path: Path, obj) -> None:
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+        lines.append(",".join(map(_fmt, row)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 

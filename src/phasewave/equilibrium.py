@@ -243,46 +243,41 @@ def _newton2(
     each is halved (up to 40 times) until the residual norm decreases, and
     iterates are clamped to the brackets.  Convergence is declared when the
     residual norm drops below 1e-13 times the pressure scale; otherwise, or
-    when the Jacobian is singular, NoSolutionError is raised.
+    when the Jacobian is singular, NoSolutionError is raised.  The iterate,
+    the residual and its norm are Python floats; only the step is a 2x2
+    `np.linalg.solve`.
     """
     scale = max(1.0, abs(eos.pressure(0.5 * (bl[0] + bl[1]))))
-    x = np.array([rho_l, rho_r], dtype=float)
-
-    def clamp(v: np.ndarray) -> np.ndarray:
-        return np.array(
-            [min(max(v[0], bl[0]), bl[1]), min(max(v[1], br[0]), br[1])]
-        )
-
-    res = np.array(jump_residuals(eos, x[0], x[1], j))
+    x0, x1 = float(rho_l), float(rho_r)
+    r0, r1 = jump_residuals(eos, x0, x1, j)
+    norm = math.hypot(r0, r1)
     for _ in range(200):
-        if np.linalg.norm(res) < 1e-13 * scale:
-            return float(x[0]), float(x[1])
-        c2l, c2r = eos.sound_speed_sq(x[0]), eos.sound_speed_sq(x[1])
-        jac = np.array(
-            [
-                [-(c2l - j * j / x[0] ** 2), c2r - j * j / x[1] ** 2],
-                [-(c2l / x[0] - j * j / x[0] ** 3), c2r / x[1] - j * j / x[1] ** 3],
-            ]
-        )
+        if norm < 1e-13 * scale:
+            return x0, x1
+        c2l, c2r = eos.sound_speed_sq(x0), eos.sound_speed_sq(x1)
+        jac = [
+            [-(c2l - j * j / x0**2), c2r - j * j / x1**2],
+            [-(c2l / x0 - j * j / x0**3), c2r / x1 - j * j / x1**3],
+        ]
         try:
-            step = np.linalg.solve(jac, -res)
+            s0, s1 = np.linalg.solve(jac, [-r0, -r1]).tolist()
         except np.linalg.LinAlgError as exc:
             raise NoSolutionError("singular Jacobian in jump-condition solve") from exc
         lam = 1.0
         for _ in range(40):
-            trial = clamp(x + lam * step)
-            trial_res = np.array(jump_residuals(eos, trial[0], trial[1], j))
-            if np.linalg.norm(trial_res) < np.linalg.norm(res):
-                x, res = trial, trial_res
+            t0 = min(max(x0 + lam * s0, bl[0]), bl[1])
+            t1 = min(max(x1 + lam * s1, br[0]), br[1])
+            tr0, tr1 = jump_residuals(eos, t0, t1, j)
+            trial_norm = math.hypot(tr0, tr1)
+            if trial_norm < norm:
+                x0, x1, r0, r1, norm = t0, t1, tr0, tr1, trial_norm
                 break
             lam *= 0.5
         else:
             break
-    if np.linalg.norm(res) < 1e-13 * scale:
-        return float(x[0]), float(x[1])
-    raise NoSolutionError(
-        f"jump-condition Newton stalled at residual {np.linalg.norm(res):.3e}"
-    )
+    if norm < 1e-13 * scale:
+        return x0, x1
+    raise NoSolutionError(f"jump-condition Newton stalled at residual {norm:.3e}")
 
 
 def solve_reversible_boundary(

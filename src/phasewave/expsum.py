@@ -14,6 +14,9 @@ Every operation acts on all terms at once, so the maps and forms handed to
 component axis (`x[0]`, `x[1:-1]`, `x[-1]`) works unchanged; a contraction
 over components must be axis-aware (a matrix on the left, or a sum over
 axis 0), never a plain `@` between two coefficient arrays.
+
+`integral` also accepts a leading point axis, coefficients (P, m, T) over
+rates (P, T): the same terms placed at P points, one integral per point.
 """
 
 from __future__ import annotations
@@ -57,17 +60,24 @@ class ExpProfile:
     def integral(self) -> np.ndarray:
         """Exact value of the integral over [0, inf).
 
-        Terms with an identically zero coefficient are dropped; any remaining
-        term with Re(rate) >= 0 makes the integral divergent and raises.
+        A profile may carry a leading point axis, coefficients (P, m, T) over
+        rates (P, T); the value is then (P, m), one integral per point.  Terms
+        with an identically zero coefficient are dropped; any remaining term
+        with Re(rate) >= 0 makes the integral divergent and raises.  Each
+        point's terms are summed on their own over the whole term axis, a
+        dropped term as an exact zero, so a point gives the same bits alone
+        as inside a stack of points.
         """
-        live = self.coeffs.any(axis=0)
-        rates = self.rates[live]
-        growing = rates.real >= 0.0
+        live = self.coeffs.any(axis=-2)
+        growing = live & (self.rates.real >= 0.0)
         if growing.any():
             raise DomainError(
-                f"non-decaying integrand: rate {complex(rates[growing][0])} has Re >= 0"
+                f"non-decaying integrand: rate {complex(self.rates[growing][0])} has Re >= 0"
             )
-        return -(self.coeffs[:, live] / rates).sum(axis=1)
+        live = np.broadcast_to(live[..., None, :], self.coeffs.shape)
+        terms = np.zeros(self.coeffs.shape, dtype=complex)
+        np.divide(self.coeffs, self.rates[..., None, :], out=terms, where=live)
+        return -terms.sum(axis=-1)
 
 
 def _pair_rates(p: ExpProfile, q: ExpProfile) -> np.ndarray:

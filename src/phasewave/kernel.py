@@ -28,7 +28,7 @@ from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
-from .errors import DegeneracyError, DomainError
+from .errors import DegeneracyError, DomainError, ParameterError
 from .expsum import ExpProfile, pair_bilinear, pair_dot
 from .lopatinskii import RootData, det_closed
 from .modes import (
@@ -212,49 +212,81 @@ def _blockwise(fl, fr, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.concatenate((fl(x[:n], y[:n]), fr(x[n:], y[n:])))
 
 
-def q_oracle(root: RootData, k: float, kp: float) -> Tuple[complex, complex, complex, complex, complex]:
+def q_oracle(root: RootData, k, kp) -> Tuple:
     """The five kernel pieces at (k, k'), each from its abstract definition.
 
-    Valid for k != 0, k' != 0, k + k' > 0, which covers the two regions the
-    closed forms are stated on.  All z-integrals are exact: each integrand is
-    an `ExpProfile`, and every product of profiles pairs all their terms in
-    one array operation.
+    k and k' are floats, giving five complex values, or equal-length 1-D
+    arrays of points, giving five complex arrays.  Valid for k != 0, k' != 0,
+    k + k' > 0, which covers the two regions the closed forms are stated on;
+    one point outside refuses the call.  All z-integrals are exact: each
+    integrand is an `ExpProfile`, and every product of profiles pairs all
+    their terms in one array operation.
+
+    The kernel is homogeneous of degree zero, so the profile coefficients
+    depend only on the signs of k and k': the trace profiles of both sign
+    families and the dual profile are built once, at unit scale, and so are
+    their products.  A point then contributes only its rates, which scale
+    with |k|, |k'| and k + k', and the terms of its sign families.  Each
+    point's integrals are summed on their own (`ExpProfile.integral`), so a
+    point gives the same bits alone as inside an array.
     """
-    if k == 0.0 or kp == 0.0:
+    k = np.asarray(k, dtype=float)
+    kp = np.asarray(kp, dtype=float)
+    if k.ndim > 1 or k.shape != kp.shape:
+        raise ParameterError("k and k' must be floats or equal-length 1-D arrays")
+    if ((k == 0.0) | (kp == 0.0)).any():
         raise DegeneracyError("kernel pieces are undefined on the axes")
     total = k + kp
-    if total <= 0.0:
+    if (total <= 0.0).any():
         raise DomainError("kernel pieces require k + k' > 0")
 
     pb, eta = root.pb, root.eta
     d = pb.d
     vl, vr = pb.left, pb.right
     sig = root.sigma.sigma_star
+    n, m = d + 1, d + 2
 
-    n = d + 1
-    rk = trace_profile(root, k)
-    rkp = trace_profile(root, kp)
-    tk, tkp = rk(0.0), rkp(0.0)
+    # Unit-scale trace profiles: terms 0, 1 serve k > 0 and terms 2, 3 k < 0.
+    # A sign pair (k, k') is indexed 2 (k < 0) + (k' < 0).
+    pos, neg = trace_profile(root, 1.0), trace_profile(root, -1.0)
+    R = pos + neg
+    L = dual_profile(root, 1.0)
+    sign_pair = 2 * (k < 0.0) + (kp < 0.0)
 
     # q1: tangential first differentials applied to the boundary traces.
     Sl = tangential_symbol(vl, eta)
     Sr = tangential_symbol(vr, eta)
-    tsum = tk + tkp
+    t = np.stack((pos(0.0), neg(0.0)))
+    tsum = (t[:, None] + t[None, :]).reshape(4, 2 * n).T
     q1 = sig @ (
         with_entropy_row(vr, pb.mu, Sr @ tsum[n:]) - with_entropy_row(vl, pb.mu, Sl @ tsum[:n])
     )
 
     # q2 and q4 read one profile of the entropy-augmented normal second
     # differential, the d+2 left block rows over the d+2 right block rows.
-    # By bilinearity its value at z = 0 is the differential of the traces.
-    m = d + 2
+    # By bilinearity its value at z = 0 is the differential of the traces:
+    # for each sign pair, the sum of that pair's four terms.
     vn = pair_bilinear(
-        rk, rkp, partial(_blockwise, partial(d2_flux_normal, vl), partial(d2_flux_normal, vr))
+        R, R, partial(_blockwise, partial(d2_flux_normal, vl), partial(d2_flux_normal, vr))
     )
-    at0 = vn(0.0)
+    at0 = vn.coeffs.reshape(2 * m, 2, 2, 2, 2).sum(axis=(2, 4)).reshape(2 * m, 4)
     q2 = -(sig @ (at0[m:] - at0[:m]))
 
-    L = dual_profile(root, total)
+    # Per point: the trace terms of its sign families and their rates.
+    family = np.array([False, False, True, True])
+    keep_k = (k < 0.0)[..., None] == family
+    keep_kp = (kp < 0.0)[..., None] == family
+    rate_k = np.abs(k)[..., None] * R.rates
+    rate_kp = np.abs(kp)[..., None] * R.rates
+    dual = total[..., None, None] * L.rates[:, None]
+    pair_rate = (rate_k[..., :, None] + rate_kp[..., None, :]).reshape(k.shape + (1, 16))
+    pair_keep = (keep_k[..., :, None] & keep_kp[..., None, :]).reshape(k.shape + (1, 16))
+    dual_pair_rate = dual + pair_rate
+
+    def integral(coeffs, keep, rates):
+        """One integral per point of the terms it keeps, all terms on one axis."""
+        live = np.where(keep, coeffs, 0.0).reshape(k.shape + (1, -1))
+        return ExpProfile(live, rates.reshape(k.shape + (-1,))).integral()[..., 0]
 
     # q3: tangential second differentials under the z-integral.
     bil3 = partial(
@@ -262,23 +294,29 @@ def q_oracle(root: RootData, k: float, kp: float) -> Tuple[complex, complex, com
         partial(d2_flux_tangential, vl, eta.eta_t),
         partial(d2_flux_tangential, vr, eta.eta_t),
     )
-    v3 = pair_bilinear(rk, rkp, bil3)
-    q3 = 1j * total * pair_dot(L, v3).integral()[0]
+    v3 = pair_dot(L, pair_bilinear(R, R, bil3))
+    q3 = 1j * total * integral(v3.coeffs.reshape(n, 16), pair_keep, dual_pair_rate)
 
     # q4: z-derivative of the folded normal second differential: the flux
     # rows of each block, the left block negated.
-    v4 = vn.map_coeffs(lambda c: np.concatenate((-c[:n], c[m : m + n])))
-    q4 = pair_dot(L, v4.derivative()).integral()[0]
+    v4 = pair_dot(L, vn.map_coeffs(lambda c: np.concatenate((-c[:n], c[m : m + n]))))
+    q4 = integral(v4.coeffs.reshape(n, 16) * pair_rate, pair_keep, dual_pair_rate)
 
-    # q5: folded tangential symbol applied to the z-derivative of the profile.
+    # q5: folded tangential symbol applied to the z-derivative of the traces
+    # at k and at k'.
     Acheck = np.zeros((2 * n, 2 * n))
     Acheck[:n, :n] = -Sl
     Acheck[n:, n:] = Sr
-    dsum = rk.derivative() + rkp.derivative()
-    v5 = dsum.map_coeffs(lambda c: Acheck @ c)
-    q5 = -pair_dot(L, v5).integral()[0]
+    v5 = pair_dot(L, R.map_coeffs(lambda c: Acheck @ c)).coeffs.reshape(n, 4)
+    q5 = -sum(
+        integral(v5 * rate[..., None, :], keep[..., None, :], dual + rate[..., None, :])
+        for rate, keep in ((rate_k, keep_k), (rate_kp, keep_kp))
+    )
 
-    return complex(q1), complex(q2), complex(q3), complex(q4), complex(q5)
+    pieces = (q1[sign_pair], q2[sign_pair], q3, q4, q5)
+    if k.ndim == 0:
+        return tuple(complex(q) for q in pieces)
+    return pieces
 
 
 # ---------------------------------------------------------------------------
@@ -465,22 +503,32 @@ def _spread(vals) -> float:
     return float(np.max(np.abs(arr - arr[0])) / max(np.max(np.abs(arr)), 1e-300))
 
 
+# Hunter's triad for the symmetry row, and the points where it reads the
+# oracle, folded by reality onto k + k' > 0: (1, 2), (-2, 3) and (3, -1).
+_TRIADS = ((1.0, 2.0, -3.0), (2.0, -3.0, 1.0), (-3.0, 1.0, 2.0))
+_TRIAD_POINTS = tuple((k, kp) if k + kp > 0.0 else (-k, -kp) for k, kp, _ in _TRIADS)
+
+
 def oracle_vs_closed(root: RootData, kc: KernelConstants, samples: Iterable[Tuple[float, float]]) -> Dict:
     """Compare summed oracle kernels against the closed forms over samples.
 
     Returns the maximum relative deviation (NaN if any deviation is), the
     region-constancy and mixed-region proportionality spreads, the oracle sum
-    at each sample, and the conjugation of Q that q5 follows at the first
-    mixed-region sample.
+    at each sample and at each point `hamiltonian_symmetry_residual` reads,
+    and the conjugation of Q that q5 follows at the first mixed-region
+    sample.  The oracle is one `q_oracle` call over all those points.
     """
-    sums = {}
+    samples = list(samples)
+    points = samples + [p for p in _TRIAD_POINTS if p not in samples]
+    qs = q_oracle(root, np.array([k for k, _ in points]), np.array([kp for _, kp in points]))
+    totals = qs[0] + qs[1] + qs[2] + qs[3] + qs[4]
+    sums = {p: complex(total) for p, total in zip(points, totals)}
     devs = []
     region1_vals = []
     region2_ratios = []
     pattern = None
-    for k, kp in samples:
-        qs = q_oracle(root, k, kp)
-        total = sums[(k, kp)] = sum(qs)
+    for i, (k, kp) in enumerate(samples):
+        total = sums[(k, kp)]
         closed = corollary_closed(root, kc, k, kp)
         devs.append(abs(total - closed) / max(abs(total), abs(closed), 1e-300))
         if k > 0 and kp > 0:
@@ -489,8 +537,9 @@ def oracle_vs_closed(root: RootData, kc: KernelConstants, samples: Iterable[Tupl
             region2_ratios.append(total / (1.0 + kp / k))
             if pattern is None:
                 # Reported, not fixed: the integrals give conj(Q) k'/k.
-                dev_plain = abs(qs[4] - kc.Q * (kp / k))
-                dev_conj = abs(qs[4] - np.conj(kc.Q) * (kp / k))
+                q5 = complex(qs[4][i])
+                dev_plain = abs(q5 - kc.Q * (kp / k))
+                dev_conj = abs(q5 - np.conj(kc.Q) * (kp / k))
                 pattern = "conjugate" if dev_conj <= dev_plain else "plain"
 
     return {
@@ -505,8 +554,10 @@ def oracle_vs_closed(root: RootData, kc: KernelConstants, samples: Iterable[Tupl
 def hamiltonian_symmetry_residual(root: RootData, sums: Dict[Tuple[float, float], complex]) -> float:
     """Spread of Lambda(k1, k2, k3) = q(k1, k2)/|k3| over the cyclic shifts of
     the triad (1, 2, -3), relative to max |Lambda|.  q is the summed oracle,
-    completed only by reality; `sums` holds sums already evaluated.  The
-    shift (2, -3, 1) reads (-2, 3), where no closed form is stated.
+    completed only by reality; `sums` holds sums already evaluated (those of
+    `oracle_vs_closed` cover every point read), and a point it lacks is one
+    `q_oracle` call.  The shift (2, -3, 1) reads (-2, 3), where no closed
+    form is stated.
     """
 
     def q(k: float, kp: float) -> complex:
@@ -514,5 +565,4 @@ def hamiltonian_symmetry_residual(root: RootData, sums: Dict[Tuple[float, float]
             return np.conj(q(-k, -kp))
         return sums[(k, kp)] if (k, kp) in sums else sum(q_oracle(root, k, kp))
 
-    triads = ((1.0, 2.0, -3.0), (2.0, -3.0, 1.0), (-3.0, 1.0, 2.0))
-    return _spread([q(k1, k2) / abs(k3) for k1, k2, k3 in triads])
+    return _spread([q(k1, k2) / abs(k3) for k1, k2, k3 in _TRIADS])

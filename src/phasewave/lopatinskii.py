@@ -6,7 +6,8 @@ raw (d+2)x(d+2) determinant of the frequency column J(v)eta against the
 boundary images of the incoming modes, and `det_closed`, the closed product
 formula.  Both, and the root factor `root_factor(pb, eta)`, take a float
 eta0 or a 1-D array of them and return one value per eta0, so a sweep over
-frequencies is one call; each route reads one `normal_modes` call.  The zero
+frequencies is one call.  `det_raw` reads one `normal_modes` call;
+`det_closed` reads only the decay radicals and the tangent frame.  The zero
 of the root factor, the surface wave, is the positive root of a quadratic in
 eta0^2, computed in closed form by `find_root`.  The cofactor functional
 sigma* at the root comes from the closed component formulas;
@@ -33,6 +34,8 @@ from .modes import (
     decay_radicals,
     elliptic_eta0_max,
     normal_modes,
+    refuse_zero_eta0,
+    tangent_frame,
 )
 
 
@@ -65,15 +68,18 @@ def root_factor(pb: PhaseBoundary, eta: Frequency) -> Union[float, np.ndarray]:
 def det_closed(pb: PhaseBoundary, eta: Frequency) -> Union[complex, np.ndarray]:
     """The Lopatinskii determinant in factorized form, -[rho][u] Upsilon
     (eta0^2 + u_r^2 |eta_t|^2) F(eta0), at a float eta0 or at each eta0 of a
-    1-D array."""
-    inc = normal_modes(pb, eta)
+    1-D array.  It reads the decay radicals and the tangent frame's Upsilon,
+    and refuses what `normal_modes` refuses, without building a mode."""
     e0 = np.asarray(eta.eta0, dtype=float)
+    upsilon = tangent_frame(eta.eta_t, pb.right.u, e0, pb.d).upsilon
+    a_l, a_r = decay_radicals(pb, eta)
+    refuse_zero_eta0(pb, eta)
     return _per_frequency(
         -pb.jump_rho
         * pb.jump_u
-        * inc.frame.upsilon
+        * upsilon
         * (e0 * e0 + pb.right.u**2 * eta.ht2)
-        * _root_factor(pb, e0, inc.a_l, inc.a_r)
+        * _root_factor(pb, e0, a_l, a_r)
     )
 
 

@@ -19,9 +19,10 @@ family).  Every eigenvector is stored in one layout only: a full vector of
 
 `normal_modes` builds both families with their left eigenvectors at a float
 eta0 or elementwise along a 1-D array of them, every array carrying eta0's
-shape in front; the Lopatinskii determinant reads its incoming (-) family.
-`mode_residuals` and `dispersion_residual` return one value per eta0.
-`decay_radicals` is the one test of the elliptic region.
+shape in front; the raw Lopatinskii determinant reads its incoming (-)
+family.  `mode_residuals` and `dispersion_residual` return one value per
+eta0.  `decay_radicals` is the one test of the elliptic region, and
+`refuse_zero_eta0` the one refusal of eta0 = 0 at d >= 3.
 """
 
 from __future__ import annotations
@@ -250,6 +251,13 @@ def decay_radicals(pb: PhaseBoundary, eta: Frequency):
     return -vl.c * np.sqrt(rad_l), vr.c * np.sqrt(rad_r)
 
 
+def refuse_zero_eta0(pb: PhaseBoundary, eta: Frequency) -> None:
+    """Raise DomainError at any eta0 = 0 for d >= 3, where the advected left
+    eigenvectors are singular; both Lopatinskii routes share the refusal."""
+    if pb.d > 2 and (np.asarray(eta.eta0) == 0.0).any():
+        raise DomainError("advected left eigenvectors are singular at eta0=0 for d>=3")
+
+
 def normal_modes(pb: PhaseBoundary, eta: Frequency) -> ModeSet:
     """Decay rates, eigenmodes, and right/left eigenvectors, elementwise in eta0.
 
@@ -271,8 +279,7 @@ def normal_modes(pb: PhaseBoundary, eta: Frequency) -> ModeSet:
     frame = tangent_frame(et, vr.u, e0, d)
 
     a_l, a_r = decay_radicals(pb, eta)
-    if d > 2 and (e0 == 0.0).any():
-        raise DomainError("advected left eigenvectors are singular at eta0=0 for d>=3")
+    refuse_zero_eta0(pb, eta)
 
     ml = vl.c2 - vl.u**2
     mr = vr.c2 - vr.u**2
@@ -504,28 +511,29 @@ def mode_residuals(modes: ModeSet) -> Tuple[Union[float, np.ndarray], Union[floa
     """Largest relative residuals of the right and of the left eigenvectors,
     one value per eta0, over every mode of both families.
 
-    The modes of one family on one side share one call of `mode_matrix`, with
-    the mode axis in front; each matrix is applied to both vectors, read from
-    the block its side names.  A nonzero off-side block counts as a residual
-    relative to the vector.  The matrices and vectors are scaled by
-    `binary_scale` before the norms; the scales cancel exactly in each
-    residual.  A non-finite entry gives a non-finite value.
+    The two families are concatenated along the mode axis, and the modes of
+    one side share one call of `mode_matrix`, with the mode axis in front;
+    each matrix is applied to both vectors, read from the block its side
+    names: one pass per side and vector kind.  A nonzero off-side block
+    counts as a residual relative to the vector.  The matrices and vectors
+    are scaled by `binary_scale` before the norms; the scales cancel exactly
+    in each residual.  A non-finite entry gives a non-finite value.
     """
     pb, eta, n = modes.pb, modes.eta, modes.pb.d + 1
+    betas = np.concatenate((modes.beta_minus, modes.beta_plus), axis=-1)
+    R = np.concatenate((modes.R_minus, modes.R_plus), axis=-2)
+    L = np.concatenate((modes.L_minus, modes.L_plus), axis=-2)
+    sides = modes.side_minus + modes.side_plus
     right, left = [], []
-    for betas, R, L, sides in (
-        (modes.beta_minus, modes.R_minus, modes.L_minus, modes.side_minus),
-        (modes.beta_plus, modes.R_plus, modes.L_plus, modes.side_plus),
+    for side, state, blk, off in (
+        ("l", pb.left, slice(0, n), slice(n, 2 * n)),
+        ("r", pb.right, slice(n, 2 * n), slice(0, n)),
     ):
-        for side, state, blk, off in (
-            ("l", pb.left, slice(0, n), slice(n, 2 * n)),
-            ("r", pb.right, slice(n, 2 * n), slice(0, n)),
-        ):
-            j = [k for k, s in enumerate(sides) if s == side]
-            M = mode_matrix(state, eta, np.moveaxis(betas[..., j], -1, 0), side)
-            M = binary_scale(M, 2) * M
-            right.append(_block_residual(M, np.moveaxis(R[..., j, :], -2, 0), blk, off, False))
-            left.append(_block_residual(M, np.moveaxis(L[..., j, :], -2, 0), blk, off, True))
+        j = [k for k, s in enumerate(sides) if s == side]
+        M = mode_matrix(state, eta, np.moveaxis(betas[..., j], -1, 0), side)
+        M = binary_scale(M, 2) * M
+        right.append(_block_residual(M, np.moveaxis(R[..., j, :], -2, 0), blk, off, False))
+        left.append(_block_residual(M, np.moveaxis(L[..., j, :], -2, 0), blk, off, True))
     return np.max(np.concatenate(right), axis=0), np.max(np.concatenate(left), axis=0)
 
 

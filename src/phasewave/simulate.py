@@ -167,7 +167,8 @@ def _mirror(half: np.ndarray) -> np.ndarray:
 def init_field(config: SimConfig, default_seed: int = 0) -> SpectralField:
     """Build the named initial spectrum, projected onto Hermitian symmetry.
 
-    Profiles: 'single_mode' places the amplitude at +-k0; 'gaussian_bump' is
+    Profiles: 'single_mode' places the amplitude at +-k0, which must be a
+    grid wavenumber n*dk, 1 <= n <= N, to round-off; 'gaussian_bump' is
     A exp(-(|k|-k0)^2/width^2); 'random_smooth' draws complex amplitudes
     from `default_seed`, the run's seed, with an algebraic |k|^-4 envelope
     (zero mean mode).
@@ -178,7 +179,11 @@ def init_field(config: SimConfig, default_seed: int = 0) -> SpectralField:
     A = spec.amplitude
     if spec.name == "single_mode":
         w = np.zeros(2 * N + 1, dtype=complex)
-        idx = int(round(spec.k0 / dk))
+        ratio = spec.k0 / dk
+        idx = int(round(ratio))
+        # Rounding k0/dk moves an off-grid mode, so only round-off may go.
+        if abs(ratio - idx) > 1e-12 * max(abs(ratio), 1.0):
+            raise ParameterError(f"k0={spec.k0} is not a multiple of dk={dk}")
         if not 1 <= idx <= N:
             raise ParameterError(f"k0={spec.k0} does not fall on the grid interior")
         w[N + idx] = A

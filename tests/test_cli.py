@@ -271,6 +271,13 @@ class TestSimulate:
         l2_col = header.index("l2")
         assert all(row[l2_col] == 0.0 for row in rows)
 
+    def test_mode_between_grid_points_exits_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, overrides={"sim.init.k0": 1.03})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "k0=1.03 is not a multiple of dk=0.1" in capsys.readouterr().err
+        assert not (out / "diag.csv").exists()
+
     def test_mean_constant(self, tmp_path):
         cfg = write_config(tmp_path, overrides={"sim.T": 1.0, "sim.init.A": 0.05})
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0

@@ -333,6 +333,44 @@ def _vdw_root():
     return find_root(build_boundary(cfg), np.asarray(cfg["eta_t"], dtype=float))
 
 
+def _shipped_root(name: str, d: int):
+    """The root of a shipped config, or of its copy at d = 3 or 4 with CI's eta_t."""
+    cfg = load_config(str(Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"))
+    cfg.update(d=d, eta_t={2: cfg["eta_t"], 3: [0.6, 0.8], 4: [0.36, 0.48, 0.8]}[d])
+    return find_root(build_boundary(cfg), np.asarray(cfg["eta_t"], dtype=float))
+
+
+class TestOracleArrays:
+    # Both sign pairs of each region, the index-swapped point of the symmetry
+    # row, and points near an axis.
+    POINTS = [(1.0, 2.0), (10.0, 0.1), (2.0, -1.0), (5.0, -4.0), (-2.0, 3.0), (1.0, 1e-6), (1.0, -1e-6)]
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("name", ["fixture_a", "vdw"])
+    def test_each_point_alone_gives_the_same_bits(self, name, d):
+        root = _shipped_root(name, d)
+        k, kp = (np.array(v) for v in zip(*self.POINTS))
+        together = q_oracle(root, k, kp)
+        assert all(piece.shape == k.shape for piece in together)
+        for i, (ki, kpi) in enumerate(self.POINTS):
+            alone = q_oracle(root, ki, kpi)
+            assert all(type(q) is complex for q in alone)
+            assert alone == tuple(complex(piece[i]) for piece in together)
+
+    @pytest.mark.parametrize(
+        "k, kp, error",
+        [
+            ([1.0, 0.0, 2.0], [2.0, 1.0, 3.0], DegeneracyError),
+            ([1.0, 2.0, 3.0], [2.0, 0.0, 3.0], DegeneracyError),
+            ([1.0, 2.0, 3.0], [2.0, -2.0, 3.0], DomainError),
+            ([1.0, 2.0, 3.0], [2.0, -5.0, 3.0], DomainError),
+        ],
+    )
+    def test_one_refused_point_refuses_the_array(self, root_a, k, kp, error):
+        with pytest.raises(error):
+            q_oracle(root_a, np.array(k), np.array(kp))
+
+
 class TestHamiltonianSymmetry:
     @pytest.mark.parametrize("which", ["root_a", "root_a3", "vdw"])
     def test_cyclic_symmetry_of_oracle(self, which, request):

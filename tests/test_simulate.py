@@ -21,6 +21,7 @@ from phasewave.simulate import (
     InitSpec,
     SimConfig,
     SpectralField,
+    _half_rhs,
     _rhs_weights,
     physical_reconstruction,
 )
@@ -102,6 +103,17 @@ class TestInitField:
     def test_off_grid_mode_rejected(self):
         with pytest.raises(ParameterError):
             init_field(_cfg(init=InitSpec("single_mode", amplitude=1.0, k0=0.03)))
+
+    def test_mode_between_grid_points_rejected(self):
+        # 1.03 lies between k = 1.0 and 1.1 on dk = 0.1; rounding would move
+        # the mode to 1.0 without a word.
+        with pytest.raises(ParameterError, match="k0=1.03"):
+            init_field(_cfg(init=InitSpec("single_mode", amplitude=1.0, k0=1.03)))
+
+    def test_mode_on_grid_to_round_off_accepted(self):
+        # 1.0/0.05 is 20.000000000000004: on the grid, to round-off.
+        f = init_field(_cfg(dk=0.05, init=InitSpec("single_mode", amplitude=0.5, k0=1.0)))
+        assert f.what[f.N + 20] == 0.5
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):
@@ -493,3 +505,67 @@ class TestRunSimulation:
         assert np.all(np.isfinite(w))
         # Direct transform at x=0 equals the full spectral sum.
         assert w[f.N] == pytest.approx(float(np.real(np.sum(f.what))) * f.dk, rel=1e-12)
+
+
+def _mixed_weight_mutant(half, weights):
+    """A test-only copy of `_half_rhs` (direct products over every mode) with
+    the mixed-region weight j/(n+j) in place of n/(n+j): it breaks the
+    kernel's symmetry and nothing else."""
+    inv_m, w_conv, w_mixed, w_axis = weights
+    p = half.copy()
+    p[0] = 0.0
+    v = p * inv_m
+    conv = np.convolve(p, p)[: p.size]
+    corr = np.correlate(v, np.arange(p.size) * p, "full")[p.size - 1 :]
+    rhs = w_conv * conv + (w_mixed * inv_m) * corr + (half[0] * w_axis) * p
+    rhs[0] = 0.0
+    return rhs
+
+
+def _perturbation_rate(rhs, kernel, K: int, tau: float = 0.5, steps: int = 100) -> float:
+    """log(|delta(tau)|/|delta(0)|)/tau for a 1e-10 perturbation at mode K of
+    the background p_1 = 0.5, on dk = 1 with N = 4K, both evolved by RK4."""
+    N = 4 * K
+    weights = _rhs_weights(N, 1.0, kernel, kernel.constants.alpha0)
+    base = np.zeros(N + 1, dtype=complex)
+    base[1] = 0.5
+    pert = base.copy()
+    pert[K] += 1e-10
+    dt = tau / steps
+
+    def rk4(h):
+        k1 = rhs(h, weights)
+        k2 = rhs(h + 0.5 * dt * k1, weights)
+        k3 = rhs(h + 0.5 * dt * k2, weights)
+        k4 = rhs(h + dt * k3, weights)
+        return h + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    for _ in range(steps):
+        base, pert = rk4(base), rk4(pert)
+    return float(np.log(np.linalg.norm(pert - base) / 1e-10) / tau)
+
+
+class TestHadamardContrast:
+    """The paper's well-posedness rests on the kernel's symmetry: without it,
+    high frequencies grow at a rate proportional to |k| (Benzoni-Gavage,
+    Coulombel & Tzvetkov, Adv. Math. 227, 2011).  On the shipped right side a
+    high-mode perturbation's rate stays flat as its mode K doubles; with the
+    mixed weight mutated it grows with K."""
+
+    # Measured with 100 RK4 steps to tau = 0.5, at K = 16, 32, 64: shipped
+    # fixture_a 0.01891, 0.01931, 0.01952 and vdw 1.675e-6, 1.710e-6,
+    # 1.728e-6 (3.2% growth over two doublings on both); mutated fixture_a
+    # 0.747, 2.26, 5.77 (2.5-3.0x per doubling) and vdw 7.54e-5, 2.99e-4,
+    # 1.19e-3 (4.0x).  At K = 128 the rates are 0.01962 and 13.2 on fixture_a.
+    SHIPPED_BOUND = {"fixture_a": 0.02, "vdw": 1.8e-6}
+
+    @pytest.mark.parametrize("name", ["fixture_a", "vdw"])
+    def test_only_the_mutated_weight_grows_with_the_mode(self, name):
+        cfg = load_config(CONFIGS / f"{name}.json")
+        kernel = build_kernel(find_root(build_boundary(cfg), np.asarray(cfg["eta_t"], dtype=float)))
+        modes = (16, 32, 64)
+        shipped = [_perturbation_rate(_half_rhs, kernel, K) for K in modes]
+        mutated = [_perturbation_rate(_mixed_weight_mutant, kernel, K) for K in modes]
+        assert 0.0 < min(shipped) and max(shipped) <= self.SHIPPED_BOUND[name]
+        assert shipped[-1] <= 1.05 * shipped[0]
+        assert all(hi >= 2.0 * lo for lo, hi in zip(mutated, mutated[1:]))
