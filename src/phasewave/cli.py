@@ -231,9 +231,6 @@ def cmd_check(cfg: dict, outdir: Path, seed: int) -> int:
 def cmd_scan(cfg: dict, outdir: Path, seed: int) -> int:
     pb = build_boundary(cfg)
     eta_t = _eta_t(cfg)
-    if not float(eta_t @ eta_t) > 0.0:
-        print("scan: empty elliptic interval (zero tangential wavevector)")
-        return 1
     sc = cfg["scan"]
     e0_max = elliptic_eta0_max(pb, eta_t)
     lo, hi = float(sc["eta0_min"]), float(sc["eta0_max"])

@@ -6,13 +6,13 @@ raw (d+2)x(d+2) determinant of the frequency column J(v)eta against the
 boundary images of the incoming modes, and `det_closed`, the closed product
 formula.  Both, and the root factor `root_factor(pb, eta)`, take a float
 eta0 or a 1-D array of them and return one value per eta0, so a sweep over
-frequencies is one call.  `det_raw` reads one `normal_modes` call;
-`det_closed` reads only the decay radicals and the tangent frame.  The zero
-of the root factor, the surface wave, is the positive root of a quadratic in
-eta0^2, computed in closed form by `find_root`.  The cofactor functional
-sigma* at the root comes from the closed component formulas;
-`sigma_methods_residual` recomputes it from the first-column minors of the
-raw determinant and compares the two.
+frequencies is one call.  `det_raw` reads only `incoming_modes` and
+`det_closed` only `elliptic_frequency`, the preamble whose refusals both
+share.  The zero of the root factor, the surface wave, is the positive root
+of a quadratic in eta0^2, computed in closed form by `find_root`.  The
+cofactor functional sigma* at the root comes from the closed component
+formulas; `sigma_methods_residual` recomputes it from the first-column
+minors of the raw determinant and compares the two.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from .modes import (
     boundary_operators,
     decay_radicals,
     elliptic_eta0_max,
+    elliptic_frequency,
+    incoming_modes,
     normal_modes,
-    refuse_zero_eta0,
-    tangent_frame,
 )
 
 
@@ -68,16 +68,13 @@ def root_factor(pb: PhaseBoundary, eta: Frequency) -> Union[float, np.ndarray]:
 def det_closed(pb: PhaseBoundary, eta: Frequency) -> Union[complex, np.ndarray]:
     """The Lopatinskii determinant in factorized form, -[rho][u] Upsilon
     (eta0^2 + u_r^2 |eta_t|^2) F(eta0), at a float eta0 or at each eta0 of a
-    1-D array.  It reads the decay radicals and the tangent frame's Upsilon,
-    and refuses what `normal_modes` refuses, without building a mode."""
-    e0 = np.asarray(eta.eta0, dtype=float)
-    upsilon = tangent_frame(eta.eta_t, pb.right.u, e0, pb.d).upsilon
-    a_l, a_r = decay_radicals(pb, eta)
-    refuse_zero_eta0(pb, eta)
+    1-D array.  It reads Upsilon and the radicals from `elliptic_frequency`,
+    and shares its refusals, without building a mode."""
+    e0, frame, a_l, a_r = elliptic_frequency(pb, eta)
     return _per_frequency(
         -pb.jump_rho
         * pb.jump_u
-        * upsilon
+        * frame.upsilon
         * (e0 * e0 + pb.right.u**2 * eta.ht2)
         * _root_factor(pb, e0, a_l, a_r)
     )
@@ -86,12 +83,12 @@ def det_closed(pb: PhaseBoundary, eta: Frequency) -> Union[complex, np.ndarray]:
 def det_raw(pb: PhaseBoundary, eta: Frequency) -> Union[complex, np.ndarray]:
     """The Lopatinskii determinant det(J(v)eta, H R_1^-, ..., H R_{d+1}^-) by
     complex LU, at a float eta0 or at each eta0 of a 1-D array (one stacked
-    LU call)."""
-    inc = normal_modes(pb, eta)
+    LU call), with R_j^- from `incoming_modes`; no closed factor enters."""
+    R_minus = incoming_modes(pb, eta)[-1]
     ops = boundary_operators(pb, eta)
     M = np.empty(ops.Jeta.shape + (pb.d + 2,), dtype=complex)
     M[..., 0] = ops.Jeta
-    M[..., 1:] = _boundary_columns(ops.H, inc.R_minus)
+    M[..., 1:] = _boundary_columns(ops.H, R_minus)
     return _per_frequency(np.linalg.det(M))
 
 

@@ -17,12 +17,13 @@ are the advected modes (on the left for the + family, on the right for the -
 family).  Every eigenvector is stored in one layout only: a full vector of
 2(d+1) components, left block first, whose off-side block is exactly zero.
 
-`normal_modes` builds both families with their left eigenvectors at a float
-eta0 or elementwise along a 1-D array of them, every array carrying eta0's
-shape in front; the raw Lopatinskii determinant reads its incoming (-)
-family.  `mode_residuals` and `dispersion_residual` return one value per
-eta0.  `decay_radicals` is the one test of the elliptic region, and
-`refuse_zero_eta0` the one refusal of eta0 = 0 at d >= 3.
+`elliptic_frequency` is every mode route's preamble: the tangent frame, the
+decay radicals (`decay_radicals`, the one test of the elliptic region) and
+the one refusal of eta0 = 0 at d >= 3.  `incoming_modes` adds the (-)
+family's decay rates and right vectors, all the raw Lopatinskii determinant
+reads, and `normal_modes` the + family and the left eigenvectors, at a float
+eta0 or elementwise along a 1-D array, every array carrying eta0's shape in
+front.  `mode_residuals` and `dispersion_residual` return one value per eta0.
 """
 
 from __future__ import annotations
@@ -251,55 +252,43 @@ def decay_radicals(pb: PhaseBoundary, eta: Frequency):
     return -vl.c * np.sqrt(rad_l), vr.c * np.sqrt(rad_r)
 
 
-def refuse_zero_eta0(pb: PhaseBoundary, eta: Frequency) -> None:
-    """Raise DomainError at any eta0 = 0 for d >= 3, where the advected left
-    eigenvectors are singular; both Lopatinskii routes share the refusal."""
-    if pb.d > 2 and (np.asarray(eta.eta0) == 0.0).any():
-        raise DomainError("advected left eigenvectors are singular at eta0=0 for d>=3")
-
-
-def normal_modes(pb: PhaseBoundary, eta: Frequency) -> ModeSet:
-    """Decay rates, eigenmodes, and right/left eigenvectors, elementwise in eta0.
-
-    Raises DomainError when any eta0 leaves the elliptic region of either
-    state (`decay_radicals`), and at eta0 = 0 for d >= 3, where the advected
-    left eigenvectors are singular.  The decay rates and the right vectors
-    are assembled from the real arithmetic that Python's complex operators
-    perform on them, and every complex product of the left vectors is an
-    array operation, so a float and an array eta0 give the same bits; numpy's
-    complex scalar and array loops round differently.
-    """
-    d = pb.d
-    vl, vr = pb.left, pb.right
-    et = eta.eta_t
-    ht2 = eta.ht2
+def elliptic_frequency(pb: PhaseBoundary, eta: Frequency):
+    """Every mode route's preamble, (e0, frame, a_l, a_r): eta0 as a numpy
+    scalar or array, the tangent frame and the decay radicals.  Also raises
+    DomainError at any eta0 = 0 for d >= 3, where the advected left
+    eigenvectors are singular."""
     # [()] leaves an array as it is and turns a float into a numpy scalar,
     # whose arithmetic costs a fraction of a 0-d array's.
     e0 = np.asarray(eta.eta0, dtype=float)[()]
-    frame = tangent_frame(et, vr.u, e0, d)
-
+    frame = tangent_frame(eta.eta_t, pb.right.u, e0, pb.d)
     a_l, a_r = decay_radicals(pb, eta)
-    refuse_zero_eta0(pb, eta)
+    if pb.d > 2 and (e0 == 0.0).any():
+        raise DomainError("advected left eigenvectors are singular at eta0=0 for d>=3")
+    return e0, frame, a_l, a_r
 
+
+def incoming_modes(pb: PhaseBoundary, eta: Frequency):
+    """The incoming (-) family's decay rates and right eigenvectors on top of
+    `elliptic_frequency`, as (e0, frame, a_l, a_r, beta_minus, R_minus), laid
+    out as in `ModeSet`; the raw Lopatinskii determinant reads no more."""
+    d = pb.d
+    vl, vr = pb.left, pb.right
+    et = eta.eta_t
+    e0, frame, a_l, a_r = elliptic_frequency(pb, eta)
     ml = vl.c2 - vl.u**2
     mr = vr.c2 - vr.u**2
     n = d + 1
-    lb, rb = slice(0, n), slice(n, 2 * n)
     # beta_1^- = (a_l - i u_l eta0)/ml, beta_2^- = (-a_r + i u_r eta0)/mr and
-    # beta_j^- = -i eta0/u_r; the + family has -conj(beta_1,2^-) and i eta0/u_l.
+    # beta_j^- = -i eta0/u_r.
     beta_minus = np.zeros(e0.shape + (n,), dtype=complex)
     beta_minus.real[..., 0] = a_l / ml
     beta_minus.imag[..., 0] = (0.0 - vl.u * e0) / ml
     beta_minus.real[..., 1] = -a_r / mr
     beta_minus.imag[..., 1] = (0.0 + vr.u * e0) / mr
     beta_minus.imag[..., 2:] = (-e0 / vr.u)[..., None]
-    beta_plus = np.zeros_like(beta_minus)
-    beta_plus[..., :2] = -np.conj(beta_minus[..., :2])
-    beta_plus.imag[..., 2:] = (e0 / vl.u)[..., None]
     b1, b2 = beta_minus[..., 0], beta_minus[..., 1]
 
     # Each vector is written into its side's block; the other block stays +0.
-    # Only the block is conjugated, so the zero block keeps its sign.
     R_minus = np.zeros(e0.shape + (n, 2 * n), dtype=complex)
     re, im = R_minus.real, R_minus.imag
     # -i eta0 + u_l beta_1^-, i c_l^2 eta_t, -a_l
@@ -312,6 +301,38 @@ def normal_modes(pb: PhaseBoundary, eta: Frequency) -> ModeSet:
     im[..., 1, n] = -e0 - vr.u * b2.imag
     R_minus[..., 1, n + 1 : n + d] = 1j * vr.c2 * et
     re[..., 1, 2 * n - 1] = -a_r
+    # The advected modes of the - family live on the right.
+    for j in range(2, n):
+        evec = frame.e[:, j - 2]
+        re[..., j, n + 1 : n + d] = e0[..., None] * evec
+        re[..., j, 2 * n - 1] = vr.u * float(et @ evec)
+    return e0, frame, a_l, a_r, beta_minus, R_minus
+
+
+def normal_modes(pb: PhaseBoundary, eta: Frequency) -> ModeSet:
+    """Decay rates, eigenmodes, and right/left eigenvectors, elementwise in eta0.
+
+    Extends `incoming_modes` with the + family and the left vectors, so it
+    refuses what `elliptic_frequency` refuses: any eta0 outside the elliptic
+    region, and eta0 = 0 for d >= 3.  The decay rates and the right vectors
+    are assembled from the real arithmetic that Python's complex operators
+    perform on them, and every complex product of the left vectors is an
+    array operation, so a float and an array eta0 give the same bits; numpy's
+    complex scalar and array loops round differently.
+    """
+    d = pb.d
+    vl, vr = pb.left, pb.right
+    et = eta.eta_t
+    ht2 = eta.ht2
+    e0, frame, a_l, a_r, beta_minus, R_minus = incoming_modes(pb, eta)
+    n = d + 1
+    lb, rb = slice(0, n), slice(n, 2 * n)
+    # The + family has -conj(beta_1,2^-) and i eta0/u_l.
+    beta_plus = np.zeros_like(beta_minus)
+    beta_plus[..., :2] = -np.conj(beta_minus[..., :2])
+    beta_plus.imag[..., 2:] = (e0 / vl.u)[..., None]
+
+    # Only the block is conjugated, so the zero block keeps its sign.
     R_plus = np.zeros_like(R_minus)
     R_plus[..., 0, lb] = np.conj(R_minus[..., 0, lb])
     R_plus[..., 1, rb] = np.conj(R_minus[..., 1, rb])
@@ -320,24 +341,21 @@ def normal_modes(pb: PhaseBoundary, eta: Frequency) -> ModeSet:
     L_plus = np.zeros_like(R_minus)
     # Acoustic: ml/(2 a_l (u_l a_l + i c_l^2 eta0)) (i eta0 - 2 u_l beta_1^+,
     # -i eta_t, beta_1^+) on the left, and its mirror image on the right.
-    for row, blk, s, a, m, sgn in ((0, lb, vl, a_l, ml, 1.0), (1, rb, vr, a_r, mr, -1.0)):
+    for row, blk, s, a, sgn in ((0, lb, vl, a_l, 1.0), (1, rb, vr, a_r, -1.0)):
         bp = beta_plus[..., row]
         vec = np.empty(e0.shape + (n,), dtype=complex)
         vec[..., 0] = sgn * 1j * e0 - 2.0 * s.u * bp
         vec[..., 1:d] = -sgn * 1j * et
         vec[..., d] = bp
-        pref = m / (2.0 * a * (s.u * a + 1j * s.c2 * e0))
+        pref = (s.c2 - s.u**2) / (2.0 * a * (s.u * a + 1j * s.c2 * e0))
         L_minus[..., row, blk] = pref[..., None] * vec
         L_plus[..., row, blk] = np.conj(L_minus[..., row, blk])
 
-    # Advected modes: the + family on the left, the - family on the right.
+    # The advected modes of the + family live on the left.
     for j in range(2, n):
         evec = frame.e[:, j - 2]
-        dot = float(et @ evec)
         R_plus.real[..., j, 1:d] = e0[..., None] * evec
-        R_plus.real[..., j, d] = vl.u * dot
-        R_minus.real[..., j, n + 1 : n + d] = e0[..., None] * evec
-        R_minus.real[..., j, 2 * n - 1] = vr.u * dot
+        R_plus.real[..., j, d] = vl.u * float(et @ evec)
     # l_3 = s (-u, eta0/(u |eta_t|^2) eta_t, 1)/(eta0^2 + u^2 |eta_t|^2) and
     # l_j = s (0, e_{j-2}, 0)/(u eta0) for j > 3, with s = -1, u = u_l for the
     # + family and s = 1, u = u_r for the - family.

@@ -165,9 +165,16 @@ class TestScan:
         _, rows = read_csv(tmp_path / "scan.csv")
         assert len(rows) == 2
 
-    def test_zero_wavevector_exits_one(self, tmp_path):
+    def test_zero_wavevector_exits_one(self, tmp_path, capsys):
+        # With eta_t = 0 the elliptic interval is empty, so the range test
+        # refuses any scan range.
         cfg = write_config(tmp_path, eta_t=[0.0])
-        assert main(["scan", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        out = tmp_path / "out"
+        assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().out == (
+            "scan: range [0.05, 1.7] not inside the elliptic interval [0, 0.0)\n"
+        )
+        assert not (out / "scan.csv").exists()
 
     def test_range_outside_elliptic_exits_one(self, tmp_path):
         cfg = write_config(tmp_path, overrides={"scan.eta0_max": 5.0})

@@ -32,7 +32,7 @@ from phasewave.lopatinskii import (
     root_relation_residual,
     sigma_r3_residual,
 )
-from phasewave.modes import dispersion_residual, mode_residuals
+from phasewave.modes import dispersion_residual, incoming_modes, mode_residuals
 from phasewave.config import build_boundary, load_config
 from phasewave.kernel import alpha0_closed
 
@@ -131,6 +131,11 @@ class TestFrequencyArrays:
         assert whole.tobytes() == each.tobytes()
         whole = normal_modes(pb, Frequency(grid, eta_t))
         each = [normal_modes(pb, Frequency(float(e0), eta_t)) for e0 in grid]
+        # det_raw's incoming family is normal_modes' bit for bit.
+        for e0, modes in [(grid, whole)] + list(zip(grid.tolist(), each)):
+            *_, beta_minus, R_minus = incoming_modes(pb, Frequency(e0, eta_t))
+            assert beta_minus.tobytes() == modes.beta_minus.tobytes()
+            assert R_minus.tobytes() == modes.R_minus.tobytes()
         assert whole.frame.upsilon.tobytes() == np.array([m.frame.upsilon for m in each]).tobytes()
         fields = ("a_l", "a_r", "beta_minus", "beta_plus", "R_minus", "R_plus", "L_minus", "L_plus")
         for field in fields:

@@ -31,25 +31,25 @@ def count_calls(monkeypatch, owner, attr: str) -> list:
 
 def test_scan_makes_one_call_per_determinant_route(tmp_path, monkeypatch):
     # The whole eta0 grid goes through each route as one array; det_raw
-    # builds its modes in one call, and det_closed builds none.
+    # builds only the incoming family, and det_closed builds no modes.
     raw = count_calls(monkeypatch, phasewave.lopatinskii, "det_raw")
     closed = count_calls(monkeypatch, phasewave.lopatinskii, "det_closed")
     modes = count_calls(monkeypatch, phasewave.modes, "normal_modes")
     config = CONFIGS / "fixture_a.json"
     assert main(["scan", "--config", str(config), "--out", str(tmp_path)]) == 0
-    assert (len(raw), len(closed), len(modes)) == (1, 1, 1)
+    assert (len(raw), len(closed), len(modes)) == (1, 1, 0)
 
 
 def test_check_builds_all_sampled_mode_sets_in_one_call(tmp_path, monkeypatch):
-    # One call for the 8 sampled frequencies, one for the root, and one for
-    # det_raw, which takes the 20-point raw-vs-closed sweep in one call;
-    # det_closed builds no modes.
+    # One call for the 8 sampled frequencies and one for the root; det_raw
+    # takes the 20-point raw-vs-closed sweep in one call and builds only the
+    # incoming family, and det_closed builds no modes.
     raw = count_calls(monkeypatch, phasewave.lopatinskii, "det_raw")
     closed = count_calls(monkeypatch, phasewave.lopatinskii, "det_closed")
     modes = count_calls(monkeypatch, phasewave.modes, "normal_modes")
     config = CONFIGS / "fixture_a.json"
     assert main(["check", "--config", str(config), "--out", str(tmp_path)]) == 0
-    assert (len(modes), len(raw), len(closed)) == (3, 1, 1)
+    assert (len(modes), len(raw), len(closed)) == (2, 1, 1)
 
 
 def test_coeffs_evaluates_each_value_once(tmp_path, monkeypatch):
