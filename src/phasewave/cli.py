@@ -40,7 +40,6 @@ from .kernel import (
     b_identity_residual,
     build_kernel,
     final_simplification_residual,
-    hamiltonian_symmetry_residual,
     kernel_constants,
     oracle_vs_closed,
 )
@@ -285,8 +284,6 @@ def cmd_coeffs(cfg: dict, outdir: Path, seed: int) -> int:
         imag, vs_abstract, vs_fd = alpha0_residuals(root, kc.alpha0)
         stage = "oracle-vs-closed"
         rep = oracle_vs_closed(root, kc, samples)
-        stage = "hamiltonian-symmetry"
-        symmetry = hamiltonian_symmetry_residual(root, rep["oracle_sums"])
     except PhasewaveError as exc:  # a failed row, as in check, not a traceback
         return _judge("coeffs", outdir / "coeffs.json", [(f"{stage} ({exc})", math.inf, 0.0)], {})
     rows = [
@@ -298,7 +295,7 @@ def cmd_coeffs(cfg: dict, outdir: Path, seed: int) -> int:
         ("oracle-vs-closed", rep["max_relative_deviation"], 1e-9),
         ("region1-constancy", rep["region1_constancy"], 1e-10),
         ("region2-proportionality", rep["region2_proportionality"], 1e-10),
-        ("hamiltonian-symmetry", symmetry, 1e-10),
+        ("hamiltonian-symmetry", rep["hamiltonian_symmetry"], 1e-10),
     ]
     extra = {**asdict(kc), "q5_conjugation_pattern": rep["q5_conjugation_pattern"]}
     return _judge("coeffs", outdir / "coeffs.json", rows, extra)

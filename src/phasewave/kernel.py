@@ -17,7 +17,7 @@ extended to the rest of the plane by index symmetry q(k,k') = q(k',k) and
 reality q(-k,-k') = conj(q(k,k')), with the value 0 on the anti-diagonal and
 the real part of Q_nat on the coordinate axes (the principal-value choice).
 On k1 + k2 + k3 = 0, q(k1, k2)/|k3| is invariant under cyclic shifts (Hunter's
-Hamiltonian symmetry); `hamiltonian_symmetry_residual` checks it on the oracle.
+Hamiltonian symmetry); `oracle_vs_closed` checks it on the oracle.
 """
 
 from __future__ import annotations
@@ -339,7 +339,8 @@ class KernelConstants:
 
 def kernel_constants(root: RootData) -> KernelConstants:
     """Evaluate every closed-form kernel constant at the root.  Raises
-    DegeneracyError when alpha0 or Q_nat, the scales of their residuals, is 0."""
+    DegeneracyError when alpha0 or Q_nat, the scales of their residuals, is 0
+    or not finite."""
     pb, eta, m = root.pb, root.eta, root.modes
     vl, vr = pb.left, pb.right
     e0 = eta.eta0
@@ -350,48 +351,36 @@ def kernel_constants(root: RootData) -> KernelConstants:
     g1, g2 = root.gamma1, root.gamma2
     b1m, b2m = m.beta_minus[0], m.beta_minus[1]
     b1p, b2p = m.beta_plus[0], m.beta_plus[1]
-    w2r = e0 * e0 + vr.u**2 * ht2
-    w2l = e0 * e0 + vl.u**2 * ht2
-    ratio = (vl.u * ar + 1j * vr.c2 * e0) / (vl.u * ar - 1j * vr.c2 * e0)
+    # The finiteness test below reports an overflow here as DegeneracyError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        w2r = e0 * e0 + vr.u**2 * ht2
+        w2l = e0 * e0 + vl.u**2 * ht2
+        ratio = (vl.u * ar + 1j * vr.c2 * e0) / (vl.u * ar - 1j * vr.c2 * e0)
 
-    Q = 2.0 * jr * ju * ups * w2r * (b1m + b2m) * 1j * vl.u * vr.u * al * ar * ratio
-    Q_l = jr * ju * ups * vl.u * vr.u * (ar / al) * w2r * w2l * g1 * (1j * e0 - vl.u * b1m)
-    Q_r = jr * ju * ups * vl.u * vr.u * (al / ar) * w2r**2 * g2 * (1j * e0 + vr.u * b2m)
-    Q_sharp = (
-        2.0
-        * jr
-        * ups
-        * w2r
-        * (e0 * e0 + vl.u * vr.u * ht2)
-        * 1j
-        * vl.c2
-        * vr.c2
-        * e0
-        * (vr.c2 * g2 / (vr.rho * vr.u) - vl.c2 * g1 / (vl.rho * vl.u))
-    )
-    Q_b = (
-        -2.0
-        * jr
-        * ju
-        * ups
-        * w2r
-        * vl.u
-        * vr.u
-        * ht2
-        * (
-            (vl.c2**2 * ar / (vl.rho * al)) * np.conj(g1) * (1j * e0 - vl.u * b1p)
-            + (vr.c2**2 * al / (vr.rho * ar)) * np.conj(g2) * (1j * e0 + vr.u * b2p)
+        Q = 2.0 * jr * ju * ups * w2r * (b1m + b2m) * 1j * vl.u * vr.u * al * ar * ratio
+        Q_l = jr * ju * ups * vl.u * vr.u * (ar / al) * w2r * w2l * g1 * (1j * e0 - vl.u * b1m)
+        Q_r = jr * ju * ups * vl.u * vr.u * (al / ar) * w2r**2 * g2 * (1j * e0 + vr.u * b2m)
+        Q_sharp = (
+            2.0 * jr * ups * w2r * (e0 * e0 + vl.u * vr.u * ht2) * 1j * vl.c2 * vr.c2 * e0
+            * (vr.c2 * g2 / (vr.rho * vr.u) - vl.c2 * g1 / (vl.rho * vl.u))
         )
-    )
-    Q_nat = (
-        (vl.pp / 2.0 + vl.c2 / vl.rho) * Q_l
-        + (vr.pp / 2.0 + vr.c2 / vr.rho) * Q_r
-        + Q_sharp
-    )
-    a0 = alpha0_closed(root)
-    vanished = [name for name, value in (("alpha0", a0), ("Q_nat", Q_nat)) if value == 0]
-    if vanished:
-        raise DegeneracyError(f"{' and '.join(vanished)} vanished at the root eta0 = {e0!r}")
+        Q_b = (
+            -2.0 * jr * ju * ups * w2r * vl.u * vr.u * ht2
+            * (
+                (vl.c2**2 * ar / (vl.rho * al)) * np.conj(g1) * (1j * e0 - vl.u * b1p)
+                + (vr.c2**2 * al / (vr.rho * ar)) * np.conj(g2) * (1j * e0 + vr.u * b2p)
+            )
+        )
+        Q_nat = (
+            (vl.pp / 2.0 + vl.c2 / vl.rho) * Q_l
+            + (vr.pp / 2.0 + vr.c2 / vr.rho) * Q_r
+            + Q_sharp
+        )
+        a0 = alpha0_closed(root)
+    for fault, hit in (("vanished", lambda v: v == 0), ("not finite", lambda v: not np.isfinite(v))):
+        named = [name for name, value in (("alpha0", a0), ("Q_nat", Q_nat)) if hit(value)]
+        if named:
+            raise DegeneracyError(f"{' and '.join(named)} {fault} at the root eta0 = {e0!r}")
     return KernelConstants(
         alpha0=float(a0.real),
         Q=complex(Q),
@@ -503,20 +492,24 @@ def _spread(vals) -> float:
     return float(np.max(np.abs(arr - arr[0])) / max(np.max(np.abs(arr)), 1e-300))
 
 
-# Hunter's triad for the symmetry row, and the points where it reads the
+# Hunter's triad for the symmetry spread, and the points where it reads the
 # oracle, folded by reality onto k + k' > 0: (1, 2), (-2, 3) and (3, -1).
 _TRIADS = ((1.0, 2.0, -3.0), (2.0, -3.0, 1.0), (-3.0, 1.0, 2.0))
 _TRIAD_POINTS = tuple((k, kp) if k + kp > 0.0 else (-k, -kp) for k, kp, _ in _TRIADS)
 
 
 def oracle_vs_closed(root: RootData, kc: KernelConstants, samples: Iterable[Tuple[float, float]]) -> Dict:
-    """Compare summed oracle kernels against the closed forms over samples.
+    """Compare summed oracle kernels against the closed forms over samples,
+    and check the oracle's own Hamiltonian symmetry.
 
     Returns the maximum relative deviation (NaN if any deviation is), the
-    region-constancy and mixed-region proportionality spreads, the oracle sum
-    at each sample and at each point `hamiltonian_symmetry_residual` reads,
-    and the conjugation of Q that q5 follows at the first mixed-region
-    sample.  The oracle is one `q_oracle` call over all those points.
+    region-constancy and mixed-region proportionality spreads, the
+    conjugation of Q that q5 follows at the first mixed-region sample, and
+    the Hamiltonian-symmetry spread: that of Lambda(k1, k2, k3) =
+    q(k1, k2)/|k3| over the cyclic shifts of the triad (1, 2, -3), relative
+    to max |Lambda|, with q the summed oracle completed only by reality.  The
+    shift (2, -3, 1) reads (-2, 3), where no closed form is stated.  The
+    oracle is one `q_oracle` call over the samples and the triad points.
     """
     samples = list(samples)
     points = samples + [p for p in _TRIAD_POINTS if p not in samples]
@@ -542,27 +535,13 @@ def oracle_vs_closed(root: RootData, kc: KernelConstants, samples: Iterable[Tupl
                 dev_conj = abs(q5 - np.conj(kc.Q) * (kp / k))
                 pattern = "conjugate" if dev_conj <= dev_plain else "plain"
 
+    def q(k: float, kp: float) -> complex:
+        return sums[(k, kp)] if k + kp > 0.0 else np.conj(sums[(-k, -kp)])
+
     return {
         "max_relative_deviation": float(np.max(devs)) if devs else 0.0,
         "region1_constancy": _spread(region1_vals),
         "region2_proportionality": _spread(region2_ratios),
-        "oracle_sums": sums,
+        "hamiltonian_symmetry": _spread([q(k1, k2) / abs(k3) for k1, k2, k3 in _TRIADS]),
         "q5_conjugation_pattern": pattern,
     }
-
-
-def hamiltonian_symmetry_residual(root: RootData, sums: Dict[Tuple[float, float], complex]) -> float:
-    """Spread of Lambda(k1, k2, k3) = q(k1, k2)/|k3| over the cyclic shifts of
-    the triad (1, 2, -3), relative to max |Lambda|.  q is the summed oracle,
-    completed only by reality; `sums` holds sums already evaluated (those of
-    `oracle_vs_closed` cover every point read), and a point it lacks is one
-    `q_oracle` call.  The shift (2, -3, 1) reads (-2, 3), where no closed
-    form is stated.
-    """
-
-    def q(k: float, kp: float) -> complex:
-        if k + kp < 0.0:
-            return np.conj(q(-k, -kp))
-        return sums[(k, kp)] if (k, kp) in sums else sum(q_oracle(root, k, kp))
-
-    return _spread([q(k1, k2) / abs(k3) for k1, k2, k3 in _TRIADS])

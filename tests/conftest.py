@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,38 @@ FIXTURE_A = dict(
     mu=1.0,
     eta_t=[1.0],
 )
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# Tangential wavevectors of the d = 3 and d = 4 copies of a d = 2 config; d = 4
+# is the only case with two advected complement columns.
+ETA_T = {3: [0.6, 0.8], 4: [0.36, 0.48, 0.8]}
+
+# The copy table: each id names a shipped config and the (d, sim.N) it is
+# run at.  Both shipped configs are d = 2; the d = 3 and d = 4 copies also
+# run the advected modes, and the N = 1024 copy the FFT bands of the
+# spectral right side.
+SHIPPED = {
+    "fixture_a": ("fixture_a", 2, None),
+    "vdw": ("vdw", 2, None),
+    "fixture_a_d3": ("fixture_a", 3, None),
+    "vdw_d3": ("vdw", 3, None),
+    "fixture_a_d4": ("fixture_a", 4, None),
+    "vdw_d4": ("vdw", 4, None),
+    "fixture_a_n1024": ("fixture_a", 2, 1024),
+}
+
+
+def shipped_config(copy: str) -> dict:
+    """The config of one id of the copy table, as a JSON object."""
+    name, d, N = SHIPPED[copy]
+    cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+    if d != cfg["d"]:
+        cfg.update(d=d, eta_t=ETA_T[d])
+    if N is not None:
+        cfg["sim"]["N"] = N
+    return cfg
 
 
 def fixture_a_boundary(d: int = 2):
@@ -46,7 +81,7 @@ def pb_a3():
 
 @pytest.fixture(scope="session")
 def root_a3(pb_a3):
-    return find_root(pb_a3, np.array([0.6, 0.8]))
+    return find_root(pb_a3, np.array(ETA_T[3]))
 
 
 def random_boundary(rng: np.random.Generator, d: int | None = None):

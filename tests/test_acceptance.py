@@ -27,7 +27,6 @@ from phasewave import (
 from phasewave.kernel import (
     b_identity_values,
     corollary_closed,
-    hamiltonian_symmetry_residual,
     oracle_vs_closed,
 )
 from phasewave.lopatinskii import (
@@ -261,7 +260,7 @@ def test_criterion_6_hunter_condition():
         abs(q_pos - kc.Q_nat) / abs(kc.Q_nat),
         abs(q_neg - np.conj(kc.Q_nat)) / abs(kc.Q_nat),
     )
-    cyclic = hamiltonian_symmetry_residual(root, {})
+    cyclic = oracle_vs_closed(root, kc, [])["hamiltonian_symmetry"]
     ok = lim_dev <= 1e-4 and cyclic <= 1e-10
     _report(6, ok, f"oracle-limit deviation {lim_dev:.2e} cyclic-symmetry spread {cyclic:.2e}")
 

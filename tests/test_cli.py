@@ -93,15 +93,6 @@ class TestCheck:
         names = {item["name"] for item in report["invariants"]}
         assert {"momentum-jump", "enthalpy-jump"} <= names
 
-    def test_d3_closed_forms_pass(self, tmp_path):
-        # Both shipped configs are d = 2; this runs the advected modes too.
-        cfg = write_config(tmp_path, d=3, eta_t=[0.6, 0.8])
-        for command in ("check", "root", "coeffs"):
-            assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
-        report = json.loads((tmp_path / "check.json").read_text())
-        assert report["pass"] is True
-        assert len(report["debug"]["R_minus"][0]) == 8
-
     def test_late_failure_names_its_row(self, tmp_path, monkeypatch, capsys):
         import phasewave.cli as cli_mod
 

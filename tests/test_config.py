@@ -177,6 +177,21 @@ def test_overflowing_mass_flux_exits_one(tmp_path, capsys, command):
     assert list((tmp_path / "out").iterdir()) == []
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_nonfinite_kernel_constant_is_refused(tmp_path, capsys, scale):
+    # fixture_a with both densities scaled up: the root is representable,
+    # but Q_nat overflows to a NaN.  simulate refuses it before any step,
+    # and coeffs makes it its one, failed row.
+    heavy = {"left__rho": scale, "right__rho": 0.45 * scale}
+    assert run(tmp_path, "simulate", **heavy) == 1
+    assert "Q_nat not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "diag.csv").exists()
+    assert run(tmp_path, "coeffs", **heavy) == 1
+    [row] = json.loads((tmp_path / "out" / "coeffs.json").read_text())["invariants"]
+    assert row["name"].startswith("kernel-constants (Q_nat not finite") and row["pass"] is False
+    assert capsys.readouterr().out.strip() == f"coeffs: FAIL ({row['name']})"
+
+
 @pytest.mark.parametrize(
     "base, changes",
     [

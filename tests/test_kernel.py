@@ -1,6 +1,5 @@
 import dataclasses
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from phasewave import (
     q_oracle,
     trace_profile,
 )
-from phasewave.config import build_boundary, load_config
+from phasewave.config import build_boundary
 from phasewave.expsum import pair_dot
 from phasewave.kernel import (
     _omegas,
@@ -29,12 +28,11 @@ from phasewave.kernel import (
     corollary_closed,
     dual_profile_packaged,
     final_simplification_residual,
-    hamiltonian_symmetry_residual,
     q_grid,
 )
 from phasewave.modes import flux_jacobians
 
-from conftest import random_boundary, random_frequency
+from conftest import random_boundary, random_frequency, shipped_config
 
 # Fixture-level constants frozen after triple cross-validation (closed form,
 # abstract mode sum, and finite difference of the determinant).
@@ -329,14 +327,13 @@ class TestOracle:
 
 
 def _vdw_root():
-    cfg = load_config(str(Path(__file__).resolve().parent.parent / "configs" / "vdw.json"))
+    cfg = shipped_config("vdw")
     return find_root(build_boundary(cfg), np.asarray(cfg["eta_t"], dtype=float))
 
 
 def _shipped_root(name: str, d: int):
-    """The root of a shipped config, or of its copy at d = 3 or 4 with CI's eta_t."""
-    cfg = load_config(str(Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"))
-    cfg.update(d=d, eta_t={2: cfg["eta_t"], 3: [0.6, 0.8], 4: [0.36, 0.48, 0.8]}[d])
+    """The root of a shipped config, or of its d = 3 or 4 copy in the copy table."""
+    cfg = shipped_config(name if d == 2 else f"{name}_d{d}")
     return find_root(build_boundary(cfg), np.asarray(cfg["eta_t"], dtype=float))
 
 
@@ -375,7 +372,8 @@ class TestHamiltonianSymmetry:
     @pytest.mark.parametrize("which", ["root_a", "root_a3", "vdw"])
     def test_cyclic_symmetry_of_oracle(self, which, request):
         root = _vdw_root() if which == "vdw" else request.getfixturevalue(which)
-        assert hamiltonian_symmetry_residual(root, {}) <= 1e-10
+        rep = oracle_vs_closed(root, kernel_constants(root), [])
+        assert rep["hamiltonian_symmetry"] <= 1e-10
 
     def test_detects_perturbed_index_swapped_point(self, root_a, monkeypatch):
         # The point (-2, 3) lies in the index-swapped region that the closed
@@ -386,12 +384,13 @@ class TestHamiltonianSymmetry:
 
         def perturbed(root, k, kp):
             qs = original(root, k, kp)
-            if (k, kp) == (-2.0, 3.0):
-                return tuple((1.0 + 1e-6) * q for q in qs)
-            return qs
+            swapped = (k == -2.0) & (kp == 3.0)
+            assert swapped.sum() == 1
+            return tuple(np.where(swapped, (1.0 + 1e-6) * q, q) for q in qs)
 
         monkeypatch.setattr(kernel_mod, "q_oracle", perturbed)
-        assert hamiltonian_symmetry_residual(root_a, {}) > 1e-10
+        rep = oracle_vs_closed(root_a, kernel_constants(root_a), [(1.0, 2.0)])
+        assert rep["hamiltonian_symmetry"] > 1e-10
 
 
 class TestConstants:

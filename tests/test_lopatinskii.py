@@ -1,6 +1,5 @@
 import dataclasses
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,10 +32,10 @@ from phasewave.lopatinskii import (
     sigma_r3_residual,
 )
 from phasewave.modes import dispersion_residual, incoming_modes, mode_residuals
-from phasewave.config import build_boundary, load_config
+from phasewave.config import build_boundary
 from phasewave.kernel import alpha0_closed
 
-from conftest import FIXTURE_A, fixture_a_boundary, random_boundary, random_frequency
+from conftest import FIXTURE_A, fixture_a_boundary, random_boundary, random_frequency, shipped_config
 
 # Root of the canonical configuration, frozen after cross-validation against
 # the raw determinant, the minors functional, and the abstract alpha0 sum.
@@ -93,15 +92,11 @@ class TestDeterminant:
             det_raw(pb, Frequency(10.0, [1.0]))
 
 
-# Tangential wavevectors of the shipped configs copied to d = 2, 3 and 4.
-ETA_T = {2: [1.0], 3: [0.6, 0.8], 4: [0.36, 0.48, 0.8]}
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-
-
 def shipped_boundary(name: str, d: int):
-    cfg = load_config(CONFIGS / f"{name}.json")
-    cfg.update(d=d, eta_t=ETA_T[d])
-    return build_boundary(cfg), np.array(ETA_T[d])
+    """A shipped config, or its d = 3 or 4 copy in the copy table: its
+    boundary and eta_t."""
+    cfg = shipped_config(name if d == 2 else f"{name}_d{d}")
+    return build_boundary(cfg), np.array(cfg["eta_t"])
 
 
 def edge_grid(e0_max: float) -> np.ndarray:

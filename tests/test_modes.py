@@ -32,7 +32,7 @@ from phasewave.modes import (
     tangential_symbol,
 )
 
-from conftest import fixture_a_boundary, random_boundary, random_frequency
+from conftest import ETA_T, fixture_a_boundary, random_boundary, random_frequency
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +134,8 @@ class TestTangentFrame:
 # fixture_a at d = 2, 3 and 4; d = 4 is the only case with two complement columns.
 FIXTURE_A_FREQUENCIES = (
     (fixture_a_boundary(), [1.0]),
-    (fixture_a_boundary(3), [0.6, 0.8]),
-    (fixture_a_boundary(4), [0.36, 0.48, 0.8]),
+    (fixture_a_boundary(3), ETA_T[3]),
+    (fixture_a_boundary(4), ETA_T[4]),
 )
 
 
