@@ -182,13 +182,14 @@ def cmd_check(cfg: dict, outdir: Path, seed: int) -> int:
 
         stage = "delta-raw-vs-closed"
         sweep = Frequency(np.linspace(0.05, 0.95, 20) * e0_max, eta_t)
-        raw, closed = det_raw(pb, sweep), det_closed(pb, sweep)
-        # np.hypot rounds as Python's complex abs does; np.abs does not.
-        diff = raw - closed
-        gap = np.hypot(diff.real, diff.imag)
-        size = np.maximum(np.hypot(raw.real, raw.imag), np.hypot(closed.real, closed.imag))
-        # Where both determinants underflow to 0 the ratio is NaN, a failed row.
-        with np.errstate(invalid="ignore"):
+        # Where both determinants underflow to 0, or either overflows (a huge
+        # eta_t), the ratio is NaN, a failed row.
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw, closed = det_raw(pb, sweep), det_closed(pb, sweep)
+            # np.hypot rounds as Python's complex abs does; np.abs does not.
+            diff = raw - closed
+            gap = np.hypot(diff.real, diff.imag)
+            size = np.maximum(np.hypot(raw.real, raw.imag), np.hypot(closed.real, closed.imag))
             checks.append(("delta-raw-vs-closed", np.max(gap / size), 1e-10))
 
         stage = "surface-wave-root"
@@ -283,7 +284,9 @@ def cmd_coeffs(cfg: dict, outdir: Path, seed: int) -> int:
         stage = "alpha0-residuals"
         imag, vs_abstract, vs_fd = alpha0_residuals(root, kc.alpha0)
         stage = "oracle-vs-closed"
-        rep = oracle_vs_closed(root, kc, samples)
+        # An oracle that overflows (a huge eta_t) gives NaN, failed rows.
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = oracle_vs_closed(root, kc, samples)
     except PhasewaveError as exc:  # a failed row, as in check, not a traceback
         return _judge("coeffs", outdir / "coeffs.json", [(f"{stage} ({exc})", math.inf, 0.0)], {})
     rows = [

@@ -17,7 +17,10 @@ extended to the rest of the plane by index symmetry q(k,k') = q(k',k) and
 reality q(-k,-k') = conj(q(k,k')), with the value 0 on the anti-diagonal and
 the real part of Q_nat on the coordinate axes (the principal-value choice).
 On k1 + k2 + k3 = 0, q(k1, k2)/|k3| is invariant under cyclic shifts (Hunter's
-Hamiltonian symmetry); `oracle_vs_closed` checks it on the oracle.
+Hamiltonian symmetry); `oracle_vs_closed` checks it on the oracle.  The
+closed forms read the root quantities (w^2, the acoustic factors z and x)
+from `RootData.scalars`, defined in `lopatinskii.RootScalars`; the oracle
+routes do not.
 """
 
 from __future__ import annotations
@@ -49,16 +52,12 @@ def alpha0_closed(root: RootData) -> complex:
     """alpha0 from its factorized expression
     -[rho][u] Upsilon/eta0 (eta0^2 + u_r^2 |eta_t|^2)
     (u_l^2 u_r^2 (a_l^2/c_l^2 + a_r^2/c_r^2) + 2 c_l^2 c_r^2 eta0^2)."""
-    pb, eta, modes = root.pb, root.eta, root.modes
-    vl, vr = pb.left, pb.right
-    e0 = eta.eta0
-    ht2 = eta.ht2
-    al, ar = modes.a_l, modes.a_r
-    w2 = e0 * e0 + vr.u**2 * ht2
-    brace = vl.u**2 * vr.u**2 * (al * al / vl.c2 + ar * ar / vr.c2) + (
+    s = root.scalars
+    vl, vr, e0 = s.vl, s.vr, s.e0
+    brace = vl.u**2 * vr.u**2 * (s.a_l * s.a_l / vl.c2 + s.a_r * s.a_r / vr.c2) + (
         2.0 * vl.c2 * vr.c2 * e0 * e0
     )
-    return complex(-pb.jump_rho * pb.jump_u * modes.frame.upsilon / e0 * w2 * brace)
+    return complex(-s.jump_rho * s.jump_u * s.upsilon / e0 * s.w2_r * brace)
 
 
 def alpha0_abstract(root: RootData) -> complex:
@@ -140,40 +139,25 @@ def dual_profile(root: RootData, k: float) -> ExpProfile:
 
 
 def _omegas(root: RootData) -> Tuple[complex, complex, complex]:
-    pb, eta, m = root.pb, root.eta, root.modes
-    vl, vr = pb.left, pb.right
-    e0 = eta.eta0
-    ht2 = eta.ht2
-    jr, ju = pb.jump_rho, pb.jump_u
-    ups = m.frame.upsilon
-    w2r = e0 * e0 + vr.u**2 * ht2
-    w2l = e0 * e0 + vl.u**2 * ht2
-    om1 = jr * ju * ups * (w2r / w2l) * 1j * vl.u * e0 * (vr.u * m.a_r - 1j * vr.c2 * e0)
-    om3 = (
-        jr
-        * ju**2
-        * ups
-        * ((e0 * e0 - vl.u * vr.u * ht2) / w2l)
-        * (vr.u * m.a_r - 1j * vr.c2 * e0)
-    )
-    om2 = jr * ju * ups * 1j * vr.u * e0 * (vl.u * m.a_l - 1j * vl.c2 * e0)
+    s = root.scalars
+    jr, ju, ups, e0 = s.jump_rho, s.jump_u, s.upsilon, s.e0
+    om1 = jr * ju * ups * (s.w2_r / s.w2_l) * 1j * s.vl.u * e0 * s.zr_m
+    om2 = jr * ju * ups * 1j * s.vr.u * e0 * s.zl_m
+    om3 = jr * ju**2 * ups * ((e0 * e0 - s.vl.u * s.vr.u * s.ht2) / s.w2_l) * s.zr_m
     return complex(om1), complex(om2), complex(om3)
 
 
 def _ltilde_rows(root: RootData) -> np.ndarray:
     """The packaged rows lt1, lt2, lt3 as full 2(d+1) rows: lt1 and lt3 in
     the left block, lt2 in the right block."""
-    pb, eta, m = root.pb, root.eta, root.modes
-    vl, vr = pb.left, pb.right
-    e0 = eta.eta0
-    et = eta.eta_t
-    ht2 = eta.ht2
-    b1p, b2p = m.beta_plus[0], m.beta_plus[1]
-    n = pb.d + 1
+    s, et = root.scalars, root.eta.eta_t
+    ul, e0 = s.vl.u, s.e0
+    b1p, b2p = root.modes.beta_plus[0], root.modes.beta_plus[1]
+    n = root.pb.d + 1
     rows = np.zeros((3, 2 * n), dtype=complex)
-    rows[0, :n] = np.concatenate(([1j * e0 - 2.0 * vl.u * b1p], -1j * et, [b1p]))
-    rows[1, n:] = np.concatenate(([-1j * e0 - 2.0 * vr.u * b2p], 1j * et, [b2p]))
-    rows[2, :n] = np.concatenate(([-vl.u**2 * ht2], e0 * et, [vl.u * ht2]))
+    rows[0, :n] = np.concatenate(([1j * e0 - 2.0 * ul * b1p], -1j * et, [b1p]))
+    rows[1, n:] = np.concatenate(([-1j * e0 - 2.0 * s.vr.u * b2p], 1j * et, [b2p]))
+    rows[2, :n] = np.concatenate(([-ul**2 * s.ht2], e0 * et, [ul * s.ht2]))
     return rows
 
 
@@ -341,22 +325,14 @@ def kernel_constants(root: RootData) -> KernelConstants:
     """Evaluate every closed-form kernel constant at the root.  Raises
     DegeneracyError when alpha0 or Q_nat, the scales of their residuals, is 0
     or not finite."""
-    pb, eta, m = root.pb, root.eta, root.modes
-    vl, vr = pb.left, pb.right
-    e0 = eta.eta0
-    ht2 = eta.ht2
-    jr, ju = pb.jump_rho, pb.jump_u
-    ups = m.frame.upsilon
-    al, ar = m.a_l, m.a_r
-    g1, g2 = root.gamma1, root.gamma2
+    s, m, g1, g2 = root.scalars, root.modes, root.gamma1, root.gamma2
+    vl, vr, e0, ht2, al, ar = s.vl, s.vr, s.e0, s.ht2, s.a_l, s.a_r
+    jr, ju, ups, w2l, w2r = s.jump_rho, s.jump_u, s.upsilon, s.w2_l, s.w2_r
     b1m, b2m = m.beta_minus[0], m.beta_minus[1]
     b1p, b2p = m.beta_plus[0], m.beta_plus[1]
     # The finiteness test below reports an overflow here as DegeneracyError.
     with np.errstate(over="ignore", invalid="ignore"):
-        w2r = e0 * e0 + vr.u**2 * ht2
-        w2l = e0 * e0 + vl.u**2 * ht2
-        ratio = (vl.u * ar + 1j * vr.c2 * e0) / (vl.u * ar - 1j * vr.c2 * e0)
-
+        ratio = s.xr_p / s.xr_m
         Q = 2.0 * jr * ju * ups * w2r * (b1m + b2m) * 1j * vl.u * vr.u * al * ar * ratio
         Q_l = jr * ju * ups * vl.u * vr.u * (ar / al) * w2r * w2l * g1 * (1j * e0 - vl.u * b1m)
         Q_r = jr * ju * ups * vl.u * vr.u * (al / ar) * w2r**2 * g2 * (1j * e0 + vr.u * b2m)
@@ -408,24 +384,12 @@ def b_identity_values(root: RootData) -> Tuple[complex, complex]:
         u_l (u_r a_l - i c_l^2 eta0) B_l = -i eta0 (u_l a_l + i c_l^2 eta0)
         u_r (u_l a_r - i c_r^2 eta0) B_r = -i eta0 (u_r a_r + i c_r^2 eta0)
     """
-    pb, eta, m = root.pb, root.eta, root.modes
-    vl, vr = pb.left, pb.right
-    e0 = eta.eta0
-    ht2 = eta.ht2
-    al, ar = m.a_l, m.a_r
-    g1, g2 = root.gamma1, root.gamma2
-    X = (vl.u * ar + 1j * vr.c2 * e0) / (vl.u * ar - 1j * vr.c2 * e0)
-    mix = (e0 * e0 + vl.u * vr.u * ht2) / (pb.j * pb.jump_u * e0)
-    B_l = (
-        m.beta_minus[0] * X
-        - 1j * (g1 / vl.rho) * (1j * e0 - vl.u * m.beta_minus[0])
-        - mix * vl.c2 * g1
-    )
-    B_r = (
-        m.beta_minus[1] * X
-        - 1j * (g2 / vr.rho) * (1j * e0 + vr.u * m.beta_minus[1])
-        + mix * vr.c2 * g2
-    )
+    s, m, g1, g2 = root.scalars, root.modes, root.gamma1, root.gamma2
+    vl, vr, e0, b1m, b2m = s.vl, s.vr, s.e0, m.beta_minus[0], m.beta_minus[1]
+    X = s.xr_p / s.xr_m
+    mix = (e0 * e0 + vl.u * vr.u * s.ht2) / (root.pb.j * s.jump_u * e0)
+    B_l = b1m * X - 1j * (g1 / vl.rho) * (1j * e0 - vl.u * b1m) - mix * vl.c2 * g1
+    B_r = b2m * X - 1j * (g2 / vr.rho) * (1j * e0 + vr.u * b2m) + mix * vr.c2 * g2
     return complex(B_l), complex(B_r)
 
 

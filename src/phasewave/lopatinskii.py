@@ -12,7 +12,10 @@ share.  The zero of the root factor, the surface wave, is the positive root
 of a quadratic in eta0^2, computed in closed form by `find_root`.  The
 cofactor functional sigma* at the root comes from the closed component
 formulas; `sigma_methods_residual` recomputes it from the first-column
-minors of the raw determinant and compares the two.
+minors of the raw determinant and compares the two.  Every closed form at
+the root, here and in `kernel`, reads the root quantities from one
+`RootScalars`, built once by `find_root`, whose docstring defines them; the
+oracles (`det_raw`, the minors, `gamma_linear_residual`) do not read it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .equilibrium import PhaseBoundary
+from .equilibrium import FluidState, PhaseBoundary
 from .errors import DegeneracyError, InconsistencyError, NoRootError
 from .modes import (
     BoundaryOperators,
@@ -109,8 +112,63 @@ class SigmaData:
 
 
 @dataclass(frozen=True, eq=False)
+class RootScalars:
+    """The root quantities every closed form at the root is written in.
+
+    For the left (l) and right (r) states (rho, u, c^2) and the root
+    (eta0, eta_t): the states `vl`, `vr`; `e0` = eta0 and `ht2` = |eta_t|^2;
+    the decay radicals `a_l` < 0 < `a_r`; `upsilon` = Upsilon =
+    (-u_r eta0)^(d-2) u_r det(e); `jump_rho` = [rho] and `jump_u` = [u],
+    right minus left; `w2_l` = w_l^2 = eta0^2 + u_l^2 |eta_t|^2 and `w2_r` =
+    w_r^2 likewise; and the eight acoustic factors, own side (z: each
+    radical with its own state's velocity) and cross side (x: with the
+    other state's):
+
+        zl_p, zl_m = z_l± = u_l a_l ± i c_l^2 eta0
+        zr_p, zr_m = z_r± = u_r a_r ± i c_r^2 eta0
+        xl_p, xl_m = x_l± = u_r a_l ± i c_l^2 eta0
+        xr_p, xr_m = x_r± = u_l a_r ± i c_r^2 eta0
+    """
+
+    vl: FluidState
+    vr: FluidState
+    e0: float
+    ht2: float
+    a_l: float
+    a_r: float
+    upsilon: float
+    jump_rho: float
+    jump_u: float
+    w2_l: float
+    w2_r: float
+    zl_p: complex
+    zl_m: complex
+    zr_p: complex
+    zr_m: complex
+    xl_p: complex
+    xl_m: complex
+    xr_p: complex
+    xr_m: complex
+
+    @classmethod
+    def at(cls, pb: PhaseBoundary, eta: Frequency, modes: ModeSet) -> "RootScalars":
+        """The scalars at a float eta0, from the radicals and Upsilon of modes."""
+        vl, vr, e0, ht2, al, ar = pb.left, pb.right, eta.eta0, eta.ht2, modes.a_l, modes.a_r
+        return cls(
+            vl=vl, vr=vr, e0=e0, ht2=ht2, a_l=al, a_r=ar, upsilon=modes.frame.upsilon,
+            jump_rho=pb.jump_rho, jump_u=pb.jump_u,
+            w2_l=e0 * e0 + vl.u**2 * ht2, w2_r=e0 * e0 + vr.u**2 * ht2,
+            zl_p=vl.u * al + 1j * vl.c2 * e0, zl_m=vl.u * al - 1j * vl.c2 * e0,
+            zr_p=vr.u * ar + 1j * vr.c2 * e0, zr_m=vr.u * ar - 1j * vr.c2 * e0,
+            xl_p=vr.u * al + 1j * vl.c2 * e0, xl_m=vr.u * al - 1j * vl.c2 * e0,
+            xr_p=vl.u * ar + 1j * vr.c2 * e0, xr_m=vl.u * ar - 1j * vr.c2 * e0,
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class RootData:
-    """A Lopatinskii root with the mode and projection data evaluated there."""
+    """A Lopatinskii root with the mode and projection data evaluated there,
+    and the root scalars every closed form reads."""
 
     pb: PhaseBoundary
     eta: Frequency
@@ -119,57 +177,37 @@ class RootData:
     sigma: SigmaData
     gamma1: complex
     gamma2: complex
+    scalars: RootScalars
 
 
-def _sigma_closed(pb: PhaseBoundary, eta: Frequency, modes: ModeSet) -> SigmaData:
-    vl, vr = pb.left, pb.right
-    e0 = eta.eta0
-    ht2 = eta.ht2
-    al, ar = modes.a_l, modes.a_r
-    ju = pb.jump_u
-    ups = modes.frame.upsilon
-    w2 = e0 * e0 + vr.u**2 * ht2
-
-    d1_plus_mu_dd2 = -w2 * (
+def _sigma_closed(pb: PhaseBoundary, eta_t: np.ndarray, s: RootScalars) -> SigmaData:
+    vl, vr, e0, al, ar, ju = s.vl, s.vr, s.e0, s.a_l, s.a_r, s.jump_u
+    d1_plus_mu_dd2 = -s.w2_r * (
         ju * vl.c2 * vr.c2 * e0 - 1j * vl.u * vr.u * (vr.c2 * al - vl.c2 * ar)
     )
-    Dt = -ju * vr.u * (
-        al * (vr.u * ar - 1j * vr.c2 * e0) + ar * (vl.u * al - 1j * vl.c2 * e0)
-    )
-    Dd1 = -1j * w2 * (vr.u * vr.c2 * al - vl.u * vl.c2 * ar)
+    Dt = -ju * vr.u * (al * s.zr_m + ar * s.zl_m)
+    Dd1 = -1j * s.w2_r * (vr.u * vr.c2 * al - vl.u * vl.c2 * ar)
     Dd2 = (
-        ju * e0 * (al * ar + vl.c2 * vr.c2 * ht2)
+        ju * e0 * (al * ar + vl.c2 * vr.c2 * s.ht2)
         + 1j * e0 * e0 * (vr.c2 * al - vl.c2 * ar)
-        - 1j
-        * ht2
-        * (vr.u * (vl.u - 2.0 * vr.u) * vr.c2 * al + vl.u * vr.u * vl.c2 * ar)
+        - 1j * s.ht2 * (vr.u * (vl.u - 2.0 * vr.u) * vr.c2 * al + vl.u * vr.u * vl.c2 * ar)
     )
     D1 = d1_plus_mu_dd2 - pb.mu * Dd2
-
-    d = pb.d
-    sigma_star = np.empty(d + 2, dtype=complex)
-    sigma_star[0] = D1
-    sigma_star[1:d] = Dt * eta.eta_t
-    sigma_star[d] = Dd1
-    sigma_star[d + 1] = Dd2
-    sigma_star = ups * sigma_star
+    sigma_star = s.upsilon * np.concatenate(([D1], Dt * eta_t, [Dd1, Dd2]))
     return SigmaData(sigma_star=sigma_star, D1=D1, Dt=Dt, Dd1=Dd1, Dd2=Dd2)
 
 
 def _sigma_minors(pb: PhaseBoundary, modes: ModeSet, ops: BoundaryOperators) -> np.ndarray:
-    """sigma* from first-column cofactors of the raw determinant."""
-    d = pb.d
+    """sigma* from first-column cofactors of the raw determinant: the d+2
+    matrices with e_m in column 0, in one stacked determinant call."""
+    n = pb.d + 2
     cols = _boundary_columns(ops.H, modes.R_minus)
-    if np.linalg.matrix_rank(cols) < d + 1:
+    if np.linalg.matrix_rank(cols) < n - 1:
         raise InconsistencyError("boundary columns H R_j^- are rank deficient")
-    M = np.empty((d + 2, d + 2), dtype=complex)
-    M[:, 1:] = cols
-    sigma_star = np.empty(d + 2, dtype=complex)
-    for m in range(d + 2):
-        M[:, 0] = 0.0
-        M[m, 0] = 1.0
-        sigma_star[m] = np.linalg.det(M)
-    return sigma_star
+    M = np.empty((n, n, n), dtype=complex)
+    M[:, :, 0] = np.eye(n)
+    M[:, :, 1:] = cols
+    return np.linalg.det(M)
 
 
 def sigma_methods_residual(root: RootData) -> float:
@@ -180,29 +218,19 @@ def sigma_methods_residual(root: RootData) -> float:
     return float(np.max(np.abs(s_min - s_cls)) / np.max(np.abs(s_cls)))
 
 
-def _gamma_pair(pb: PhaseBoundary, eta: Frequency, modes: ModeSet) -> Tuple[complex, complex]:
-    vl, vr = pb.left, pb.right
-    e0 = eta.eta0
-    al, ar = modes.a_l, modes.a_r
-    jr = pb.jump_rho
-    den1 = vr.u * al - 1j * vl.c2 * e0
-    den2 = vl.u * ar - 1j * vr.c2 * e0
-    if den1 == 0 or den2 == 0 or al == 0 or ar == 0:
+def _gamma_pair(s: RootScalars) -> Tuple[complex, complex]:
+    if s.xl_m == 0 or s.xr_m == 0 or s.a_l == 0 or s.a_r == 0:
         raise DegeneracyError("vanishing denominator in the gamma coefficients")
-    g1 = jr * vr.u * e0 / den1
-    g2 = -jr * vl.u * e0 / den2
+    g1 = s.jump_rho * s.vr.u * s.e0 / s.xl_m
+    g2 = -s.jump_rho * s.vl.u * s.e0 / s.xr_m
     return complex(g1), complex(g2)
 
 
 def gamma_alternative_forms(root: RootData) -> Tuple[complex, complex]:
     """The second printed forms of gamma_1, gamma_2 (valid at the root only)."""
-    pb, eta, modes = root.pb, root.eta, root.modes
-    vl, vr = pb.left, pb.right
-    e0 = eta.eta0
-    al, ar = modes.a_l, modes.a_r
-    jr = pb.jump_rho
-    g1 = -1j * jr * vr.c2 * e0 * e0 / (al * (vl.u * ar - 1j * vr.c2 * e0))
-    g2 = 1j * jr * vl.c2 * e0 * e0 / (ar * (vr.u * al - 1j * vl.c2 * e0))
+    s = root.scalars
+    g1 = -1j * s.jump_rho * s.vr.c2 * s.e0 * s.e0 / (s.a_l * s.xr_m)
+    g2 = 1j * s.jump_rho * s.vl.c2 * s.e0 * s.e0 / (s.a_r * s.xl_m)
     return complex(g1), complex(g2)
 
 
@@ -262,7 +290,8 @@ def find_root(pb: PhaseBoundary, eta_t: np.ndarray) -> RootData:
     # The finiteness test below reports an overflow here as NoRootError.
     with np.errstate(over="ignore", invalid="ignore"):
         modes = normal_modes(pb, eta)
-        sigma = _sigma_closed(pb, eta, modes)
+        scalars = RootScalars.at(pb, eta, modes)
+        sigma = _sigma_closed(pb, eta_t, scalars)
     arrays = (
         modes.beta_minus, modes.beta_plus, modes.R_minus, modes.R_plus,
         modes.L_minus, modes.L_plus, sigma.sigma_star,
@@ -270,15 +299,17 @@ def find_root(pb: PhaseBoundary, eta_t: np.ndarray) -> RootData:
     if not all(np.isfinite(a).all() for a in arrays):
         raise NoRootError(f"mode or sigma data at the root eta0 = {e0!r} is not finite")
     ops = boundary_operators(pb, eta)
-    g1, g2 = _gamma_pair(pb, eta, modes)
-    return RootData(pb=pb, eta=eta, modes=modes, ops=ops, sigma=sigma, gamma1=g1, gamma2=g2)
+    g1, g2 = _gamma_pair(scalars)
+    return RootData(
+        pb=pb, eta=eta, modes=modes, ops=ops, sigma=sigma, gamma1=g1, gamma2=g2, scalars=scalars
+    )
 
 
 def root_relation_residual(root: RootData) -> float:
     """Residual of the root factor F at the root, relative to c_l^2 c_r^2 eta0^2."""
-    pb, modes, e0 = root.pb, root.modes, root.eta.eta0
-    scale = pb.left.c2 * pb.right.c2 * e0 * e0
-    return abs(_root_factor(pb, e0, modes.a_l, modes.a_r)) / scale
+    s = root.scalars
+    scale = s.vl.c2 * s.vr.c2 * s.e0 * s.e0
+    return abs(_root_factor(root.pb, s.e0, s.a_l, s.a_r)) / scale
 
 
 def gamma_linear_residual(root: RootData) -> float:
@@ -300,31 +331,15 @@ def gamma_linear_residual(root: RootData) -> float:
 
 def lemma4_residuals(root: RootData) -> np.ndarray:
     """Relative residuals of the six closed products gamma_i * D-component."""
-    pb, eta, modes = root.pb, root.eta, root.modes
-    vl, vr = pb.left, pb.right
-    e0 = eta.eta0
-    ht2 = eta.ht2
-    al, ar = modes.a_l, modes.a_r
-    jr, ju = pb.jump_rho, pb.jump_u
-    g1, g2 = root.gamma1, root.gamma2
-    sig = root.sigma
-    w2 = e0 * e0 + vr.u**2 * ht2
-
+    s, g1, g2, sig = root.scalars, root.gamma1, root.gamma2, root.sigma
+    jr, ju, ur, e0, ht2, w2 = s.jump_rho, s.jump_u, s.vr.u, s.e0, s.ht2, s.w2_r
     pairs = [
-        (g1 * sig.Dt, -jr * ju * vr.u * e0 * (vr.u * ar - 1j * vr.c2 * e0)),
-        (g2 * sig.Dt, jr * ju * vr.u * e0 * (vl.u * al - 1j * vl.c2 * e0)),
-        (g1 * sig.Dd1, -jr * vr.u * w2 * (vl.u * ar + 1j * vr.c2 * e0)),
-        (g2 * sig.Dd1, -jr * vl.u * w2 * (vr.u * al + 1j * vl.c2 * e0)),
-        (
-            g1 * sig.Dd2,
-            jr * w2 * (vr.u * ar + 1j * vr.c2 * e0)
-            - jr * ju * vr.u * ht2 * (vr.u * ar - 1j * vr.c2 * e0),
-        ),
-        (
-            g2 * sig.Dd2,
-            jr * w2 * (vl.u * al + 1j * vl.c2 * e0)
-            + jr * ju * vr.u * ht2 * (vl.u * al - 1j * vl.c2 * e0),
-        ),
+        (g1 * sig.Dt, -jr * ju * ur * e0 * s.zr_m),
+        (g2 * sig.Dt, jr * ju * ur * e0 * s.zl_m),
+        (g1 * sig.Dd1, -jr * ur * w2 * s.xr_p),
+        (g2 * sig.Dd1, -jr * s.vl.u * w2 * s.xl_p),
+        (g1 * sig.Dd2, jr * w2 * s.zr_p - jr * ju * ur * ht2 * s.zr_m),
+        (g2 * sig.Dd2, jr * w2 * s.zl_p + jr * ju * ur * ht2 * s.zl_m),
     ]
     return np.array(
         [abs(lhs - rhs) / max(abs(lhs), abs(rhs)) for lhs, rhs in pairs]
@@ -334,27 +349,17 @@ def lemma4_residuals(root: RootData) -> np.ndarray:
 def dd1_factorization_residual(root: RootData) -> float:
     """Both factorizations of eta0 * D_{d+1} must agree at the root; a NaN in
     any of them gives NaN."""
-    pb, eta, modes = root.pb, root.eta, root.modes
-    vl, vr = pb.left, pb.right
-    e0 = eta.eta0
-    w2 = e0 * e0 + vr.u**2 * eta.ht2
-    al, ar = modes.a_l, modes.a_r
-    lhs = -w2 * (vr.u * al - 1j * vl.c2 * e0) * (vl.u * ar + 1j * vr.c2 * e0)
-    rhs = w2 * (vr.u * al + 1j * vl.c2 * e0) * (vl.u * ar - 1j * vr.c2 * e0)
-    target = e0 * root.sigma.Dd1
+    s = root.scalars
+    lhs = -s.w2_r * s.xl_m * s.xr_p
+    rhs = s.w2_r * s.xl_p * s.xr_m
+    target = s.e0 * root.sigma.Dd1
     scale = np.maximum(abs(lhs), abs(target))
     return float(np.maximum(abs(lhs - target), abs(rhs - target)) / scale)
 
 
 def sigma_r3_residual(root: RootData) -> float:
     """Residual of D1 + eta0*Dt + 2 u_r Dd1 + (mu + u_r^2) Dd2 = 0."""
-    sig = root.sigma
-    pb, e0 = root.pb, root.eta.eta0
-    val = (
-        sig.D1
-        + e0 * sig.Dt
-        + 2.0 * pb.right.u * sig.Dd1
-        + (pb.mu + pb.right.u**2) * sig.Dd2
-    )
+    sig, e0, ur = root.sigma, root.scalars.e0, root.scalars.vr.u
+    val = sig.D1 + e0 * sig.Dt + 2.0 * ur * sig.Dd1 + (root.pb.mu + ur**2) * sig.Dd2
     scale = max(abs(sig.D1), abs(sig.Dd1), abs(sig.Dd2), abs(sig.Dt) * max(abs(e0), 1.0))
     return abs(val) / scale

@@ -261,6 +261,52 @@ class TestCoeffs:
         assert capsys.readouterr().out.strip() == f"coeffs: FAIL ({row['name']})"
 
 
+class TestRootScalars:
+    @pytest.mark.parametrize(
+        "field, row",
+        [
+            ("w2_l", "oracle-vs-closed"),
+            ("w2_r", "alpha0-closed-vs-abstract"),
+            # The own-side factors z enter no other row read after the root:
+            # sigma, built from them, is not recomputed here.
+            ("zl_p", "lemma4-identities"),
+            ("zl_m", "lemma4-identities"),
+            ("zr_p", "lemma4-identities"),
+            ("zr_m", "lemma4-identities"),
+            ("xl_p", "dd1-factorizations"),
+            ("xl_m", "gamma-forms"),
+            ("xr_p", "b-identity"),
+            ("xr_m", "b-identity"),
+        ],
+    )
+    def test_perturbed_scalar_fails_a_root_row(self, tmp_path, monkeypatch, field, row):
+        # Each shared root quantity is read by a closed form that some check
+        # or coeffs row compares with an oracle: a 1e-6 relative error in it
+        # alone, in the root both commands read, fails that row.  coeffs
+        # computes its kernel constants from the perturbed root.
+        import dataclasses
+
+        import phasewave.cli as cli_mod
+
+        find = cli_mod.find_root
+
+        def perturbed(pb, eta_t):
+            root = find(pb, eta_t)
+            value = getattr(root.scalars, field) * (1 + 1e-6)
+            return dataclasses.replace(
+                root, scalars=dataclasses.replace(root.scalars, **{field: value})
+            )
+
+        monkeypatch.setattr(cli_mod, "find_root", perturbed)
+        cfg = write_config(tmp_path)
+        failed = []
+        for command in ("check", "coeffs"):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) in (0, 1)
+            report = json.loads((tmp_path / f"{command}.json").read_text())
+            failed += [item["name"] for item in report["invariants"] if not item["pass"]]
+        assert row in failed
+
+
 class TestSimulate:
     def test_zero_amplitude_zero_l2(self, tmp_path):
         cfg = write_config(tmp_path, overrides={"sim.init.A": 0.0})

@@ -193,6 +193,46 @@ def test_nonfinite_kernel_constant_is_refused(tmp_path, capsys, scale):
 
 
 @pytest.mark.parametrize(
+    "command, eta_t, failed",
+    [
+        pytest.param(
+            "check",
+            1e100,
+            [
+                "delta-raw-vs-closed",
+                "surface-wave-root (floating point cannot represent the root (eta0 = nan))",
+            ],
+            id="check-1e100",
+        ),
+        pytest.param(
+            "coeffs",
+            1e50,
+            [
+                "oracle-vs-closed",
+                "region1-constancy",
+                "region2-proportionality",
+                "hamiltonian-symmetry",
+            ],
+            id="coeffs-1e50",
+        ),
+    ],
+)
+def test_huge_wavevector_overflow_is_a_failed_row(tmp_path, capsys, command, eta_t, failed):
+    # fixture_a with a huge tangential wavevector: check's determinant sweep
+    # overflows at 1e100, where no root is representable either, and coeffs'
+    # oracle at 1e50.  Each overflow is a NaN residual, a failed row in the
+    # written report, not a RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(tmp_path, command, eta_t=[eta_t]) == 1
+    report = json.loads((tmp_path / "out" / f"{command}.json").read_text())
+    rows = [item for item in report["invariants"] if not item["pass"]]
+    assert [item["name"] for item in rows] == failed
+    assert rows[0]["residual"] == "nan"
+    assert capsys.readouterr().out.strip() == f"{command}: FAIL ({failed[-1]})"
+
+
+@pytest.mark.parametrize(
     "base, changes",
     [
         pytest.param(RAW, {"left__rho": -1}, id="negative-density"),
