@@ -14,8 +14,9 @@ unknown, missing or mistyped field at any level, `sim` and `sim.init`
 included, or a section the subcommand needs) or a negative --seed; 1 a
 physics or value-range failure (a failed invariant, an inadmissible state or
 parameter, no surface wave because floating point could not represent the
-root, an empty scan interval).  The seed, the config's `seed` or --seed,
-fixes check's sample frequencies and the 'random_smooth' initial spectrum.
+root, an empty scan interval, a scan determinant that is not finite).  The
+seed, the config's `seed` or --seed, fixes check's sample frequencies and
+the 'random_smooth' initial spectrum.
 """
 
 from __future__ import annotations
@@ -92,11 +93,12 @@ def _fmt(x: float) -> str:
 
 
 def _to_json(obj, indent: int = 0) -> str:
-    # Complex and float values are most of every report, so they are tested
-    # first.
-    if isinstance(obj, (complex, np.complexfloating)):
+    # The reports hold dicts, lists, str, bool, float and complex (numpy's
+    # float64 and complex128 are subclasses of the last two).  Complex and
+    # float values are most of every report, so they are tested first.
+    if isinstance(obj, complex):
         return f"[{_fmt(obj.real)}, {_fmt(obj.imag)}]"
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         return _fmt(obj)
     pad = "  " * indent
     if isinstance(obj, dict):
@@ -106,18 +108,13 @@ def _to_json(obj, indent: int = 0) -> str:
             f'{pad}  "{key}": {_to_json(val, indent + 1)}' for key, val in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         if not obj:
             return "[]"
-        flat = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj)
-        if flat:
-            return "[" + ", ".join(_fmt(v) if isinstance(v, float) else str(v) for v in obj) + "]"
         items = [f"{pad}  {_to_json(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if obj is None or isinstance(obj, (bool, str)):
+    if isinstance(obj, (bool, str)):
         return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
@@ -239,12 +236,20 @@ def cmd_scan(cfg: dict, outdir: Path, seed: int) -> int:
         return 1
     grid = np.linspace(lo, hi, sc["steps"])
     eta = Frequency(grid, eta_t)
-    raw, closed = det_raw(pb, eta), det_closed(pb, eta)
+    # A determinant that overflows (a huge eta_t) is written as it is, and
+    # then fails the scan.
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw, closed = det_raw(pb, eta), det_closed(pb, eta)
+    table = np.column_stack([grid, raw.real, raw.imag, closed.real, closed.imag])
     _write_csv(
         outdir / "scan.csv",
         ["eta0", "re_delta_raw", "im_delta_raw", "re_delta_closed", "im_delta_closed"],
-        np.column_stack([grid, raw.real, raw.imag, closed.real, closed.imag]).tolist(),
+        table.tolist(),
     )
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if bad.size:
+        print(f"scan: determinant not finite at eta0 = {_fmt(grid[bad[0]])}")
+        return 1
     # Sign of the root factor, tracked to flag the surface-wave bracket.
     negative = np.signbit(root_factor(pb, eta))
     changes = np.flatnonzero(negative[1:] != negative[:-1])

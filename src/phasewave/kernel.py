@@ -7,8 +7,9 @@ finite difference of `det_closed` in eta0).  The kernel is `q_oracle`, the
 five pieces q_1..q_5 from boundary traces, second differentials of the
 fluxes and exact half-line integrals of exponential profiles (see `expsum`),
 and `kernel_constants`, the factorized constants Q, Q_l, Q_r, Q_sharp, Q_b,
-Q_nat.  The completed kernel q(k, k') is piecewise homogeneous of degree
-zero:
+Q_nat; `final_simplification_residual` ties Q_nat to Q and Q_b.  The
+completed kernel `q_grid` is fixed by Q_nat alone and is piecewise
+homogeneous of degree zero:
 
     q = Q_nat                     for k > 0, k' > 0
     q = conj(Q_nat) (1 + k'/k)    for k > 0 > k', k + k' > 0
@@ -17,10 +18,10 @@ extended to the rest of the plane by index symmetry q(k,k') = q(k',k) and
 reality q(-k,-k') = conj(q(k,k')), with the value 0 on the anti-diagonal and
 the real part of Q_nat on the coordinate axes (the principal-value choice).
 On k1 + k2 + k3 = 0, q(k1, k2)/|k3| is invariant under cyclic shifts (Hunter's
-Hamiltonian symmetry); `oracle_vs_closed` checks it on the oracle.  The
-closed forms read the root quantities (w^2, the acoustic factors z and x)
-from `RootData.scalars`, defined in `lopatinskii.RootScalars`; the oracle
-routes do not.
+Hamiltonian symmetry).  `oracle_vs_closed` judges the summed oracle against
+`q_grid` and checks that symmetry on the oracle.  The closed forms read the
+root quantities (w^2, the acoustic factors z and x) from `RootData.scalars`,
+defined in `lopatinskii.RootScalars`; the oracle routes do not.
 """
 
 from __future__ import annotations
@@ -60,23 +61,25 @@ def alpha0_closed(root: RootData) -> complex:
     return complex(-s.jump_rho * s.jump_u * s.upsilon / e0 * s.w2_r * brace)
 
 
+def _plus_couplings(root: RootData) -> np.ndarray:
+    """sigma* H R_p^+ for each + mode p, read by `alpha0_abstract` and
+    `dual_profile`; 0 for p >= 4."""
+    sig, H = root.sigma.sigma_star, root.ops.H
+    return np.array([sig @ (H @ r) for r in root.modes.R_plus])
+
+
 def alpha0_abstract(root: RootData) -> complex:
     """alpha0 as the projected mode sum: sigma* of the temporal flux jump plus
     each + mode's coupling to the incoming modes via 1/(beta_p^+ - beta_q^-)."""
     pb, eta, modes, ops = root.pb, root.eta, root.modes, root.ops
-    d = pb.d
-    e0 = eta.eta0
-    sig = root.sigma.sigma_star
 
     # Jump of the temporal flux, written through J(v)eta minus its pressure part.
-    press = np.zeros(d + 2, dtype=complex)
-    press[1:d] = pb.jump_p * eta.eta_t
-    f0_jump = (ops.Jeta - press) / e0
-    total = sig @ f0_jump
+    press = np.zeros(pb.d + 2, dtype=complex)
+    press[1 : pb.d] = pb.jump_p * eta.eta_t
+    total = root.sigma.sigma_star @ ((ops.Jeta - press) / eta.eta0)
 
     gammas = (root.gamma1, root.gamma2)
-    for p in range(d + 1):
-        shr = sig @ (ops.H @ modes.R_plus[p])
+    for p, shr in enumerate(_plus_couplings(root)):
         for q in range(2):
             num = np.conj(modes.L_plus[p]) @ (gammas[q] * modes.R_minus[q])
             total = total + 1j * shr * num / (modes.beta_plus[p] - modes.beta_minus[q])
@@ -127,15 +130,14 @@ def trace_profile(root: RootData, k: float) -> ExpProfile:
 def dual_profile(root: RootData, k: float) -> ExpProfile:
     """Row-valued dual profile L(k, .) for k > 0.
 
-    The sum runs over the whole + family; the advected coefficients
-    sigma* H R_p^+ vanish for p >= 4, leaving the three printed terms.
+    The sum runs over the whole + family; the advected couplings
+    sigma* H R_p^+ (`_plus_couplings`) vanish for p >= 4, leaving the three
+    printed terms.
     """
     if k <= 0.0:
         raise DomainError(f"dual profile requires k > 0, got {k}")
     m = root.modes
-    sig, H = root.sigma.sigma_star, root.ops.H
-    advected = np.array([sig @ (H @ r) for r in m.R_plus])
-    return ExpProfile(advected * np.conj(m.L_plus).T, -k * m.beta_plus)
+    return ExpProfile(_plus_couplings(root) * np.conj(m.L_plus).T, -k * m.beta_plus)
 
 
 def _omegas(root: RootData) -> Tuple[complex, complex, complex]:
@@ -399,21 +401,6 @@ def b_identity_residual(root: RootData) -> float:
     return abs(bl + br) / (abs(bl) + abs(br))
 
 
-def corollary_closed(root: RootData, kc: KernelConstants, k: float, kp: float) -> complex:
-    """Region-wise closed form of the summed kernel before final assembly."""
-    vl, vr = root.pb.left, root.pb.right
-    if k > 0.0 and kp > 0.0:
-        return kc.Q_nat
-    if k > 0.0 > kp and k + kp > 0.0:
-        return (
-            (vl.pp / 2.0 - vl.c2 / vl.rho) * np.conj(kc.Q_l)
-            + (vr.pp / 2.0 - vr.c2 / vr.rho) * np.conj(kc.Q_r)
-            + kc.Q_b
-            + np.conj(kc.Q)
-        ) * (1.0 + kp / k)
-    raise DomainError("closed forms cover k,k'>0 and k>0>k' with k+k'>0 only")
-
-
 @dataclass(eq=False)
 class Kernel:
     """Completed kernel with its constants."""
@@ -463,30 +450,33 @@ _TRIAD_POINTS = tuple((k, kp) if k + kp > 0.0 else (-k, -kp) for k, kp, _ in _TR
 
 
 def oracle_vs_closed(root: RootData, kc: KernelConstants, samples: Iterable[Tuple[float, float]]) -> Dict:
-    """Compare summed oracle kernels against the closed forms over samples,
-    and check the oracle's own Hamiltonian symmetry.
+    """Compare summed oracle kernels against the completed kernel `q_grid`
+    over samples, and check the oracle's own Hamiltonian symmetry.
 
-    Returns the maximum relative deviation (NaN if any deviation is), the
-    region-constancy and mixed-region proportionality spreads, the
-    conjugation of Q that q5 follows at the first mixed-region sample, and
-    the Hamiltonian-symmetry spread: that of Lambda(k1, k2, k3) =
-    q(k1, k2)/|k3| over the cyclic shifts of the triad (1, 2, -3), relative
-    to max |Lambda|, with q the summed oracle completed only by reality.  The
-    shift (2, -3, 1) reads (-2, 3), where no closed form is stated.  The
-    oracle is one `q_oracle` call over the samples and the triad points.
+    The samples lie where the oracle is stated, k, k' != 0 with k + k' > 0.
+    Returns the maximum relative deviation from `q_grid` (NaN if any
+    deviation is), the region-constancy and mixed-region proportionality
+    spreads, the conjugation of Q that q5 follows at the first mixed-region
+    sample, and the Hamiltonian-symmetry spread: that of Lambda(k1, k2, k3)
+    = q(k1, k2)/|k3| over the cyclic shifts of the triad (1, 2, -3),
+    relative to max |Lambda|, with q the summed oracle completed only by
+    reality.  The shift (2, -3, 1) reads (-2, 3), in the index-swapped
+    region.  The oracle is one `q_oracle` call over the samples and the
+    triad points, and the closed values one `q_grid` call over the samples.
     """
     samples = list(samples)
     points = samples + [p for p in _TRIAD_POINTS if p not in samples]
-    qs = q_oracle(root, np.array([k for k, _ in points]), np.array([kp for _, kp in points]))
+    K, KP = np.array(points, dtype=float).T
+    qs = q_oracle(root, K, KP)
     totals = qs[0] + qs[1] + qs[2] + qs[3] + qs[4]
     sums = {p: complex(total) for p, total in zip(points, totals)}
+    closed_vals = q_grid(Kernel(constants=kc), K[: len(samples)], KP[: len(samples)])
     devs = []
     region1_vals = []
     region2_ratios = []
     pattern = None
     for i, (k, kp) in enumerate(samples):
-        total = sums[(k, kp)]
-        closed = corollary_closed(root, kc, k, kp)
+        total, closed = sums[(k, kp)], complex(closed_vals[i])
         devs.append(abs(total - closed) / max(abs(total), abs(closed), 1e-300))
         if k > 0 and kp > 0:
             region1_vals.append(total)

@@ -199,10 +199,13 @@ def _sigma_closed(pb: PhaseBoundary, eta_t: np.ndarray, s: RootScalars) -> Sigma
 
 def _sigma_minors(pb: PhaseBoundary, modes: ModeSet, ops: BoundaryOperators) -> np.ndarray:
     """sigma* from first-column cofactors of the raw determinant: the d+2
-    matrices with e_m in column 0, in one stacked determinant call."""
+    matrices with e_m in column 0, in one stacked determinant call.
+
+    The columns grow at different powers of |eta_t|, so the rank test sees
+    each scaled exactly by its own power of two (`binary_scale`)."""
     n = pb.d + 2
     cols = _boundary_columns(ops.H, modes.R_minus)
-    if np.linalg.matrix_rank(cols) < n - 1:
+    if np.linalg.matrix_rank(cols * binary_scale(cols.T).T) < n - 1:
         raise InconsistencyError("boundary columns H R_j^- are rank deficient")
     M = np.empty((n, n, n), dtype=complex)
     M[:, :, 0] = np.eye(n)

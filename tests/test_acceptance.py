@@ -26,8 +26,8 @@ from phasewave import (
 )
 from phasewave.kernel import (
     b_identity_values,
-    corollary_closed,
     oracle_vs_closed,
+    q_grid,
 )
 from phasewave.lopatinskii import (
     _sigma_minors,
@@ -212,16 +212,17 @@ def test_criterion_5_kernel_oracle_equivalence():
     max_dev = max_const = max_prop = max_lemma4 = max_b = 0.0
     patterns = set()
     for root in roots:
-        kc = kernel_constants(root)
+        kern = build_kernel(root)
+        kc = kern.constants
         vals1, vals2 = [], []
         for k, kp in region1:
             total = sum(q_oracle(root, k, kp))
-            closed = corollary_closed(root, kc, k, kp)
+            closed = complex(q_grid(kern, k, kp))
             max_dev = max(max_dev, abs(total - closed) / abs(kc.Q_nat))
             vals1.append(total)
         for k, kp in region2:
             total = sum(q_oracle(root, k, kp))
-            closed = corollary_closed(root, kc, k, kp)
+            closed = complex(q_grid(kern, k, kp))
             max_dev = max(max_dev, abs(total - closed) / abs(kc.Q_nat))
             vals2.append(total / (1.0 + kp / k))
         arr1, arr2 = np.array(vals1), np.array(vals2)

@@ -233,6 +233,32 @@ def test_huge_wavevector_overflow_is_a_failed_row(tmp_path, capsys, command, eta
 
 
 @pytest.mark.parametrize(
+    "command, eta_t, rc, verdict",
+    [
+        *(
+            pytest.param("check", eta_t, 0, "check: PASS", id=f"check-{eta_t:g}")
+            for eta_t in (1e-50, 1e-20, 1e20, 1e50)
+        ),
+        pytest.param(
+            "scan", 1e100, 1, "scan: determinant not finite at eta0 = 0.050000000000000003",
+            id="scan-1e100",
+        ),
+    ],
+)
+def test_wavevector_scale_is_judged(tmp_path, capsys, command, eta_t, rc, verdict):
+    # fixture_a at tiny and huge tangential wavevectors.  The boundary
+    # columns of the sigma minors grow at different powers of |eta_t|, and
+    # the rank test scales each on its own, so check passes.  At 1e100
+    # scan's determinants overflow: scan.csv is still written, and the scan
+    # fails naming the first eta0 instead of reporting no sign change.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(tmp_path, command, eta_t=[eta_t]) == rc
+    assert capsys.readouterr().out.strip() == verdict
+    assert (tmp_path / "out" / f"{command}.{'csv' if command == 'scan' else 'json'}").exists()
+
+
+@pytest.mark.parametrize(
     "base, changes",
     [
         pytest.param(RAW, {"left__rho": -1}, id="negative-density"),

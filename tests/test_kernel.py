@@ -25,7 +25,6 @@ from phasewave.expsum import pair_dot
 from phasewave.kernel import (
     _omegas,
     b_identity_values,
-    corollary_closed,
     dual_profile_packaged,
     final_simplification_residual,
     q_grid,
@@ -255,15 +254,26 @@ class TestOracle:
     @pytest.mark.parametrize("which", ["root_a", "root_a3"])
     def test_oracle_vs_closed_regions(self, which, request):
         root = request.getfixturevalue(which)
-        kc = kernel_constants(root)
+        kern = build_kernel(root)
         for k, kp in [(1.0, 2.0), (3.0, 5.0), (10.0, 0.1), (0.4, 0.9)]:
             total = sum(q_oracle(root, k, kp))
-            closed = corollary_closed(root, kc, k, kp)
+            closed = complex(q_grid(kern, k, kp))
             assert abs(total - closed) <= 1e-9 * abs(closed)
         for k, kp in [(2.0, -1.0), (3.0, -1.0), (5.0, -4.0), (1.0, -0.2)]:
             total = sum(q_oracle(root, k, kp))
-            closed = corollary_closed(root, kc, k, kp)
-            assert abs(total - closed) <= 1e-9 * max(abs(closed), abs(kc.Q_nat))
+            closed = complex(q_grid(kern, k, kp))
+            assert abs(total - closed) <= 1e-9 * max(abs(closed), abs(kern.constants.Q_nat))
+
+    @pytest.mark.parametrize("which", ["root_a", "vdw"])
+    def test_mixed_region_sees_perturbed_q_nat(self, which, request):
+        # The mixed-region samples alone are judged against conj(Q_nat)
+        # (1 + k'/k), so a 1e-8 error in Q_nat moves the deviation to about
+        # 1e-8, over the 1e-9 tolerance of the oracle-vs-closed row.
+        root = _vdw_root() if which == "vdw" else request.getfixturevalue(which)
+        kc = kernel_constants(root)
+        kc = dataclasses.replace(kc, Q_nat=kc.Q_nat * (1.0 + 1e-8))
+        rep = oracle_vs_closed(root, kc, [(2.0, -1.0), (3.0, -1.0), (5.0, -4.0)])
+        assert rep["max_relative_deviation"] > 1e-9
 
     def test_region1_independence(self, root_a):
         vals = [sum(q_oracle(root_a, k, kp)) for k, kp in [(1.0, 2.0), (3.0, 5.0), (10.0, 0.1)]]
@@ -309,11 +319,20 @@ class TestOracle:
             im = quad(lambda z: integrand(z)[0].imag, 0, zmax, epsabs=1e-10, epsrel=1e-10, limit=300)[0]
             assert abs(exact - (re + 1j * im)) <= 1e-8 * max(1.0, abs(exact))
 
-    def test_max_deviation_keeps_a_nan(self, root_a):
-        # Q_l enters the mixed-region closed forms only, so the NaN deviations
-        # come after finite ones; a Python max over them returned about 1e-15.
-        kc = dataclasses.replace(kernel_constants(root_a), Q_l=complex(math.nan))
-        rep = oracle_vs_closed(root_a, kc, [(1.0, 2.0), (2.0, -1.0)])
+    def test_max_deviation_keeps_a_nan(self, root_a, monkeypatch):
+        # A NaN closed value at the last sample gives a NaN deviation after a
+        # finite one; a Python max over them returned about 1e-15.
+        import phasewave.kernel as kernel_mod
+
+        original = kernel_mod.q_grid
+
+        def nan_last(kernel, K, KP):
+            vals = original(kernel, K, KP)
+            vals[-1] = complex(math.nan)
+            return vals
+
+        monkeypatch.setattr(kernel_mod, "q_grid", nan_last)
+        rep = oracle_vs_closed(root_a, kernel_constants(root_a), [(1.0, 2.0), (2.0, -1.0)])
         assert math.isnan(rep["max_relative_deviation"])
 
     def test_report_on_random_state(self):
@@ -376,8 +395,8 @@ class TestHamiltonianSymmetry:
         assert rep["hamiltonian_symmetry"] <= 1e-10
 
     def test_detects_perturbed_index_swapped_point(self, root_a, monkeypatch):
-        # The point (-2, 3) lies in the index-swapped region that the closed
-        # forms refuse; only the oracle's own symmetry sees it.
+        # The point (-2, 3) lies in the index-swapped region, outside the
+        # samples; only the oracle's own symmetry sees it.
         import phasewave.kernel as kernel_mod
 
         original = kernel_mod.q_oracle
@@ -411,6 +430,15 @@ class TestConstants:
         root = request.getfixturevalue(which)
         kc = kernel_constants(root)
         assert final_simplification_residual(kc, root) <= 1e-10
+
+    @pytest.mark.parametrize("which", ["root_a", "vdw"])
+    def test_final_simplification_sees_perturbed_q_b(self, which, request):
+        # Q_b enters no completed-kernel value, only this identity; a 1e-6
+        # error in it reads 7.5e-8 (fixture_a) and 4.6e-8 (vdW).
+        root = _vdw_root() if which == "vdw" else request.getfixturevalue(which)
+        kc = kernel_constants(root)
+        kc = dataclasses.replace(kc, Q_b=kc.Q_b * (1.0 + 1e-6))
+        assert final_simplification_residual(kc, root) > 1e-10
 
     @pytest.mark.parametrize("which", ["root_a", "root_a3"])
     def test_b_identity(self, which, request):

@@ -53,14 +53,15 @@ def test_check_builds_all_sampled_mode_sets_in_one_call(tmp_path, monkeypatch):
 
 
 def test_coeffs_evaluates_each_value_once(tmp_path, monkeypatch):
-    # One array call covers the six samples and the index-swapped point
-    # (-2, 3) of the symmetry row.
+    # One oracle array call covers the six samples and the index-swapped
+    # point (-2, 3) of the symmetry row, and one q_grid call the six samples.
     oracle = count_calls(monkeypatch, phasewave.kernel, "q_oracle")
+    grid = count_calls(monkeypatch, phasewave.kernel, "q_grid")
     constants = count_calls(monkeypatch, phasewave.kernel, "kernel_constants")
     alpha0 = count_calls(monkeypatch, phasewave.kernel, "alpha0_closed")
     config = CONFIGS / "fixture_a.json"
     assert main(["coeffs", "--config", str(config), "--out", str(tmp_path)]) == 0
-    assert (len(oracle), len(constants), len(alpha0)) == (1, 1, 1)
+    assert (len(oracle), len(grid), len(constants), len(alpha0)) == (1, 1, 1, 1)
 
 
 # The verdict line each subcommand prints, or begins with, on success.
