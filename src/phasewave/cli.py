@@ -15,8 +15,9 @@ included, or a section the subcommand needs) or a negative --seed; 1 a
 physics or value-range failure (a failed invariant, an inadmissible state or
 parameter, no surface wave because floating point could not represent the
 root, an empty scan interval, a scan determinant that is not finite).  The
-seed, the config's `seed` or --seed, fixes check's sample frequencies and
-the 'random_smooth' initial spectrum.
+seed, the config's `seed` or --seed, fixes only the 'random_smooth' initial
+spectrum; `check` judges its mode and determinant rows on one fixed 20-point
+grid across the elliptic interval.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .lopatinskii import (
     gamma_forms_residual,
     gamma_linear_residual,
     lemma4_residuals,
-    root_factor,
     root_relation_residual,
     sigma_methods_residual,
     sigma_r3_residual,
@@ -167,9 +167,8 @@ def cmd_check(cfg: dict, outdir: Path, seed: int) -> int:
 
         stage = "eigenvector-residual"
         eta_t = _eta_t(cfg)
-        e0_max = elliptic_eta0_max(pb, eta_t)
-        rng = np.random.default_rng(seed)
-        modes = normal_modes(pb, Frequency(rng.uniform(0.05, 0.95, 8) * e0_max, eta_t))
+        grid = Frequency(np.linspace(0.05, 0.95, 20) * elliptic_eta0_max(pb, eta_t), eta_t)
+        modes = normal_modes(pb, grid)
         right, left = mode_residuals(modes)
         disp = dispersion_residual(modes)
         # np.max keeps a NaN residual, so a non-finite mode fails its row.
@@ -178,11 +177,10 @@ def cmd_check(cfg: dict, outdir: Path, seed: int) -> int:
         checks.append(("dispersion-residual", np.max(disp), 1e-12))
 
         stage = "delta-raw-vs-closed"
-        sweep = Frequency(np.linspace(0.05, 0.95, 20) * e0_max, eta_t)
         # Where both determinants underflow to 0, or either overflows (a huge
         # eta_t), the ratio is NaN, a failed row.
         with np.errstate(over="ignore", invalid="ignore"):
-            raw, closed = det_raw(pb, sweep), det_closed(pb, sweep)
+            raw, closed = det_raw(pb, grid), det_closed(pb, grid)
             # np.hypot rounds as Python's complex abs does; np.abs does not.
             diff = raw - closed
             gap = np.hypot(diff.real, diff.imag)
@@ -250,8 +248,11 @@ def cmd_scan(cfg: dict, outdir: Path, seed: int) -> int:
     if bad.size:
         print(f"scan: determinant not finite at eta0 = {_fmt(grid[bad[0]])}")
         return 1
-    # Sign of the root factor, tracked to flag the surface-wave bracket.
-    negative = np.signbit(root_factor(pb, eta))
+    # det_closed is the root factor times -[rho][u] Upsilon (eta0^2 + u_r^2
+    # |eta_t|^2), of one sign on the grid (both routes refuse eta0 = 0 at
+    # d >= 3), and a product's sign bit is the XOR of its factors' even when
+    # it underflows: det_closed changes sign where the root factor does.
+    negative = np.signbit(closed.real)
     changes = np.flatnonzero(negative[1:] != negative[:-1])
     if changes.size:
         change = changes[0] + 1

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-import numpy as np
-
 from .errors import (
     DegeneracyError,
     DomainError,
@@ -244,8 +242,8 @@ def _newton2(
     iterates are clamped to the brackets.  Convergence is declared when the
     residual norm drops below 1e-13 times the pressure scale; otherwise, or
     when the Jacobian is singular, NoSolutionError is raised.  The iterate,
-    the residual and its norm are Python floats; only the step is a 2x2
-    `np.linalg.solve`.
+    the residual, its norm and the 2x2 step, solved by Cramer's rule, are
+    Python floats.
     """
     scale = max(1.0, abs(eos.pressure(0.5 * (bl[0] + bl[1]))))
     x0, x1 = float(rho_l), float(rho_r)
@@ -255,14 +253,12 @@ def _newton2(
         if norm < 1e-13 * scale:
             return x0, x1
         c2l, c2r = eos.sound_speed_sq(x0), eos.sound_speed_sq(x1)
-        jac = [
-            [-(c2l - j * j / x0**2), c2r - j * j / x1**2],
-            [-(c2l / x0 - j * j / x0**3), c2r / x1 - j * j / x1**3],
-        ]
-        try:
-            s0, s1 = np.linalg.solve(jac, [-r0, -r1]).tolist()
-        except np.linalg.LinAlgError as exc:
-            raise NoSolutionError("singular Jacobian in jump-condition solve") from exc
+        a, b = -(c2l - j * j / x0**2), c2r - j * j / x1**2
+        c, e = -(c2l / x0 - j * j / x0**3), c2r / x1 - j * j / x1**3
+        det = a * e - b * c
+        if det == 0.0:
+            raise NoSolutionError("singular Jacobian in jump-condition solve")
+        s0, s1 = (b * r1 - e * r0) / det, (c * r0 - a * r1) / det
         lam = 1.0
         for _ in range(40):
             t0 = min(max(x0 + lam * s0, bl[0]), bl[1])

@@ -9,6 +9,8 @@ from phasewave import __version__
 from phasewave.cli import main
 from phasewave.errors import NoRootError
 
+from conftest import CONFIGS
+
 BASE_CONFIG = {
     "d": 2,
     "left": {"rho": 1.0, "u": 0.9, "c2": 4.0, "pp": 0.5},
@@ -115,7 +117,7 @@ class TestCheck:
         ],
     )
     def test_nonfinite_sampled_mode_fails_its_row(self, tmp_path, monkeypatch, field, entry, row):
-        # A NaN at one of the 8 sampled frequencies reaches the row's maximum.
+        # A NaN at one of the 20 grid frequencies reaches the row's maximum.
         import dataclasses
 
         import phasewave.cli as cli_mod
@@ -409,6 +411,18 @@ class TestDeterminism:
         assert main(["simulate", "--config", str(cfg), "--out", str(out2)]) == 0
         for name in ("diag.csv", "snapshots.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("name", ["fixture_a", "vdw"])
+    def test_check_does_not_depend_on_the_seed(self, tmp_path, name):
+        # check judges its frequency rows on one fixed grid; the seed only
+        # draws a random_smooth spectrum, which check never builds.
+        cfg = CONFIGS / f"{name}.json"
+        reports = set()
+        for seed in ("0", "7", "12345"):
+            out = tmp_path / seed
+            assert main(["check", "--config", str(cfg), "--out", str(out), "--seed", seed]) == 0
+            reports.add((out / "check.json").read_bytes())
+        assert len(reports) == 1
 
     def test_seed_override_changes_random_profile(self, tmp_path):
         cfg = write_config(

@@ -11,10 +11,11 @@ import math
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from phasewave.cli import main
+
+from conftest import shipped_config
 
 RAW = {
     "d": 2,
@@ -193,6 +194,31 @@ def test_nonfinite_kernel_constant_is_refused(tmp_path, capsys, scale):
 
 
 @pytest.mark.parametrize(
+    "changes",
+    [
+        pytest.param({"eta_t": [1e50]}, id="eta_t-1e50"),
+        *(
+            pytest.param({"left__rho": scale, "right__rho": 0.45 * scale}, id=f"rho-{scale:g}")
+            for scale in (1e50, 1e100)
+        ),
+    ],
+)
+def test_overflowing_step_is_breaking(tmp_path, capsys, changes):
+    # fixture_a as shipped, with a huge wavevector or huge densities: Q_nat
+    # is finite, but the first step's right side overflows.  The run stops
+    # there as breaking, with a non-finite second diag.csv row, and raises
+    # no RuntimeWarning on the way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(tmp_path, "simulate", shipped_config("fixture_a"), **changes) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "simulate: breaking detected at tau = 0.01\n" and captured.err == ""
+    rows = (tmp_path / "out" / "diag.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 and rows[1].startswith("0.01,")
+    assert not all(math.isfinite(float(cell.strip('"'))) for cell in rows[1].split(","))
+
+
+@pytest.mark.parametrize(
     "command, eta_t, failed",
     [
         pytest.param(
@@ -331,9 +357,7 @@ def test_unrepresentable_root_named_by_check(tmp_path, capsys):
     # last, failed row in check.json instead of exiting without writing one
     # (the determinant comparison fails there too).
     u_l = 1e-160
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = run(tmp_path, "check", left__u=u_l, right__u=u_l / 0.45)
-    assert rc == 1
+    assert run(tmp_path, "check", left__u=u_l, right__u=u_l / 0.45) == 1
     report = json.loads((tmp_path / "out" / "check.json").read_text())
     assert report["pass"] is False
     last = report["invariants"][-1]
@@ -371,9 +395,7 @@ def test_nonfinite_mode_data_is_no_surface_wave(tmp_path, capsys, command):
 
 
 def test_nonfinite_mode_data_named_by_check(tmp_path, capsys):
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = run(tmp_path, "check", left__u=TINY_U, right__u=TINY_U / 0.45)
-    assert rc == 1
+    assert run(tmp_path, "check", left__u=TINY_U, right__u=TINY_U / 0.45) == 1
     report = json.loads((tmp_path / "out" / "check.json").read_text())
     last = report["invariants"][-1]
     assert last["name"].startswith("surface-wave-root (") and last["pass"] is False
@@ -405,9 +427,7 @@ def test_rank_deficient_root_row_named_by_check(tmp_path, capsys):
     # that the sigma minors need are rank deficient in floating point; check
     # reports that row as its last, failed one and still writes check.json.
     u_l = 1e-150
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = run(tmp_path, "check", left__u=u_l, right__u=u_l / 0.45)
-    assert rc == 1
+    assert run(tmp_path, "check", left__u=u_l, right__u=u_l / 0.45) == 1
     report = json.loads((tmp_path / "out" / "check.json").read_text())
     assert report["pass"] is False
     last = report["invariants"][-1]

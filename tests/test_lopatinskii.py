@@ -91,6 +91,29 @@ class TestDeterminant:
         with pytest.raises(DomainError):
             det_raw(pb, Frequency(10.0, [1.0]))
 
+    @given(seed=st.integers(0, 2**31 - 1), d=st.sampled_from([2, 3, 4]))
+    @settings(max_examples=100, deadline=None)
+    def test_closed_determinant_changes_sign_with_the_root_factor(self, seed, d):
+        # det_closed is the root factor times a factor of one sign, so the
+        # sign bits of the two change between the same grid points; scan
+        # reads its bracket from det_closed on that ground.  The grid starts
+        # at eta0 = 0 where d = 2 admits it, and |eta_t| spans 1e-3 to 1e3.
+        rng = np.random.default_rng(seed)
+        pb = random_boundary(rng, d)
+        v = rng.normal(size=d - 1)
+        eta_t = v / np.linalg.norm(v) * 10.0 ** rng.uniform(-3.0, 3.0)
+        e0_max = elliptic_eta0_max(pb, eta_t)
+        lo = 0.0 if d == 2 else 1e-3 * e0_max
+        eta = Frequency(np.linspace(lo, 0.999 * e0_max, 100), eta_t)
+
+        def changes(values):
+            negative = np.signbit(values)
+            return np.flatnonzero(negative[1:] != negative[:-1])
+
+        expected = changes(root_factor(pb, eta))
+        assert expected.size == 1
+        assert np.array_equal(changes(det_closed(pb, eta).real), expected)
+
 
 def shipped_boundary(name: str, d: int):
     """A shipped config, or its d = 3 or 4 copy in the copy table: its
@@ -243,9 +266,8 @@ class TestFindRoot:
         root = find_root(boundary(1e-150), eta_t)
         assert 0.0 < root.eta.eta0 < elliptic_eta0_max(root.pb, eta_t)
         assert root_relation_residual(root) <= 1e-12
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NoRootError, match="not finite"):
-                find_root(boundary(1e-155), eta_t)
+        with pytest.raises(NoRootError, match="not finite"):
+            find_root(boundary(1e-155), eta_t)
         with pytest.raises(NoRootError):
             find_root(boundary(1e-160), eta_t)
 

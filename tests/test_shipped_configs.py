@@ -41,9 +41,9 @@ def test_scan_makes_one_call_per_determinant_route(tmp_path, monkeypatch):
 
 
 def test_check_builds_all_sampled_mode_sets_in_one_call(tmp_path, monkeypatch):
-    # One call for the 8 sampled frequencies and one for the root; det_raw
-    # takes the 20-point raw-vs-closed sweep in one call and builds only the
-    # incoming family, and det_closed builds no modes.
+    # One call for the 20-point grid of the mode rows and one for the root;
+    # det_raw takes the same grid in one call and builds only the incoming
+    # family, and det_closed builds no modes.
     raw = count_calls(monkeypatch, phasewave.lopatinskii, "det_raw")
     closed = count_calls(monkeypatch, phasewave.lopatinskii, "det_closed")
     modes = count_calls(monkeypatch, phasewave.modes, "normal_modes")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from pathlib import Path
@@ -16,12 +17,13 @@ from phasewave import (
     rk4_step,
 )
 from phasewave.config import build_boundary, load_config
-from phasewave.kernel import kernel_constants, q_grid
+from phasewave.kernel import Kernel, kernel_constants, q_grid
 from phasewave.simulate import (
     InitSpec,
     SimConfig,
     SpectralField,
     _half_rhs,
+    _half_rk4,
     _rhs_weights,
     physical_reconstruction,
 )
@@ -468,7 +470,8 @@ class TestRunSimulation:
         assert np.all(np.isfinite(res.field.what))
 
     def test_nonfinite_detected_as_breaking(self, kernel_and_alpha):
-        # The first step overflows, so the stop is the finiteness test, not H2.
+        # The first step overflows, so the stop is the finiteness test, not H2;
+        # the overflow raises no RuntimeWarning.
         kern, a0v = kernel_and_alpha
         cfg = SimConfig(
             dk=0.1,
@@ -478,8 +481,7 @@ class TestRunSimulation:
             init=InitSpec("single_mode", amplitude=1e160, k0=1.0),
             output_every=1,
         )
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = evolve(kern, a0v, cfg)
+        res = evolve(kern, a0v, cfg)
         assert res.breaking_tau == 0.05
         assert not np.all(np.isfinite(res.field.what))
 
@@ -569,3 +571,74 @@ class TestHadamardContrast:
         assert 0.0 < min(shipped) and max(shipped) <= self.SHIPPED_BOUND[name]
         assert shipped[-1] <= 1.05 * shipped[0]
         assert all(hi >= 2.0 * lo for lo, hi in zip(mutated, mutated[1:]))
+
+
+def _with_q_nat(kernel, Q_nat) -> Kernel:
+    return Kernel(constants=dataclasses.replace(kernel.constants, Q_nat=Q_nat))
+
+
+class TestPhaseSymmetries:
+    """Two exact symmetries of the evolved equation in the kernel constant
+    Q_nat: negation, Q_nat -> -Q_nat with what -> -what, and the reflection
+    x -> -x, Q_nat -> -conj(Q_nat) with what -> conj(what), which follows
+    from q(-k, -k') = conj(q(k, k')).  Where the products are direct (N <=
+    256) both hold bit for bit.  Negation commutes with the FFT bands too;
+    conjugation does not, and there the reflection holds to round-off: 2.1e-22
+    at N = 300 and 1024 and 4.2e-22 for the mirror law at N = 300, with
+    max|what| near 0.4, so 1e-18 max|what| bounds it."""
+
+    FFT_BOUND = 1e-18
+
+    @staticmethod
+    def _steps(half, weights, steps=20, dt=0.01):
+        for _ in range(steps):
+            half = _half_rk4(half, weights, dt)
+        return half
+
+    @pytest.mark.parametrize("N", [64, 300, 1024])
+    def test_negation_is_exact(self, kernel_and_alpha, N):
+        kern, a0v = kernel_and_alpha
+        half = init_field(_cfg(N=N, init=InitSpec("random_smooth", amplitude=0.5)), 3).what[N:]
+        flipped = _with_q_nat(kern, -kern.constants.Q_nat)
+        base = self._steps(half, _rhs_weights(N, 0.1, kern, a0v))
+        negated = self._steps(-half, _rhs_weights(N, 0.1, flipped, a0v))
+        assert np.max(np.abs(base)) > 0.1
+        assert np.array_equal(negated, -base)
+
+    @pytest.mark.parametrize("N", [64, 300, 1024])
+    def test_reflection(self, kernel_and_alpha, N):
+        kern, a0v = kernel_and_alpha
+        half = init_field(_cfg(N=N, init=InitSpec("random_smooth", amplitude=0.5)), 3).what[N:]
+        mirrored = _with_q_nat(kern, -kern.constants.Q_nat.conjugate())
+        base = self._steps(half, _rhs_weights(N, 0.1, kern, a0v))
+        reflected = self._steps(np.conj(half), _rhs_weights(N, 0.1, mirrored, a0v))
+        if N <= 256:
+            assert np.array_equal(reflected, np.conj(base))
+        else:
+            gap = np.max(np.abs(reflected - np.conj(base)))
+            assert gap <= self.FFT_BOUND * np.max(np.abs(base))
+
+    @pytest.mark.parametrize("N", [256, 300])
+    @pytest.mark.parametrize("theta", [math.pi / 4, None, -math.pi / 4, 1.2])
+    def test_bump_mirrors_theta_to_pi_minus_theta(self, kernel_and_alpha, N, theta):
+        # The bump is real and even, so the reflection leaves it fixed and
+        # maps the phase theta of Q_nat to pi - theta; None is fixture_a's.
+        # The second kernel is exactly -conj(Q_nat): built from pi - theta,
+        # Q_nat rounds differently and misses by 3e-17.
+        kern, a0v = kernel_and_alpha
+        Q = kern.constants.Q_nat
+        if theta is not None:
+            Q = abs(Q) * complex(math.cos(theta), math.sin(theta))
+        cfg = _cfg(
+            N=N,
+            T=1.0,
+            init=InitSpec("gaussian_bump", amplitude=0.5, k0=1.0, width=1.0),
+            output_every=100,
+        )
+        first = evolve(_with_q_nat(kern, Q), a0v, cfg).field.what
+        second = evolve(_with_q_nat(kern, -Q.conjugate()), a0v, cfg).field.what
+        if N <= 256:
+            assert np.array_equal(second, np.conj(first))
+        else:
+            gap = np.max(np.abs(second - np.conj(first)))
+            assert gap <= self.FFT_BOUND * np.max(np.abs(first))
