@@ -294,8 +294,8 @@ def solve_reversible_boundary(
     deterministic subsonic default is used when omitted).
 
     Raises NoSolutionError when the zero-flux solve finds no coexistence
-    pair in the brackets or the target-flux solve stalls, and DomainError
-    when the converged states are not strictly subsonic.
+    pair in the brackets or the target-flux solve stalls; `FluidState`
+    refuses a converged state that is not strictly subsonic.
     """
     bl = (float(min(rho_l_bracket)), float(max(rho_l_bracket)))
     br = (float(min(rho_r_bracket)), float(max(rho_r_bracket)))
@@ -323,11 +323,4 @@ def solve_reversible_boundary(
         raise ParameterError(f"mass flux must be positive, got {j}")
 
     rho_l, rho_r = _newton2(eos, rho_l, rho_r, j, bl, br)
-
-    for rho in (rho_l, rho_r):
-        u = j / rho
-        if not eos.sound_speed_sq(rho) > u * u:
-            raise DomainError(
-                f"converged state at rho={rho} is not subsonic for flux j={j}"
-            )
     return boundary_from_eos(eos, rho_l, rho_r, j, d)

@@ -467,7 +467,9 @@ def oracle_vs_closed(root: RootData, kc: KernelConstants, samples: Iterable[Tupl
     samples = list(samples)
     points = samples + [p for p in _TRIAD_POINTS if p not in samples]
     K, KP = np.array(points, dtype=float).T
-    qs = q_oracle(root, K, KP)
+    # An oracle that overflows (a huge eta_t) gives NaN deviations.
+    with np.errstate(over="ignore", invalid="ignore"):
+        qs = q_oracle(root, K, KP)
     totals = qs[0] + qs[1] + qs[2] + qs[3] + qs[4]
     sums = {p: complex(total) for p, total in zip(points, totals)}
     closed_vals = q_grid(Kernel(constants=kc), K[: len(samples)], KP[: len(samples)])

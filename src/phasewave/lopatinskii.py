@@ -8,14 +8,15 @@ formula.  Both, and the root factor `root_factor(pb, eta)`, take a float
 eta0 or a 1-D array of them and return one value per eta0, so a sweep over
 frequencies is one call.  `det_raw` reads only `incoming_modes` and
 `det_closed` only `elliptic_frequency`, the preamble whose refusals both
-share.  The zero of the root factor, the surface wave, is the positive root
-of a quadratic in eta0^2, computed in closed form by `find_root`.  The
-cofactor functional sigma* at the root comes from the closed component
-formulas; `sigma_methods_residual` recomputes it from the first-column
-minors of the raw determinant and compares the two.  Every closed form at
-the root, here and in `kernel`, reads the root quantities from one
-`RootScalars`, built once by `find_root`, whose docstring defines them; the
-oracles (`det_raw`, the minors, `gamma_linear_residual`) do not read it.
+share; `det_methods_residual` judges one against the other.  The zero of
+the root factor, the surface wave, is the positive root of a quadratic in
+eta0^2, computed in closed form by `find_root`.  The cofactor functional
+sigma* at the root comes from the closed component formulas;
+`sigma_methods_residual` recomputes it from the first-column minors of the
+raw determinant and compares the two.  Every closed form at the root, here
+and in `kernel`, reads the root quantities from one `RootScalars`, built
+once by `find_root`, whose docstring defines them; the oracles (`det_raw`,
+the minors, `gamma_linear_residual`) do not read it.
 """
 
 from __future__ import annotations
@@ -93,6 +94,19 @@ def det_raw(pb: PhaseBoundary, eta: Frequency) -> Union[complex, np.ndarray]:
     M[..., 0] = ops.Jeta
     M[..., 1:] = _boundary_columns(ops.H, R_minus)
     return _per_frequency(np.linalg.det(M))
+
+
+def det_methods_residual(pb: PhaseBoundary, eta: Frequency) -> Union[float, np.ndarray]:
+    """|det_raw - det_closed| relative to the larger of the two, at a float
+    eta0 or at each eta0 of a 1-D array.  Where both determinants underflow
+    to 0, or either overflows (a huge eta_t), the value is NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw, closed = det_raw(pb, eta), det_closed(pb, eta)
+        # np.hypot rounds as Python's complex abs does; np.abs does not.
+        diff = raw - closed
+        gap = np.hypot(diff.real, diff.imag)
+        size = np.maximum(np.hypot(raw.real, raw.imag), np.hypot(closed.real, closed.imag))
+        return gap / size
 
 
 @dataclass(frozen=True, eq=False)

@@ -127,7 +127,7 @@ def tangent_frame(eta_t: np.ndarray, u_r: float, eta0, d: int) -> TangentFrame:
     if not float(eta_t @ eta_t) > 0.0:
         raise DegeneracyError("tangential wavevector must be nonzero")
     comp = _complement_basis(eta_t)
-    e = np.column_stack([eta_t.reshape(-1, 1), comp]) if comp.size else eta_t.reshape(-1, 1)
+    e = np.column_stack([eta_t, comp])
     det_e = float(np.linalg.det(e))
     # The power is a product of d-2 factors, so a float and an array eta0
     # round alike (C pow and numpy's power loops do not).
@@ -543,15 +543,16 @@ def mode_residuals(modes: ModeSet) -> Tuple[Union[float, np.ndarray], Union[floa
     L = np.concatenate((modes.L_minus, modes.L_plus), axis=-2)
     sides = modes.side_minus + modes.side_plus
     right, left = [], []
-    for side, state, blk, off in (
-        ("l", pb.left, slice(0, n), slice(n, 2 * n)),
-        ("r", pb.right, slice(n, 2 * n), slice(0, n)),
-    ):
-        j = [k for k, s in enumerate(sides) if s == side]
-        M = mode_matrix(state, eta, np.moveaxis(betas[..., j], -1, 0), side)
-        M = binary_scale(M, 2) * M
-        right.append(_block_residual(M, np.moveaxis(R[..., j, :], -2, 0), blk, off, False))
-        left.append(_block_residual(M, np.moveaxis(L[..., j, :], -2, 0), blk, off, True))
+    with np.errstate(invalid="ignore"):
+        for side, state, blk, off in (
+            ("l", pb.left, slice(0, n), slice(n, 2 * n)),
+            ("r", pb.right, slice(n, 2 * n), slice(0, n)),
+        ):
+            j = [k for k, s in enumerate(sides) if s == side]
+            M = mode_matrix(state, eta, np.moveaxis(betas[..., j], -1, 0), side)
+            M = binary_scale(M, 2) * M
+            right.append(_block_residual(M, np.moveaxis(R[..., j, :], -2, 0), blk, off, False))
+            left.append(_block_residual(M, np.moveaxis(L[..., j, :], -2, 0), blk, off, True))
     return np.max(np.concatenate(right), axis=0), np.max(np.concatenate(left), axis=0)
 
 

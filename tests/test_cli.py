@@ -132,8 +132,7 @@ class TestCheck:
 
         monkeypatch.setattr(cli_mod, "normal_modes", poisoned)
         cfg = write_config(tmp_path)
-        with np.errstate(invalid="ignore"):
-            assert main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert main(["check", "--config", str(cfg), "--out", str(tmp_path)]) == 1
         report = json.loads((tmp_path / "check.json").read_text())
         rows = {item["name"]: item for item in report["invariants"]}
         assert rows[row]["residual"] == "nan" and rows[row]["pass"] is False

@@ -69,6 +69,28 @@ def test_malformed_json_exits_two(tmp_path):
     assert main(["root", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param(None, "config error: cannot read config", id="directory"),
+        pytest.param("[]", "config error: configuration must be an object", id="list"),
+        pytest.param(
+            json.dumps({**RAW, "left": 1}), "config error: left must be an object", id="left-number"
+        ),
+    ],
+)
+def test_unusable_config_exits_two_and_is_named(tmp_path, capsys, text, message):
+    # A directory is no file to read, and a configuration or section that
+    # is not a JSON object is refused before any of its keys.
+    path = tmp_path
+    if text is not None:
+        path = tmp_path / "config.json"
+        path.write_text(text)
+    assert main(["root", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(message)
+
+
 # Double underscores separate the levels of a dotted path.
 SCHEMA_ROWS = [
     # unknown fields, one per level
@@ -322,6 +344,42 @@ def test_nonpositive_wavenumber_step_exits_one(tmp_path, change):
     # dk is, before any step runs.
     assert run(tmp_path, "simulate", **change) == 1
     assert not (tmp_path / "out" / "diag.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, base, changes, rc, out, err",
+    [
+        pytest.param(
+            "scan", RAW, {"scan__eta0_max": 0.5}, 0,
+            "scan: no sign change of the root function in the scanned range\n", "",
+            id="scan-below-root",
+        ),
+        pytest.param(
+            "simulate", RAW, {"sim__init__k0": 1.7}, 1,
+            "", "simulate: k0=1.7 does not fall on the grid interior\n",
+            id="mode-beyond-grid",
+        ),
+        *(
+            pytest.param(
+                "root", EOS, {"mass_flux": flux}, 1,
+                "", f"root: mass flux must be positive, got {float(flux)}\n",
+                id=f"mass-flux-{flux}",
+            )
+            for flux in (0, -1)
+        ),
+        pytest.param(
+            "root", EOS, {"brackets": [[5e-4, 0.5], [2.3, 2.99]]}, 1,
+            "", "root: bracket endpoints must lie where c^2 > 0\n",
+            id="bracket-past-spinodal",
+        ),
+    ],
+)
+def test_value_range_verdict(tmp_path, capsys, command, base, changes, rc, out, err):
+    # Value ranges are judged by the library after the schema passes: a
+    # scan range without the root is a verdict, and a refused value exits 1
+    # naming it.
+    assert run(tmp_path, command, base, **changes) == rc
+    assert capsys.readouterr() == (out, err)
 
 
 @pytest.mark.parametrize("command", ["check", "root"])

@@ -260,6 +260,13 @@ class TestSolveReversibleBoundary:
         with pytest.raises(InconsistencyError):
             boundary_from_eos(eos, 0.005, 2.5, 1e-3, 2)
 
+    def test_boundary_from_eos_refuses_supersonic_state(self):
+        # FluidState makes the one subsonic test: at j = 10 the vapour
+        # velocity is 2000, far above its sound speed.
+        eos = vdw_eos(*VDW_ARGS)
+        with pytest.raises(ParameterError, match="strictly subsonic"):
+            boundary_from_eos(eos, 0.005, 2.5, 10.0, 2)
+
     def test_boundary_from_eos_rejects_nan_enthalpy(self):
         # The solved pair meets every other jump condition, so the NaN
         # enthalpy residual is what refuses it, by name.

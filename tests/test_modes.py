@@ -288,8 +288,7 @@ class TestNormalModes:
         m = normal_modes(fixture_a_boundary(), Frequency(np.array([0.5, 0.9, 1.1]), [1.0]))
         arr = getattr(m, field).copy()
         arr[(1,) + entry] = value
-        with np.errstate(invalid="ignore", over="ignore"):
-            right, left = mode_residuals(dataclasses.replace(m, **{field: arr}))
+        right, left = mode_residuals(dataclasses.replace(m, **{field: arr}))
         hit, other = (right, left) if field == "R_minus" else (left, right)
         assert not np.isfinite(hit[1]) and np.isfinite(hit[[0, 2]]).all()
         assert np.isfinite(other).all()
@@ -298,8 +297,7 @@ class TestNormalModes:
         m = normal_modes(fixture_a_boundary(), Frequency(np.array([0.5, 0.9]), [1.0]))
         beta = m.beta_minus.copy()
         beta[1, 1] = np.nan
-        with np.errstate(invalid="ignore"):
-            res = dispersion_residual(dataclasses.replace(m, beta_minus=beta))
+        res = dispersion_residual(dataclasses.replace(m, beta_minus=beta))
         assert res[0] <= 1e-12 and np.isnan(res[1])
 
     def test_conjugation_symmetry_under_full_frequency_flip(self):
