@@ -295,10 +295,10 @@ def cmd_simulate(cfg: dict, outdir: Path, seed: int) -> int:
     result = evolve(kernel, kernel.constants.alpha0, sim_cfg, default_seed=seed)
     _write_csv(
         outdir / "diag.csv",
-        ["tau", "mean_re", "mean_im", "l2", "h2", "max_abs", "energy"],
+        ["tau", "mean_re", "mean_im", "l2", "h2", "max_abs", "energy", "steps", "step_err"],
         [
-            [row.tau, row.mean.real, row.mean.imag, row.l2, row.h2, row.max_abs, row.energy]
-            for row in result.diagnostics
+            [r.tau, r.mean.real, r.mean.imag, r.l2, r.h2, r.max_abs, r.energy, r.steps, r.step_err]
+            for r in result.diagnostics
         ],
     )
     if sim_cfg.snapshots:

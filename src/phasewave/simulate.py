@@ -7,10 +7,11 @@ The reduced equation for the Hermitian-symmetric spectrum what(tau, k) is
 
 with a1 = q/(4 pi) the quadratic kernel.  The spectrum lives on the uniform
 symmetric grid k_n = n*dk, n = -N..N; the convolution is a plain truncated
-rectangle rule (out-of-grid factors are zero) and time stepping is classical
-RK4.  The kernel is homogeneous of degree zero, so the sum splits over three
-regions of the (k - k_m, k_m) plane, each fixed by the one constant Q_nat:
-both arguments positive (q = Q_nat, a self-convolution of the positive half),
+rectangle rule (out-of-grid factors are zero), and time stepping is classical
+RK4 with its step chosen by an embedded error estimate.  The kernel is
+homogeneous of degree zero, so the sum splits over three regions of the
+(k - k_m, k_m) plane, each fixed by the one constant Q_nat: both arguments
+positive (q = Q_nat, a self-convolution of the positive half),
 the two mixed-sign regions (q = conj(Q_nat)(1 + k'/k), which coincide after
 reindexing and carry the positive weight n/(n+j), so they give one
 cross-correlation), and the two axes (q = Re Q_nat).  The right side is
@@ -31,20 +32,33 @@ folds the region factors and -i k/alpha0 * dk/(4 pi) into three O(N) weight
 arrays once per run, steps the n = 0..N vector with RK4, and mirrors it as
 its exact conjugate only where the full spectrum leaves the library: the
 snapshots and the returned field.  The public `convolution_rhs` and
-`rk4_step` take and return full spectra and wrap the same core.
+`rk4_step` take and return full spectra and wrap the same core; `rk4_step`
+is the fixed-step reference for `evolve`.
+
+Step control (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4): the
+right side at the new point, k5 = f(what_{n+1}), is the next step's k1, so
+RK4's third-order companion with weights (1, 2, 2, 0, 1)/6 is free, and
+their difference (h/6)(k4 - k5) estimates the step's error.  `evolve`
+accepts a step whose estimate, relative to max|what|, is below
+`_STEP_TOL`, and sizes the next by the standard controller.  The
+propagated solution is always the RK4 update.
 
 Diagnostics: the mean mode, `l2` = dk sum |what|^2, the H2 proxy
 `h2` = dk sum k^4 |what|^2, `max_abs`, and the Hdot^{-1/2} energy
 `energy` = dk sum_{k != 0} |what|^2/|k|, each summed on the half spectrum as
 2 sum_{n>=1} + (n = 0).  The truncated system conserves the energy exactly
 (the kernel's cyclic triad identity), so under RK4 it drifts only by the
-time-step error; `l2` and `h2` are not invariants.  `evolve` stops at the
-first step where `h2` exceeds 1e6 times its initial value or an amplitude
-is not finite, and reports that step's tau as the breaking time.
+time-step error; `l2` and `h2` are not invariants.  Each row also holds the
+accepted steps since the previous row and their largest error estimate.
+`evolve` stops at the first accepted step where `h2` exceeds 1e6 times its
+initial value, at the first trial step where an amplitude is not finite, or
+where the step shrinks below `_MIN_STEP` * dt, and reports that time as the
+breaking time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -61,6 +75,14 @@ _DIRECT_MODES = 256
 # `evolve` reports breaking once the H2 proxy exceeds this multiple of its
 # initial value.
 _BLOWUP_FACTOR = 1e6
+
+# `evolve` accepts a step whose error estimate is below this fraction of
+# max|what|, the larger of the step's two ends.
+_STEP_TOL = 1e-10
+
+# A rejected step that leaves the next trial below this multiple of `dt`
+# stops the run as breaking, so the step controller always ends.
+_MIN_STEP = 2.0**-30
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,10 +102,12 @@ class InitSpec:
 
 @dataclass(frozen=True, eq=False)
 class SimConfig:
-    """One run: the grid k_n = n*dk, n = -N..N, RK4 steps dt up to T, the
-    initial spectrum, a diagnostics row every `output_every` steps and the
-    optional snapshot and physical outputs.  `evolve` stops it early at
-    breaking, by the test the module docstring states."""
+    """One run: the grid k_n = n*dk, n = -N..N, the end time T, the initial
+    spectrum, a diagnostics row at every `output_every` multiple of dt and
+    at T, and the optional snapshot and physical outputs.  dt also sets the
+    first trial step; after it the error estimate chooses the steps.
+    `evolve` stops the run early at breaking, by the test the module
+    docstring states."""
 
     dk: float
     N: int
@@ -156,7 +180,12 @@ def _diag_weights(N: int, dk: float, s: int) -> np.ndarray:
 
 
 def _weighted_sum(half: np.ndarray, weights: np.ndarray) -> float:
-    return float(np.sum(weights * np.abs(half) ** 2))
+    return _weighted_square(np.abs(half), weights)
+
+
+def _weighted_square(mag: np.ndarray, weights: np.ndarray) -> float:
+    """sum_n c_n mag_n^2, for mag = |half| already taken."""
+    return float(np.sum(weights * mag**2))
 
 
 def _mirror(half: np.ndarray) -> np.ndarray:
@@ -282,12 +311,29 @@ def _half_rhs(half: np.ndarray, weights: Tuple[np.ndarray, ...]) -> np.ndarray:
     return rhs
 
 
-def _half_rk4(half: np.ndarray, weights: Tuple[np.ndarray, ...], dt: float) -> np.ndarray:
-    k1 = _half_rhs(half, weights)
+def _rk4_stages(
+    half: np.ndarray, k1: np.ndarray, weights: Tuple[np.ndarray, ...], dt: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One classical RK4 step from `half`, whose right side `k1` is given:
+    the new half spectrum and the last stage k4."""
     k2 = _half_rhs(half + 0.5 * dt * k1, weights)
     k3 = _half_rhs(half + 0.5 * dt * k2, weights)
     k4 = _half_rhs(half + dt * k3, weights)
-    return half + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return half + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), k4
+
+
+def _half_rk4(half: np.ndarray, weights: Tuple[np.ndarray, ...], dt: float) -> np.ndarray:
+    return _rk4_stages(half, _half_rhs(half, weights), weights, dt)[0]
+
+
+def _step_factor(err: float) -> float:
+    """The standard step controller's factor 0.9 (tol/err)^(1/4) for the
+    next trial step, kept in [0.2, 5]; a non-finite estimate gives 0.2."""
+    if err == 0.0:
+        return 5.0
+    if not err < math.inf:
+        return 0.2
+    return min(5.0, max(0.2, 0.9 * (_STEP_TOL / err) ** 0.25))
 
 
 def convolution_rhs(field: SpectralField, kernel: Kernel, alpha0: float) -> SpectralField:
@@ -344,6 +390,8 @@ class DiagRow:
     h2: float
     max_abs: float
     energy: float
+    steps: int
+    step_err: float
 
 
 @dataclass(eq=False)
@@ -352,6 +400,9 @@ class SimResult:
     diagnostics: List[DiagRow]
     snapshots: List[Tuple[float, np.ndarray]]
     breaking_tau: Optional[float]
+    rhs_calls: int
+    steps_accepted: int
+    steps_rejected: int
 
 
 def evolve(kernel: Kernel, alpha0: float, config: SimConfig, default_seed: int = 0) -> SimResult:
@@ -361,49 +412,93 @@ def evolve(kernel: Kernel, alpha0: float, config: SimConfig, default_seed: int =
     The initial spectrum is `init_field(config, default_seed)`, so
     'random_smooth' draws from the run's seed.  The state is the half
     spectrum n = 0..N, and the RHS weights are built once per run.  The full
-    spectrum is mirrored only for snapshots and for the returned field.  One
-    loop writes every diagnostics row and snapshot: at the start, every
-    `output_every` steps, at the last step and at the stop.  The run stops
-    early at breaking, by the test the module docstring states; a step that
-    overflows stops it as a non-finite field, without a RuntimeWarning.
+    spectrum is mirrored only for snapshots and for the returned field.
+
+    Each step is RK4, accepted or rejected by the error estimate of the
+    module docstring; the first trial step is dt.  A diagnostics row is
+    written at tau = j * output_every * dt, at T and at the stop, and no
+    step passes a row time.  A row interval taken in one step is m * dt
+    long, m its count of dt, not the difference of its two times, so a run
+    whose rows are one accepted step each is iterated `rk4_step` bit for
+    bit.  The result counts the RHS calls and the accepted and rejected
+    steps.  The run stops early at breaking, by the test the module
+    docstring states; a trial step that overflows stops it as a non-finite
+    field, without a RuntimeWarning.
     """
     N, dk, dt = config.N, config.dk, config.dt
     half = init_field(config, default_seed=default_seed).what[N:]
     weights = _rhs_weights(N, dk, kernel, alpha0)
     l2_w, h2_w, energy_w = (_diag_weights(N, dk, s) for s in (0, 4, -1))
     n_steps = max(1, int(round(config.T / dt)))
+    marks = [*range(0, n_steps, config.output_every), n_steps]
     diag: List[DiagRow] = []
     snaps: List[Tuple[float, np.ndarray]] = []
     breaking: Optional[float] = None
+    accepted = rejected = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        h2_0 = h2 = _weighted_sum(half, h2_w)
-        for n in range(n_steps + 1):
-            tau = n * dt
-            if n > 0:
-                half = _half_rk4(half, weights, dt)
-                h2 = _weighted_sum(half, h2_w)
-                if not np.all(np.isfinite(half)) or (h2_0 > 0.0 and h2 > _BLOWUP_FACTOR * h2_0):
-                    breaking = tau
-            if breaking is not None or n % config.output_every == 0 or n == n_steps:
+        mag = np.abs(half)
+        size = float(np.max(mag))
+        h2_0 = h2 = _weighted_square(mag, h2_w)
+        k1 = _half_rhs(half, weights)
+        calls = 1
+        t, h, prev = 0.0, dt, 0
+        for mark in marks:
+            t_row = mark * dt
+            since, worst = accepted, 0.0
+            while t < t_row and breaking is None:
+                span = (mark - prev) * dt if accepted == since else t_row - t
+                step = min(h, span)
+                new, k4 = _rk4_stages(half, k1, weights, step)
+                calls += 3
+                mag = np.abs(new)
+                new_size = float(np.max(mag))
+                if math.isfinite(new_size):
+                    k5 = _half_rhs(new, weights)
+                    calls += 1
+                    diff = (step / 6.0) * float(np.max(np.abs(k4 - k5)))
+                    err = diff / max(size, new_size) if diff else 0.0  # not 0/0 at a zero field
+                    h = step * _step_factor(err)
+                    if not err < _STEP_TOL:
+                        # A rejected step shrinks, even at a zero estimate
+                        # that a zero tolerance rejects.
+                        rejected += 1
+                        h = min(h, 0.9 * step)
+                        if h < _MIN_STEP * dt:
+                            breaking = t
+                        continue
+                    accepted += 1
+                    worst = max(worst, err)
+                    k1 = k5
+                half, size, h2 = new, new_size, _weighted_square(mag, h2_w)
+                t = t_row if step == span else t + step
+                if not math.isfinite(size) or (h2_0 > 0.0 and h2 > _BLOWUP_FACTOR * h2_0):
+                    breaking = t
+            if not diag or t > diag[-1].tau:
                 diag.append(
                     DiagRow(
-                        tau,
+                        t,
                         complex(half[0]),
                         _weighted_sum(half, l2_w),
                         h2,
-                        float(np.max(np.abs(half))),
+                        size,
                         _weighted_sum(half, energy_w),
+                        accepted - since,
+                        worst,
                     )
                 )
                 if config.snapshots:
-                    snaps.append((tau, _mirror(half)))
+                    snaps.append((t, _mirror(half)))
             if breaking is not None:
                 break
+            prev = mark
     return SimResult(
         field=SpectralField(dk=dk, what=_mirror(half)),
         diagnostics=diag,
         snapshots=snaps,
         breaking_tau=breaking,
+        rhs_calls=calls,
+        steps_accepted=accepted,
+        steps_rejected=rejected,
     )
 
 

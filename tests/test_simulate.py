@@ -16,17 +16,21 @@ from phasewave import (
     init_field,
     rk4_step,
 )
-from phasewave.config import build_boundary, load_config
+from phasewave import simulate
+from phasewave.config import build_boundary, load_config, sim_config
 from phasewave.kernel import Kernel, kernel_constants, q_grid
 from phasewave.simulate import (
     InitSpec,
     SimConfig,
     SpectralField,
+    _BLOWUP_FACTOR,
     _half_rhs,
     _half_rk4,
     _rhs_weights,
     physical_reconstruction,
 )
+
+from conftest import SHIPPED, shipped_config
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -56,6 +60,20 @@ def _cfg(**kw):
     )
     base.update(kw)
     return SimConfig(**base)
+
+
+def _fixed_rk4_rows(kern, a0v, cfg, default_seed=0, refine=1):
+    """The fixed-step reference for `evolve`'s rows: `rk4_step` iterated at
+    dt/refine, and the field at each row time, j * output_every * dt and T."""
+    n_steps = max(1, round(cfg.T / cfg.dt))
+    marks = {*range(0, n_steps, cfg.output_every), n_steps}
+    f = init_field(cfg, default_seed)
+    rows = [f]
+    for n in range(1, n_steps * refine + 1):
+        f = rk4_step(f, kern, a0v, cfg.dt / refine)
+        if n % refine == 0 and n // refine in marks:
+            rows.append(f)
+    return rows
 
 
 def _brute_force_rhs(field, kern, a0v):
@@ -352,18 +370,19 @@ class TestEnergy:
         )
 
     def test_energy_drift_fourth_order(self, kernel_and_alpha):
-        # The truncated system conserves E, so under RK4 only the time-step
-        # error moves it: halving dt divides the drift by about 2^4 (measured
-        # 1.0e-11 -> 6.0e-13 to tau=4, ratio 16.7), even though this bump is
-        # under-resolved by then and l2 grows by 70%.
+        # The truncated system conserves E, so under fixed-step RK4 only the
+        # time-step error moves it: halving dt divides the drift by about 2^4
+        # (measured 1.0e-11 -> 6.0e-13 to tau=4, ratio 16.7), even though this
+        # bump is under-resolved by then and l2 grows by 70%.
         kern, a0v = kernel_and_alpha
         bump = InitSpec("gaussian_bump", amplitude=0.5, k0=1.0, width=1.0)
         drift = {}
         for dt in (0.01, 0.005):
             cfg = SimConfig(dk=0.1, N=128, dt=dt, T=4.0, init=bump, output_every=round(0.1 / dt))
-            res = evolve(kern, a0v, cfg)
-            assert res.breaking_tau is None
-            energies = [row.energy for row in res.diagnostics]
+            rows = _fixed_rk4_rows(kern, a0v, cfg)
+            # No row meets `evolve`'s breaking test.
+            assert all(f.h2() <= _BLOWUP_FACTOR * rows[0].h2() for f in rows)
+            energies = [f.energy() for f in rows]
             drift[dt] = max(abs(e - energies[0]) for e in energies)
         assert 12.8 <= drift[0.01] / drift[0.005] <= 19.2
 
@@ -382,8 +401,11 @@ class TestRk4:
         assert np.all(out.what == 0.0)
 
     def test_evolve_is_rk4_iterated(self, kernel_and_alpha):
+        # A row every step, each taken as one accepted step of exactly dt.
         kern, a0v = kernel_and_alpha
-        cfg = _cfg(N=48, dt=0.02, T=0.3, init=InitSpec("random_smooth", amplitude=0.5))
+        cfg = _cfg(
+            N=48, dt=0.02, T=0.3, init=InitSpec("random_smooth", amplitude=0.5), output_every=1
+        )
         f = init_field(cfg, 6)
         for _ in range(15):
             f = rk4_step(f, kern, a0v, cfg.dt)
@@ -407,11 +429,104 @@ class TestRk4:
                 init=InitSpec("gaussian_bump", amplitude=0.5, k0=1.0, width=0.5),
                 output_every=10**9,
             )
-            sols[dt] = evolve(kern, a0v, cfg).field.what
+            sols[dt] = _fixed_rk4_rows(kern, a0v, cfg)[-1].what
         e_coarse = np.linalg.norm(sols[0.02] - sols[0.01])
         e_fine = np.linalg.norm(sols[0.01] - sols[0.005])
         ratio = e_coarse / e_fine
         assert 12.8 <= ratio <= 19.2
+
+
+class TestStepControl:
+    """`evolve` against its fixed-step reference, `rk4_step` iterated at
+    dt/8: the final field relative to max|what| and every diagnostics row
+    (the `diag.csv` rows) relative to each value.  The mean is conserved
+    exactly by both, so its cells agree bit for bit."""
+
+    @staticmethod
+    def _compare(kern, a0v, cfg, seed, field_bound, row_bounds):
+        res = evolve(kern, a0v, cfg, default_seed=seed)
+        rows = _fixed_rk4_rows(kern, a0v, cfg, seed, refine=8)
+        assert res.breaking_tau is None
+        n_steps = round(cfg.T / cfg.dt)
+        marks = [*range(0, n_steps, cfg.output_every), n_steps]
+        assert [r.tau for r in res.diagnostics] == [n * cfg.dt for n in marks]
+        ref = rows[-1].what
+        assert np.max(np.abs(res.field.what - ref)) <= field_bound * np.max(np.abs(ref))
+        for row, f in zip(res.diagnostics, rows, strict=True):
+            assert row.mean == f.mean()
+            for key, bound in row_bounds.items():
+                got, want = getattr(row, key), getattr(f, key)()
+                assert abs(got - want) <= bound * abs(want)
+        return res
+
+    # Measured on every copy: field 2.6e-15, rows 5.1e-14 (vdW's l2, h2 and
+    # energy; fixed RK4 at dt itself reads 2.8e-15 and 5.2e-14).
+    @pytest.mark.parametrize("copy", list(SHIPPED))
+    def test_copy_table_matches_fixed_rk4(self, copy):
+        cfg = shipped_config(copy)
+        kern = build_kernel(find_root(build_boundary(cfg), np.asarray(cfg["eta_t"], dtype=float)))
+        bounds = dict.fromkeys(("l2", "h2", "max_abs", "energy"), 1e-13)
+        self._compare(kern, kern.constants.alpha0, sim_config(cfg), cfg["seed"], 1e-14, bounds)
+
+    def test_steepening_bump_matches_fixed_rk4(self, kernel_and_alpha):
+        # Measured: field 3.5e-10 (fixed RK4 at dt: 6.6e-10); rows l2 3.1e-11,
+        # h2 4.1e-8, max_abs 1.2e-12, energy 1.5e-12 (fixed RK4 at dt: 2.7e-11,
+        # 1.7e-8, 4.7e-13, 1.4e-12).  The tolerance is relative to max|what|,
+        # so the high modes that h2 weights by k^4 carry the largest share.
+        kern, a0v = kernel_and_alpha
+        bump = InitSpec("gaussian_bump", amplitude=0.5, k0=1.0, width=1.0)
+        cfg = SimConfig(dk=0.1, N=512, dt=0.01, T=2.0, init=bump, output_every=10)
+        bounds = {"l2": 1e-10, "h2": 1e-7, "max_abs": 1e-11, "energy": 1e-11}
+        res = self._compare(kern, a0v, cfg, 0, 1e-9, bounds)
+        # Fixed RK4 at dt takes 800 RHS calls.
+        assert (res.rhs_calls, res.steps_accepted, res.steps_rejected) == (733, 183, 0)
+
+    @pytest.mark.parametrize("name, fixed_calls", [("fixture_a", 800), ("vdw", 400)])
+    def test_shipped_runs_count_their_work(self, name, fixed_calls):
+        # Each row interval past the first is one step; the first takes dt,
+        # 5 dt and the rest.  One RHS call starts the run, and each step
+        # makes four: k2, k3, k4 and the next step's k1.
+        cfg = load_config(CONFIGS / f"{name}.json")
+        kern = build_kernel(find_root(build_boundary(cfg), np.asarray(cfg["eta_t"], dtype=float)))
+        res = evolve(kern, kern.constants.alpha0, sim_config(cfg), default_seed=cfg["seed"])
+        assert (res.rhs_calls, res.steps_accepted, res.steps_rejected) == (49, 12, 0)
+        assert res.rhs_calls <= fixed_calls / 8
+        assert [r.steps for r in res.diagnostics] == [0, 3] + [1] * 9
+        assert res.diagnostics[0].step_err == 0.0
+        assert 0.0 < max(r.step_err for r in res.diagnostics) <= simulate._STEP_TOL
+
+    @pytest.mark.parametrize("seed", [0, 21])
+    def test_a_row_every_step_costs_one_call_per_run(self, kernel_and_alpha, seed):
+        # The library benchmark's runs on fixture_a: N = 1024 with a row at
+        # every step of dt and dt/2 to tau = 0.02, against 8 and 16 calls at
+        # fixed steps.
+        kern, a0v = kernel_and_alpha
+        calls = []
+        for dt in (0.01, 0.005):
+            init = InitSpec("random_smooth", amplitude=0.01)
+            sim = SimConfig(dk=0.05, N=1024, dt=dt, T=0.02, init=init, output_every=1)
+            res = evolve(kern, a0v, sim, default_seed=seed)
+            assert res.steps_rejected == 0
+            calls.append(res.rhs_calls)
+        assert calls == [9, 17]
+
+    def test_zero_tolerance_stops_as_breaking(self, kernel_and_alpha, monkeypatch):
+        # Every step is rejected, so the step shrinks below its floor and
+        # the run stops where it stands instead of looping.
+        kern, a0v = kernel_and_alpha
+        monkeypatch.setattr(simulate, "_STEP_TOL", 0.0)
+        res = evolve(kern, a0v, _cfg())
+        assert res.breaking_tau == 0.0
+        assert res.steps_accepted == 0 and res.steps_rejected > 0
+        assert res.rhs_calls == 1 + 4 * res.steps_rejected
+        assert [r.tau for r in res.diagnostics] == [0.0]
+
+    def test_zero_field_takes_no_rejected_step(self, kernel_and_alpha):
+        kern, a0v = kernel_and_alpha
+        res = evolve(kern, a0v, _cfg(init=InitSpec("single_mode", amplitude=0.0, k0=1.0)))
+        assert res.breaking_tau is None and res.steps_rejected == 0
+        assert np.all(res.field.what == 0.0)
+        assert all(r.step_err == 0.0 for r in res.diagnostics)
 
 
 class TestRunSimulation:
@@ -465,8 +580,10 @@ class TestRunSimulation:
 
     def test_blowup_detection_threshold(self, kernel_and_alpha):
         # A bump that steepens: at N = 512 the H2 proxy first exceeds 1e6
-        # times its initial value at tau = 3.39, where the run stops.  Checks
-        # the diagnostic, not the physics: the stop time depends on N.
+        # times its initial value within the row interval (3.38, 3.39], at
+        # the accepted step that ends at tau = 3.3825941 (fixed dt = 0.01
+        # steps stopped at 3.39), where the run stops.  Checks the
+        # diagnostic, not the physics: the stop time depends on N.
         kern, a0v = kernel_and_alpha
         cfg = SimConfig(
             dk=0.1,
@@ -477,7 +594,8 @@ class TestRunSimulation:
             output_every=1,
         )
         res = evolve(kern, a0v, cfg)
-        assert res.breaking_tau == pytest.approx(3.39, rel=0, abs=1e-9)
+        assert 3.38 < res.breaking_tau <= 3.39
+        assert res.breaking_tau == pytest.approx(3.3825941076, rel=0, abs=1e-9)
         h2 = [row.h2 for row in res.diagnostics]
         assert max(h2[:-1]) <= 1e6 * h2[0] < h2[-1]
         assert np.all(np.isfinite(res.field.what))
