@@ -413,25 +413,23 @@ def build_kernel(root: RootData) -> Kernel:
 
 
 def q_grid(kernel: Kernel, K: np.ndarray, KP: np.ndarray) -> np.ndarray:
-    """The completed kernel at arrays (or floats) of (k, k') pairs; the
-    point (0, 0) is mapped to 0."""
+    """The completed kernel at arrays (or floats) of (k, k') pairs.  After
+    the reality reflection onto k + k' >= 0 it reads each pair ordered, hi =
+    max and lo = min: Q_nat where lo > 0, conj(Q_nat) (1 + lo/hi) where lo <
+    0 < hi + lo, Re Q_nat where lo = 0 < hi, and 0 where hi + lo = 0."""
     Qn = kernel.constants.Q_nat
     K = np.asarray(K, dtype=float)
     KP = np.asarray(KP, dtype=float)
     K, KP = np.broadcast_arrays(K, KP)
-    s = K + KP
-    neg = s < 0.0
+    neg = K + KP < 0.0
     A = np.where(neg, -K, K)
     B = np.where(neg, -KP, KP)
+    hi, lo = np.maximum(A, B), np.minimum(A, B)
     vals = np.zeros(A.shape, dtype=complex)
-    pp = (A > 0.0) & (B > 0.0)
-    vals[pp] = Qn
-    pm = (A > 0.0) & (B < 0.0) & (A + B > 0.0)
-    vals[pm] = np.conj(Qn) * (1.0 + B[pm] / A[pm])
-    mp = (A < 0.0) & (B > 0.0) & (A + B > 0.0)
-    vals[mp] = np.conj(Qn) * (1.0 + A[mp] / B[mp])
-    ax = ((B == 0.0) & (A > 0.0)) | ((A == 0.0) & (B > 0.0))
-    vals[ax] = Qn.real
+    vals[lo > 0.0] = Qn
+    mixed = (lo < 0.0) & (hi + lo > 0.0)
+    vals[mixed] = np.conj(Qn) * (1.0 + lo[mixed] / hi[mixed])
+    vals[(lo == 0.0) & (hi > 0.0)] = Qn.real
     return np.where(neg, np.conj(vals), vals)
 
 

@@ -17,6 +17,11 @@ are the advected modes (on the left for the + family, on the right for the -
 family).  Every eigenvector is stored in one layout only: a full vector of
 2(d+1) components, left block first, whose off-side block is exactly zero.
 
+One rule writes both sides: a right-side formula is the left one with the
+fold sign flipped, so it takes the signed decay radical and normal velocity
+(-a_r, -u_r) for (a_l, u_l), and s = -1 for +1 where eta0 and eta_t enter.
+Negating a float is exact, so one loop over the sides keeps each entry's bits.
+
 `elliptic_frequency` is every mode route's preamble: the tangent frame, the
 decay radicals (`decay_radicals`, the one test of the elliptic region) and
 the one refusal of eta0 = 0 at d >= 3.  `incoming_modes` adds the (-)
@@ -239,9 +244,7 @@ def decay_radicals(pb: PhaseBoundary, eta: Frequency):
     the elliptic region, raising DomainError where either radicand is <= 0."""
     vl, vr = pb.left, pb.right
     e0 = np.asarray(eta.eta0, dtype=float)[()]
-    ht2 = eta.ht2
-    rad_l = (vl.c2 - vl.u**2) * ht2 - e0 * e0
-    rad_r = (vr.c2 - vr.u**2) * ht2 - e0 * e0
+    rad_l, rad_r = ((s.c2 - s.u**2) * eta.ht2 - e0 * e0 for s in (vl, vr))
     outside = (rad_l <= 0.0) | (rad_r <= 0.0)
     if outside.any():
         i = int(np.argmax(np.ravel(outside)))
@@ -267,6 +270,16 @@ def elliptic_frequency(pb: PhaseBoundary, eta: Frequency):
     return e0, frame, a_l, a_r
 
 
+def _advected_right(R: np.ndarray, e0, frame: TangentFrame, et: np.ndarray, u: float, off: int):
+    """Write the advected right vectors (0, eta0 e_{j-2}, u eta_t.e_{j-2}),
+    j = 3..d+1, of one family into rows 2..d of R, in the block at `off`."""
+    d = et.size + 1
+    for j in range(2, d + 1):
+        evec = frame.e[:, j - 2]
+        R.real[..., j, off + 1 : off + d] = e0[..., None] * evec
+        R.real[..., j, off + d] = u * float(et @ evec)
+
+
 def incoming_modes(pb: PhaseBoundary, eta: Frequency):
     """The incoming (-) family's decay rates and right eigenvectors on top of
     `elliptic_frequency`, as (e0, frame, a_l, a_r, beta_minus, R_minus), laid
@@ -275,37 +288,26 @@ def incoming_modes(pb: PhaseBoundary, eta: Frequency):
     vl, vr = pb.left, pb.right
     et = eta.eta_t
     e0, frame, a_l, a_r = elliptic_frequency(pb, eta)
-    ml = vl.c2 - vl.u**2
-    mr = vr.c2 - vr.u**2
     n = d + 1
-    # beta_1^- = (a_l - i u_l eta0)/ml, beta_2^- = (-a_r + i u_r eta0)/mr and
-    # beta_j^- = -i eta0/u_r.
     beta_minus = np.zeros(e0.shape + (n,), dtype=complex)
-    beta_minus.real[..., 0] = a_l / ml
-    beta_minus.imag[..., 0] = (0.0 - vl.u * e0) / ml
-    beta_minus.real[..., 1] = -a_r / mr
-    beta_minus.imag[..., 1] = (0.0 + vr.u * e0) / mr
-    beta_minus.imag[..., 2:] = (-e0 / vr.u)[..., None]
-    b1, b2 = beta_minus[..., 0], beta_minus[..., 1]
-
     # Each vector is written into its side's block; the other block stays +0.
     R_minus = np.zeros(e0.shape + (n, 2 * n), dtype=complex)
     re, im = R_minus.real, R_minus.imag
-    # -i eta0 + u_l beta_1^-, i c_l^2 eta_t, -a_l
-    re[..., 0, 0] = vl.u * b1.real
-    im[..., 0, 0] = -e0 + vl.u * b1.imag
-    R_minus[..., 0, 1:d] = 1j * vl.c2 * et
-    re[..., 0, d] = -a_l
-    # -i eta0 - u_r beta_2^-, i c_r^2 eta_t, -a_r
-    re[..., 1, n] = -(vr.u * b2.real)
-    im[..., 1, n] = -e0 - vr.u * b2.imag
-    R_minus[..., 1, n + 1 : n + d] = 1j * vr.c2 * et
-    re[..., 1, 2 * n - 1] = -a_r
-    # The advected modes of the - family live on the right.
-    for j in range(2, n):
-        evec = frame.e[:, j - 2]
-        re[..., j, n + 1 : n + d] = e0[..., None] * evec
-        re[..., j, 2 * n - 1] = vr.u * float(et @ evec)
+    # Acoustic, per side with its signed radical and velocity (sa, su), the
+    # module docstring's rule: beta = (sa - i su eta0)/(c^2 - u^2) and
+    # R = (-i eta0 + su beta, i c^2 eta_t, -a), a the side's own a_l or a_r.
+    for row, off, s, a, sa, su in ((0, 0, vl, a_l, a_l, vl.u), (1, n, vr, a_r, -a_r, -vr.u)):
+        m = s.c2 - s.u**2
+        beta_minus.real[..., row] = sa / m
+        beta_minus.imag[..., row] = (0.0 - su * e0) / m
+        b = beta_minus[..., row]
+        re[..., row, off] = su * b.real
+        im[..., row, off] = -e0 + su * b.imag
+        R_minus[..., row, off + 1 : off + d] = 1j * s.c2 * et
+        re[..., row, off + d] = -a
+    # The advected modes, beta_j^- = -i eta0/u_r, live on the right.
+    beta_minus.imag[..., 2:] = (-e0 / vr.u)[..., None]
+    _advected_right(R_minus, e0, frame, et, vr.u, n)
     return e0, frame, a_l, a_r, beta_minus, R_minus
 
 
@@ -332,16 +334,15 @@ def normal_modes(pb: PhaseBoundary, eta: Frequency) -> ModeSet:
     beta_plus[..., :2] = -np.conj(beta_minus[..., :2])
     beta_plus.imag[..., 2:] = (e0 / vl.u)[..., None]
 
-    # Only the block is conjugated, so the zero block keeps its sign.
     R_plus = np.zeros_like(R_minus)
-    R_plus[..., 0, lb] = np.conj(R_minus[..., 0, lb])
-    R_plus[..., 1, rb] = np.conj(R_minus[..., 1, rb])
-
     L_minus = np.zeros_like(R_minus)
     L_plus = np.zeros_like(R_minus)
-    # Acoustic: ml/(2 a_l (u_l a_l + i c_l^2 eta0)) (i eta0 - 2 u_l beta_1^+,
-    # -i eta_t, beta_1^+) on the left, and its mirror image on the right.
+    # Acoustic, per side with its sign s (the module docstring's rule): R^+ is
+    # the conjugate of R^-, and L^- is (c^2 - u^2)/(2 a (u a + i c^2 eta0))
+    # (i s eta0 - 2 u beta^+, -i s eta_t, beta^+).  Only the block is
+    # conjugated, so the zero block keeps its sign.
     for row, blk, s, a, sgn in ((0, lb, vl, a_l, 1.0), (1, rb, vr, a_r, -1.0)):
+        R_plus[..., row, blk] = np.conj(R_minus[..., row, blk])
         bp = beta_plus[..., row]
         vec = np.empty(e0.shape + (n,), dtype=complex)
         vec[..., 0] = sgn * 1j * e0 - 2.0 * s.u * bp
@@ -352,10 +353,7 @@ def normal_modes(pb: PhaseBoundary, eta: Frequency) -> ModeSet:
         L_plus[..., row, blk] = np.conj(L_minus[..., row, blk])
 
     # The advected modes of the + family live on the left.
-    for j in range(2, n):
-        evec = frame.e[:, j - 2]
-        R_plus.real[..., j, 1:d] = e0[..., None] * evec
-        R_plus.real[..., j, d] = vl.u * float(et @ evec)
+    _advected_right(R_plus, e0, frame, et, vl.u, 0)
     # l_3 = s (-u, eta0/(u |eta_t|^2) eta_t, 1)/(eta0^2 + u^2 |eta_t|^2) and
     # l_j = s (0, e_{j-2}, 0)/(u eta0) for j > 3, with s = -1, u = u_l for the
     # + family and s = 1, u = u_r for the - family.

@@ -103,9 +103,10 @@ class InitSpec:
 @dataclass(frozen=True, eq=False)
 class SimConfig:
     """One run: the grid k_n = n*dk, n = -N..N, the end time T, the initial
-    spectrum, a diagnostics row at every `output_every` multiple of dt and
-    at T, and the optional snapshot and physical outputs.  dt also sets the
-    first trial step; after it the error estimate chooses the steps.
+    spectrum, a diagnostics row at every `output_every` multiple of dt below
+    T and the last row at T, and the optional snapshot and physical outputs.
+    T need not be a whole number of dt.  dt also sets the first trial step;
+    after it the error estimate chooses the steps.
     `evolve` stops the run early at breaking, by the test the module
     docstring states."""
 
@@ -416,21 +417,24 @@ def evolve(kernel: Kernel, alpha0: float, config: SimConfig, default_seed: int =
 
     Each step is RK4, accepted or rejected by the error estimate of the
     module docstring; the first trial step is dt.  A diagnostics row is
-    written at tau = j * output_every * dt, at T and at the stop, and no
-    step passes a row time.  A row interval taken in one step is m * dt
-    long, m its count of dt, not the difference of its two times, so a run
-    whose rows are one accepted step each is iterated `rk4_step` bit for
-    bit.  The result counts the RHS calls and the accepted and rejected
-    steps.  The run stops early at breaking, by the test the module
-    docstring states; a trial step that overflows stops it as a non-finite
-    field, without a RuntimeWarning.
+    written at each tau = j * output_every * dt below T, at T (which need
+    not be a whole number of dt) and at the stop, and no step passes a row
+    time.  A row interval taken in one step is m * dt long, m its count of
+    dt (T/dt - j * output_every for the last), not the difference of its
+    two times, so a run whose rows are one accepted step each is iterated
+    `rk4_step` bit for bit.  Where T/dt rounds an ulp above a whole number
+    j, the row at j * dt is kept and one ulp-long step reaches T.  The
+    result counts the RHS calls and the accepted and rejected steps.  The
+    run stops early at breaking, by the test the module docstring states; a
+    trial step that overflows stops it as a non-finite field, without a
+    RuntimeWarning.
     """
     N, dk, dt = config.N, config.dk, config.dt
     half = init_field(config, default_seed=default_seed).what[N:]
     weights = _rhs_weights(N, dk, kernel, alpha0)
     l2_w, h2_w, energy_w = (_diag_weights(N, dk, s) for s in (0, 4, -1))
-    n_steps = max(1, int(round(config.T / dt)))
-    marks = [*range(0, n_steps, config.output_every), n_steps]
+    q = config.T / dt
+    rows = [(m, m * dt) for m in range(0, math.ceil(q), config.output_every)] + [(q, config.T)]
     diag: List[DiagRow] = []
     snaps: List[Tuple[float, np.ndarray]] = []
     breaking: Optional[float] = None
@@ -442,8 +446,7 @@ def evolve(kernel: Kernel, alpha0: float, config: SimConfig, default_seed: int =
         k1 = _half_rhs(half, weights)
         calls = 1
         t, h, prev = 0.0, dt, 0
-        for mark in marks:
-            t_row = mark * dt
+        for mark, t_row in rows:
             since, worst = accepted, 0.0
             while t < t_row and breaking is None:
                 span = (mark - prev) * dt if accepted == since else t_row - t

@@ -392,6 +392,18 @@ class TestSimulate:
             for k, value in spectrum.items():
                 assert spectrum[-k] == value.conjugate()
 
+    def test_fixture_a_ends_at_a_T_between_steps(self, tmp_path, capsys):
+        # T = 1.005 is not a whole number of dt = 0.01: the rows every 0.2
+        # below T are followed by one at T, and the verdict names T.
+        cfg = json.loads((CONFIGS / "fixture_a.json").read_text())
+        cfg["sim"]["T"] = 1.005
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == "simulate: completed to tau = 1.0049999999999999\n"
+        _, rows = read_csv(tmp_path / "diag.csv")
+        assert [row[0] for row in rows] == [0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.005]
+
     def test_physical_output(self, tmp_path):
         cfg = write_config(tmp_path, overrides={"sim.physical": True, "sim.T": 0.1})
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0

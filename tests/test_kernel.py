@@ -490,6 +490,39 @@ class TestConstants:
         assert abs(t2 + E) <= 1e-10 * abs(E)
 
 
+class TestWavevectorScaling:
+    """Scaling eta_t by lambda = 2^k scales the root's eta0 by lambda, alpha0
+    and sigma* by lambda^(d+2), and Q_nat by lambda^(d+4).  Measured on the
+    six copy-table boundaries for |k| <= 30: worst relative deviation
+    3.1e-15, with eta0 exact.  Far outside that range the law breaks in
+    floating point: d = 3 reads 1.6e-10 near 2^-150, and at d = 4 Q_nat
+    underflows there."""
+
+    BOUND = 1e-14
+
+    @pytest.mark.parametrize("name", ["fixture_a", "vdw"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_powers_of_two(self, name, d):
+        cfg = shipped_config(name if d == 2 else f"{name}_d{d}")
+        pb = build_boundary(cfg)
+        eta_t = np.asarray(cfg["eta_t"], dtype=float)
+
+        def values(lam):
+            root = find_root(pb, lam * eta_t)
+            kc = kernel_constants(root)
+            sigma_star = root.sigma.sigma_star
+            return {"eta0": root.eta.eta0, "alpha0": kc.alpha0, "sigma*": sigma_star, "Q_nat": kc.Q_nat}
+
+        base = values(1.0)
+        powers = {"eta0": 1, "alpha0": d + 2, "sigma*": d + 2, "Q_nat": d + 4}
+        for k in range(-30, 31):
+            got = values(2.0**k)
+            for key, power in powers.items():
+                want = 2.0 ** (k * power) * np.asarray(base[key])
+                dev = np.max(np.abs(got[key] - want)) / np.max(np.abs(want))
+                assert dev <= self.BOUND, (key, k, dev)
+
+
 class TestCompletedKernel:
     def test_hunter_oracle_limit(self, root_a):
         kc = kernel_constants(root_a)

@@ -510,6 +510,39 @@ class TestStepControl:
             calls.append(res.rhs_calls)
         assert calls == [9, 17]
 
+    @pytest.mark.parametrize(
+        "T, dt, every, counts",
+        [
+            (1.005, 0.01, 20, [0, 20, 40, 60, 80, 100]),
+            (0.004, 0.01, 1, [0]),
+            (0.016, 0.01, 1, [0, 1]),
+            (1.1, 0.1, 1, list(range(11))),
+            # T/dt rounds an ulp above 3: the row at 3 dt stays, and one
+            # ulp-long step reaches T.
+            (math.nextafter(3 * 0.1, 1.0), 0.1, 1, [0, 1, 2, 3]),
+        ],
+    )
+    def test_last_row_is_at_T(self, kernel_and_alpha, T, dt, every, counts):
+        # T need not be a whole number of dt: the rows below T sit at m * dt
+        # and the last at T itself.  Ending at round(T/dt) * dt instead would
+        # stop the first three runs at 1.0, 0.01 and 0.02.
+        kern, a0v = kernel_and_alpha
+        res = evolve(kern, a0v, _cfg(T=T, dt=dt, output_every=every))
+        assert res.breaking_tau is None and res.steps_rejected == 0
+        taus = [r.tau for r in res.diagnostics]
+        assert taus == [m * dt for m in counts] + [T]
+        assert max(taus) == T
+
+    def test_short_last_interval_is_one_rk4_step(self, kernel_and_alpha):
+        # T = 0.016 at dt = 0.01: a step of dt, then one of (T/dt - 1) * dt.
+        kern, a0v = kernel_and_alpha
+        cfg = _cfg(T=0.016, output_every=1)
+        res = evolve(kern, a0v, cfg)
+        assert [r.steps for r in res.diagnostics] == [0, 1, 1]
+        ref = rk4_step(init_field(cfg), kern, a0v, 0.01)
+        ref = rk4_step(ref, kern, a0v, (0.016 / 0.01 - 1) * 0.01)
+        assert np.array_equal(res.field.what, ref.what)
+
     def test_zero_tolerance_stops_as_breaking(self, kernel_and_alpha, monkeypatch):
         # Every step is rejected, so the step shrinks below its floor and
         # the run stops where it stands instead of looping.
