@@ -68,13 +68,9 @@ from .modes import (
 from .simulate import evolve, physical_reconstruction
 
 
-def _eta_t(cfg: dict) -> np.ndarray:
-    return np.asarray(cfg["eta_t"], dtype=float)
-
-
 def _root(cfg: dict):
     """The surface-wave root of the configured boundary."""
-    return find_root(build_boundary(cfg), _eta_t(cfg))
+    return find_root(build_boundary(cfg), cfg["eta_t"])
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +139,7 @@ def _judge(command: str, path: Path, rows: List[Tuple[str, float, float]], extra
 def cmd_check(cfg: dict, outdir: Path, seed: int) -> int:
     checks: List[Tuple[str, float, float]] = []
     # A step the library refuses (an inadmissible state or a jump condition
-    # the states miss, a refused frequency such as eta_t = 0, no root, a root
+    # the states miss, an eta_t that is zero or too large to square, no root, a root
     # row's own linear algebra at the edge of floating point) ends check with
     # one more, failed row `<stage> (<reason>)`; check.json is still written.
     stage = "phase-boundary"
@@ -158,7 +154,7 @@ def cmd_check(cfg: dict, outdir: Path, seed: int) -> int:
             checks.append(("enthalpy-jump", abs(rev) / scale, 1e-12))
 
         stage = "eigenvector-residual"
-        eta_t = _eta_t(cfg)
+        eta_t = cfg["eta_t"]
         grid = Frequency(np.linspace(0.05, 0.95, 20) * elliptic_eta0_max(pb, eta_t), eta_t)
         modes = normal_modes(pb, grid)
         right, left = mode_residuals(modes)
@@ -209,7 +205,7 @@ def cmd_check(cfg: dict, outdir: Path, seed: int) -> int:
 
 def cmd_scan(cfg: dict, outdir: Path, seed: int) -> int:
     pb = build_boundary(cfg)
-    eta_t = _eta_t(cfg)
+    eta_t = cfg["eta_t"]
     sc = cfg["scan"]
     e0_max = elliptic_eta0_max(pb, eta_t)
     lo, hi = float(sc["eta0_min"]), float(sc["eta0_max"])
@@ -289,8 +285,8 @@ def cmd_coeffs(cfg: dict, outdir: Path, seed: int) -> int:
 
 
 def cmd_simulate(cfg: dict, outdir: Path, seed: int) -> int:
-    root = _root(cfg)
     sim_cfg = sim_config(cfg)
+    root = _root(cfg)
     kernel = build_kernel(root)
     result = evolve(kernel, kernel.constants.alpha0, sim_cfg, default_seed=seed)
     _write_csv(

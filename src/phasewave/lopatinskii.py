@@ -280,25 +280,24 @@ def find_root(pb: PhaseBoundary, eta_t: np.ndarray) -> RootData:
     t = (u_l/c_l)(u_r/c_r) in (0, 1) the root is written in a form free of
     cancellation and overflow.
 
-    Raises NoRootError when floating point cannot deliver the root: eta0 is
-    not strictly inside (0, elliptic_eta0_max), the root-relation residual
-    exceeds 1e-12, or a mode or sigma array at the root is not finite.  Only
-    the positive root is returned; the negative one is its mirror image under
-    conjugation.
+    `Frequency` judges eta_t.  Raises NoRootError when floating point cannot
+    deliver the root: eta0 is not strictly inside (0, elliptic_eta0_max), the
+    root-relation residual exceeds 1e-12, or a mode or sigma array at the
+    root is not finite.  Only the positive root is returned; the negative one
+    is its mirror image under conjugation.
     """
-    eta_t = np.atleast_1d(np.asarray(eta_t, dtype=float))
-    ht2 = float(eta_t @ eta_t)
+    eta = Frequency(0.0, eta_t)  # judges eta_t; the root's eta0 replaces 0.0
     vl, vr = pb.left, pb.right
-    A = (vl.c2 - vl.u**2) * ht2
-    B = (vr.c2 - vr.u**2) * ht2
+    A = (vl.c2 - vl.u**2) * eta.ht2
+    B = (vr.c2 - vr.u**2) * eta.ht2
     t = (vl.u / vl.c) * (vr.u / vr.c)
     den = t * (A + B) + math.hypot(t * (A - B), 2.0 * math.sqrt(A * B))
     e0 = math.sqrt(2.0 * A * B * t / den) if den > 0.0 else 0.0
 
-    eta = Frequency(eta0=e0, eta_t=eta_t)  # refuses eta_t = 0 (e0 = 0 then)
+    eta = Frequency(e0, eta.eta_t)
     scale = vl.c2 * vr.c2 * e0 * e0
     if not (
-        0.0 < e0 < elliptic_eta0_max(pb, eta_t)
+        0.0 < e0 < elliptic_eta0_max(pb, eta.eta_t)
         and scale > 0.0
         and abs(root_factor(pb, eta)) / scale <= 1e-12
     ):
@@ -308,7 +307,7 @@ def find_root(pb: PhaseBoundary, eta_t: np.ndarray) -> RootData:
     with np.errstate(over="ignore", invalid="ignore"):
         modes = normal_modes(pb, eta)
         scalars = RootScalars.at(pb, eta, modes)
-        sigma = _sigma_closed(pb, eta_t, scalars)
+        sigma = _sigma_closed(pb, eta.eta_t, scalars)
     arrays = (
         modes.beta_minus, modes.beta_plus, modes.R_minus, modes.R_plus,
         modes.L_minus, modes.L_plus, sigma.sigma_star,

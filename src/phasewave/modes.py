@@ -5,11 +5,10 @@ v = (rho, j_t, j_n): density, the d-1 tangential momentum components, and the
 normal momentum.  A temporal frequency eta0 and a tangential wavevector eta_t
 (length d-1, nonzero) select normal modes e^{beta z} on the half line z >= 0,
 both sides of the interface having been folded onto the same half line.  On
-the folded (left) side the normal flux enters with a reversed sign, so the
-mode matrices differ between the sides:
+the folded (left) side the normal flux enters with a reversed sign, so a
+side is its fold sign, -1 on the left and +1 on the right, in its mode matrix
 
-    left:   i*(eta0*I + sum_k eta_t[k]*A^k) - beta*A^d
-    right:  i*(eta0*I + sum_k eta_t[k]*A^k) + beta*A^d
+    i*(eta0*I + sum_k eta_t[k]*A^k) + fold*beta*A^d.
 
 Modes are indexed 1..d+1 per family (+/-).  Index 1 is the acoustic mode of
 the left state, index 2 the acoustic mode of the right state; indices 3..d+1
@@ -34,7 +33,7 @@ front.  `mode_residuals` and `dispersion_residual` return one value per eta0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple, Union
 
 import numpy as np
@@ -48,32 +47,35 @@ class Frequency:
     """Temporal frequency and tangential wavevector (eta0, eta_t).
 
     eta0 is a float, or a 1-D array of temporal frequencies that share eta_t.
+    The one judge of eta_t: it stores eta_t as floats with `ht2` = |eta_t|^2
+    and refuses a non-vector, a zero eta_t, or one whose square overflows.
     """
 
     eta0: Union[float, np.ndarray]
     eta_t: np.ndarray
+    ht2: float = field(init=False)
 
     def __post_init__(self) -> None:
         if np.ndim(self.eta0) > 1:
             raise ParameterError("eta0 must be a float or a 1-D array")
         if np.ndim(self.eta0) == 1:
             object.__setattr__(self, "eta0", np.asarray(self.eta0, dtype=float))
-        object.__setattr__(self, "eta_t", np.atleast_1d(np.asarray(self.eta_t, dtype=float)))
-        if self.eta_t.ndim != 1:
+        eta_t = np.atleast_1d(np.asarray(self.eta_t, dtype=float))
+        if eta_t.ndim != 1:
             raise ParameterError("eta_t must be a vector")
-        if not float(self.eta_t @ self.eta_t) > 0.0:
+        with np.errstate(over="ignore"):
+            ht2 = float(eta_t @ eta_t)
+        if not ht2 > 0.0:
             raise DegeneracyError("tangential wavevector must be nonzero")
-
-    @property
-    def ht2(self) -> float:
-        """Squared magnitude of the tangential wavevector."""
-        return float(self.eta_t @ self.eta_t)
+        if ht2 == math.inf:
+            raise DomainError(f"|eta_t|^2 overflows at eta_t = {eta_t.tolist()}")
+        object.__setattr__(self, "eta_t", eta_t)
+        object.__setattr__(self, "ht2", ht2)
 
 
 def elliptic_eta0_max(pb: PhaseBoundary, eta_t: np.ndarray) -> float:
     """Upper end of the interval of eta0 where both decay radicals are real."""
-    eta_t = np.atleast_1d(np.asarray(eta_t, dtype=float))
-    ht = math.sqrt(float(eta_t @ eta_t))
+    ht = math.sqrt(Frequency(0.0, eta_t).ht2)
     return ht * math.sqrt(
         min(pb.left.c2 - pb.left.u**2, pb.right.c2 - pb.right.u**2)
     )
@@ -124,21 +126,19 @@ def _complement_basis(eta_t: np.ndarray) -> np.ndarray:
     return np.column_stack(basis)
 
 
-def tangent_frame(eta_t: np.ndarray, u_r: float, eta0, d: int) -> TangentFrame:
-    """Build the tangential frame and Upsilon for a float or a 1-D array eta0."""
-    eta_t = np.atleast_1d(np.asarray(eta_t, dtype=float))
+def tangent_frame(eta: Frequency, u_r: float, d: int) -> TangentFrame:
+    """The tangential frame and Upsilon of eta, at its eta0 (float or 1-D array)."""
+    eta_t = eta.eta_t
     if eta_t.size != d - 1:
         raise ParameterError(f"eta_t must have length d-1={d - 1}, got {eta_t.size}")
-    if not float(eta_t @ eta_t) > 0.0:
-        raise DegeneracyError("tangential wavevector must be nonzero")
     comp = _complement_basis(eta_t)
     e = np.column_stack([eta_t, comp])
     det_e = float(np.linalg.det(e))
     # The power is a product of d-2 factors, so a float and an array eta0
     # round alike (C pow and numpy's power loops do not).
-    power = np.ones(np.shape(eta0))
+    power = np.ones(np.shape(eta.eta0))
     for _ in range(d - 2):
-        power = power * (-u_r * eta0)
+        power = power * (-u_r * eta.eta0)
     upsilon = power * u_r * det_e
     return TangentFrame(e=e, det_e=det_e, upsilon=float(upsilon) if upsilon.ndim == 0 else upsilon)
 
@@ -177,21 +177,17 @@ def tangential_symbol(state: FluidState, eta: Frequency) -> np.ndarray:
     return S
 
 
-def mode_matrix(state: FluidState, eta: Frequency, beta: complex, side: str) -> np.ndarray:
-    """Symbol of the interior operator annihilating a mode e^{beta z}.
+def mode_matrix(state: FluidState, eta: Frequency, beta: complex, fold: float) -> np.ndarray:
+    """Symbol i*S + fold*beta*A^d of the interior operator annihilating a mode
+    e^{beta z}, S the tangential symbol.
 
-    side 'l' uses the folded sign (-beta*A^d), side 'r' the plain one.  beta
-    may be an array whose shape broadcasts against eta0's; the matrices then
-    carry the broadcast shape in front.
+    fold is the side's sign of the normal flux: -1 on the folded left side,
+    +1 on the right.  beta may be an array whose shape broadcasts against
+    eta0's; the matrices then carry the broadcast shape in front.
     """
     d = eta.eta_t.size + 1
-    bA = np.multiply.outer(beta, flux_jacobians(state, d)[d - 1])
-    S = tangential_symbol(state, eta)
-    if side == "l":
-        return 1j * S - bA
-    if side == "r":
-        return 1j * S + bA
-    raise ParameterError(f"side must be 'l' or 'r', got {side!r}")
+    bA = np.multiply.outer(beta, fold * flux_jacobians(state, d)[d - 1])
+    return 1j * tangential_symbol(state, eta) + bA
 
 
 def dg0(state: FluidState, mu: float, d: int) -> np.ndarray:
@@ -263,7 +259,7 @@ def elliptic_frequency(pb: PhaseBoundary, eta: Frequency):
     # [()] leaves an array as it is and turns a float into a numpy scalar,
     # whose arithmetic costs a fraction of a 0-d array's.
     e0 = np.asarray(eta.eta0, dtype=float)[()]
-    frame = tangent_frame(eta.eta_t, pb.right.u, e0, pb.d)
+    frame = tangent_frame(eta, pb.right.u, pb.d)
     a_l, a_r = decay_radicals(pb, eta)
     if pb.d > 2 and (e0 == 0.0).any():
         raise DomainError("advected left eigenvectors are singular at eta0=0 for d>=3")
@@ -528,9 +524,9 @@ def mode_residuals(modes: ModeSet) -> Tuple[Union[float, np.ndarray], Union[floa
     one value per eta0, over every mode of both families.
 
     The two families are concatenated along the mode axis, and the modes of
-    one side share one call of `mode_matrix`, with the mode axis in front;
-    each matrix is applied to both vectors, read from the block its side
-    names: one pass per side and vector kind.  A nonzero off-side block
+    one side share one call of `mode_matrix` at its fold sign, mode axis in
+    front; each matrix is applied to both vectors, read from the block its
+    side names: one pass per side and vector kind.  A nonzero off-side block
     counts as a residual relative to the vector.  The matrices and vectors
     are scaled by `binary_scale` before the norms; the scales cancel exactly
     in each residual.  A non-finite entry gives a non-finite value.
@@ -542,12 +538,12 @@ def mode_residuals(modes: ModeSet) -> Tuple[Union[float, np.ndarray], Union[floa
     sides = modes.side_minus + modes.side_plus
     right, left = [], []
     with np.errstate(invalid="ignore"):
-        for side, state, blk, off in (
-            ("l", pb.left, slice(0, n), slice(n, 2 * n)),
-            ("r", pb.right, slice(n, 2 * n), slice(0, n)),
+        for side, fold, state, blk, off in (
+            ("l", -1.0, pb.left, slice(0, n), slice(n, 2 * n)),
+            ("r", 1.0, pb.right, slice(n, 2 * n), slice(0, n)),
         ):
             j = [k for k, s in enumerate(sides) if s == side]
-            M = mode_matrix(state, eta, np.moveaxis(betas[..., j], -1, 0), side)
+            M = mode_matrix(state, eta, np.moveaxis(betas[..., j], -1, 0), fold)
             M = binary_scale(M, 2) * M
             right.append(_block_residual(M, np.moveaxis(R[..., j, :], -2, 0), blk, off, False))
             left.append(_block_residual(M, np.moveaxis(L[..., j, :], -2, 0), blk, off, True))

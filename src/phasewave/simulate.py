@@ -52,8 +52,8 @@ time-step error; `l2` and `h2` are not invariants.  Each row also holds the
 accepted steps since the previous row and their largest error estimate.
 `evolve` stops at the first accepted step where `h2` exceeds 1e6 times its
 initial value, at the first trial step where an amplitude is not finite, or
-where the step shrinks below `_MIN_STEP` * dt, and reports that time as the
-breaking time.
+at a rejected step whose successor h cannot move the time t_row of the row
+it heads for (t_row + h == t_row), and reports that time as breaking.
 """
 
 from __future__ import annotations
@@ -80,10 +80,6 @@ _BLOWUP_FACTOR = 1e6
 # max|what|, the larger of the step's two ends.
 _STEP_TOL = 1e-10
 
-# A rejected step that leaves the next trial below this multiple of `dt`
-# stops the run as breaking, so the step controller always ends.
-_MIN_STEP = 2.0**-30
-
 
 @dataclass(frozen=True, eq=False)
 class InitSpec:
@@ -105,10 +101,10 @@ class SimConfig:
     """One run: the grid k_n = n*dk, n = -N..N, the end time T, the initial
     spectrum, a diagnostics row at every `output_every` multiple of dt below
     T and the last row at T, and the optional snapshot and physical outputs.
-    T need not be a whole number of dt.  dt also sets the first trial step;
-    after it the error estimate chooses the steps.
-    `evolve` stops the run early at breaking, by the test the module
-    docstring states."""
+    T need not be a whole number of dt.  dt also sets the first trial step,
+    but no floor: the error estimate chooses the steps.  A grid whose weight
+    2 dk (N dk)^4 overflows is refused.  `evolve` stops the run early at
+    breaking, by the test the module docstring states."""
 
     dk: float
     N: int
@@ -130,6 +126,10 @@ class SimConfig:
             raise ParameterError(f"T must be positive, got {self.T}")
         if self.output_every < 1:
             raise ParameterError("output_every must be at least 1")
+        with np.errstate(over="ignore"):
+            top = _diag_weights(self.N, self.dk, 4)[-1]
+        if not math.isfinite(top):
+            raise ParameterError(f"dk={self.dk} and N={self.N} overflow the weight 2 dk (N dk)^4")
 
 
 @dataclass(eq=False)
@@ -199,7 +199,7 @@ def init_field(config: SimConfig, default_seed: int = 0) -> SpectralField:
 
     Profiles: 'single_mode' places the amplitude at +-k0, which must be a
     grid wavenumber n*dk, 1 <= n <= N, to round-off; 'gaussian_bump' is
-    A exp(-(|k|-k0)^2/width^2); 'random_smooth' draws complex amplitudes
+    A exp(-((|k|-k0)/width)^2); 'random_smooth' draws complex amplitudes
     from `default_seed`, the run's seed, with an algebraic |k|^-4 envelope
     (zero mean mode).
     """
@@ -219,7 +219,9 @@ def init_field(config: SimConfig, default_seed: int = 0) -> SpectralField:
         w[N + idx] = A
         w[N - idx] = np.conj(A)
     elif spec.name == "gaussian_bump":
-        w = (A * np.exp(-((np.abs(k) - spec.k0) ** 2) / spec.width**2)).astype(complex)
+        # Squared once scaled: 0 at |k| = k0 at any width, exp(-inf) = 0 far off.
+        with np.errstate(over="ignore"):
+            w = (A * np.exp(-(((np.abs(k) - spec.k0) / spec.width) ** 2))).astype(complex)
     elif spec.name == "random_smooth":
         rng = np.random.default_rng(default_seed)
         phases = rng.uniform(0.0, 2.0 * np.pi, size=2 * N + 1)
@@ -425,9 +427,9 @@ def evolve(kernel: Kernel, alpha0: float, config: SimConfig, default_seed: int =
     `rk4_step` bit for bit.  Where T/dt rounds an ulp above a whole number
     j, the row at j * dt is kept and one ulp-long step reaches T.  The
     result counts the RHS calls and the accepted and rejected steps.  The
-    run stops early at breaking, by the test the module docstring states; a
-    trial step that overflows stops it as a non-finite field, without a
-    RuntimeWarning.
+    run stops early at breaking by the module docstring's test, whose step
+    floor does not scale with dt; an overflowing trial step stops it as a
+    non-finite field, without a RuntimeWarning.
     """
     N, dk, dt = config.N, config.dk, config.dt
     half = init_field(config, default_seed=default_seed).what[N:]
@@ -466,7 +468,7 @@ def evolve(kernel: Kernel, alpha0: float, config: SimConfig, default_seed: int =
                         # that a zero tolerance rejects.
                         rejected += 1
                         h = min(h, 0.9 * step)
-                        if h < _MIN_STEP * dt:
+                        if t_row + h == t_row:
                             breaking = t
                         continue
                     accepted += 1

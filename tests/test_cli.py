@@ -158,14 +158,12 @@ class TestScan:
         assert len(rows) == 2
 
     def test_zero_wavevector_exits_one(self, tmp_path, capsys):
-        # With eta_t = 0 the elliptic interval is empty, so the range test
-        # refuses any scan range.
+        # Frequency refuses eta_t = 0 before any scan range is judged, with
+        # the message root gives.
         cfg = write_config(tmp_path, eta_t=[0.0])
         out = tmp_path / "out"
         assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 1
-        assert capsys.readouterr().out == (
-            "scan: range [0.05, 1.7] not inside the elliptic interval [0, 0.0)\n"
-        )
+        assert capsys.readouterr() == ("", "scan: tangential wavevector must be nonzero\n")
         assert not (out / "scan.csv").exists()
 
     def test_range_outside_elliptic_exits_one(self, tmp_path):

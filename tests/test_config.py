@@ -280,6 +280,25 @@ def test_huge_wavevector_overflow_is_a_failed_row(tmp_path, capsys, command, eta
     assert capsys.readouterr().out.strip() == f"{command}: FAIL ({failed[-1]})"
 
 
+@pytest.mark.parametrize("command", ["check", "scan", "root", "coeffs", "simulate"])
+def test_overflowing_wavevector_square_exits_one(tmp_path, capsys, command):
+    # |eta_t|^2 overflows at 1e200; Frequency refuses it once, naming eta_t,
+    # before any matrix is formed: one line and exit 1, no RuntimeWarning.
+    # check makes the refusal its failed eigenvector-residual row.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(tmp_path, command, shipped_config("fixture_a"), eta_t=[1e200]) == 1
+    reason = "|eta_t|^2 overflows at eta_t = [1e+200]"
+    captured = capsys.readouterr()
+    if command == "check":
+        report = json.loads((tmp_path / "out" / "check.json").read_text())
+        row = report["invariants"][-1]
+        assert row["name"] == f"eigenvector-residual ({reason})" and row["pass"] is False
+        assert captured == (f"check: FAIL ({row['name']})\n", "")
+    else:
+        assert captured == ("", f"{command}: {reason}\n")
+
+
 @pytest.mark.parametrize(
     "command, eta_t, rc, verdict",
     [
@@ -358,6 +377,20 @@ def test_nonpositive_wavenumber_step_exits_one(tmp_path, change):
             "simulate", RAW, {"sim__init__k0": 1.7}, 1,
             "", "simulate: k0=1.7 does not fall on the grid interior\n",
             id="mode-beyond-grid",
+        ),
+        # fixture_a as shipped (T = 2): the first trial step of 1e10 shrinks
+        # to what the error estimate allows, as the floor does not scale with
+        # dt; a floor of a fixed multiple of dt reported breaking at tau = 0.
+        pytest.param(
+            "simulate", shipped_config("fixture_a"), {"sim__dt": 1e10}, 0,
+            "simulate: completed to tau = 2\n", "",
+            id="huge-dt",
+        ),
+        # The sim section is judged before the boundary and eta_t (here 0).
+        pytest.param(
+            "simulate", RAW, {"sim__dk": 1e300, "eta_t": [0.0]}, 1,
+            "", "simulate: dk=1e+300 and N=16 overflow the weight 2 dk (N dk)^4\n",
+            id="overflowing-grid",
         ),
         *(
             pytest.param(

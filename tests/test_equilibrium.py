@@ -127,6 +127,14 @@ class TestMakePhaseBoundary:
         with pytest.raises(DegeneracyError):
             make_phase_boundary(state, state, 2, 1.0)
 
+    def test_zero_velocity_jump_degenerate(self):
+        # The densities differ by 1e-12 relative, inside the mass-flux
+        # tolerance, while the velocities are equal.
+        left = FluidState(rho=1.0, u=0.9, c2=4.0, pp=0.5)
+        right = FluidState(rho=1.0 + 1e-12, u=0.9, c2=4.0, pp=0.5)
+        with pytest.raises(DegeneracyError, match="velocity jump vanishes"):
+            make_phase_boundary(left, right, 2, 1.0)
+
     def test_momentum_enforced_when_pressures_given(self):
         left = FluidState(rho=1.0, u=0.9, c2=4.0, pp=0.5, p=1.0)
         right = FluidState(rho=0.45, u=2.0, c2=9.0, pp=0.5, p=1.0)
@@ -141,6 +149,12 @@ class TestMakePhaseBoundary:
         right = FluidState(**FIXTURE_A["right"])
         with pytest.raises(ParameterError):
             make_phase_boundary(left, right, 1, 1.0)
+
+    def test_infinite_mu_refused(self):
+        left = FluidState(**FIXTURE_A["left"])
+        right = FluidState(**FIXTURE_A["right"])
+        with pytest.raises(ParameterError, match="mu must be finite"):
+            make_phase_boundary(left, right, 2, float("inf"))
 
     def test_entropy_row_of_h_matches_gradient_construction(self):
         # The linearized surrogate of the energy jump identity: the last row

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from phasewave import (
     DegeneracyError,
     DomainError,
+    ParameterError,
     alpha0_abstract,
     alpha0_closed,
     alpha0_fd,
@@ -174,6 +175,11 @@ class TestProfiles:
     def test_dual_profile_requires_positive_k(self, root_a):
         with pytest.raises(DomainError):
             dual_profile(root_a, -1.0)
+
+    @pytest.mark.parametrize("k", [0.0, -1.0])
+    def test_packaged_dual_profile_requires_positive_k(self, root_a, k):
+        with pytest.raises(DomainError, match="requires k > 0"):
+            dual_profile_packaged(root_a, k)
 
     def test_advected_dual_coefficients_vanish(self, root_a3):
         # sigma* H R_p^+ = 0 for the advected modes p >= 4, so the dual
@@ -380,6 +386,7 @@ class TestOracleArrays:
             ([1.0, 2.0, 3.0], [2.0, 0.0, 3.0], DegeneracyError),
             ([1.0, 2.0, 3.0], [2.0, -2.0, 3.0], DomainError),
             ([1.0, 2.0, 3.0], [2.0, -5.0, 3.0], DomainError),
+            ([1.0, 2.0], [2.0, 1.0, 3.0], ParameterError),
         ],
     )
     def test_one_refused_point_refuses_the_array(self, root_a, k, kp, error):

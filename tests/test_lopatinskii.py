@@ -198,6 +198,16 @@ class TestFrequencyArrays:
         with pytest.raises(ParameterError):
             Frequency(np.ones((2, 2)), [1.0])
 
+    def test_two_dimensional_eta_t_refused(self):
+        with pytest.raises(ParameterError, match="eta_t must be a vector"):
+            Frequency(0.5, np.ones((2, 2)))
+
+    @pytest.mark.parametrize("eta_t", [[1e200], [1e154, 1e154]])
+    def test_overflowing_eta_t_square_refused(self, eta_t):
+        # |eta_t|^2 is judged once, by Frequency, without a RuntimeWarning.
+        with pytest.raises(DomainError, match=r"\|eta_t\|\^2 overflows at eta_t = \["):
+            Frequency(0.5, eta_t)
+
 
 class TestFindRoot:
     def test_root_function_negative_at_origin(self):

@@ -90,13 +90,13 @@ def _reference_vector(state, d):
 
 class TestTangentFrame:
     def test_d2_trivial(self):
-        fr = tangent_frame(np.array([1.0]), u_r=2.0, eta0=0.7, d=2)
+        fr = tangent_frame(Frequency(0.7, [1.0]), u_r=2.0, d=2)
         assert fr.det_e == 1.0
         assert fr.upsilon == pytest.approx(2.0)
         assert fr.e.shape == (1, 1)
 
     def test_d3_345(self):
-        fr = tangent_frame(np.array([3.0, 4.0]), u_r=2.0, eta0=1.0, d=3)
+        fr = tangent_frame(Frequency(1.0, [3.0, 4.0]), u_r=2.0, d=3)
         assert abs(fr.det_e) == pytest.approx(5.0, rel=1e-14)
         e2 = fr.e[:, 1]
         assert np.linalg.norm(e2) == pytest.approx(1.0, rel=1e-14)
@@ -107,7 +107,7 @@ class TestTangentFrame:
         rng = np.random.default_rng(5)
         for d in (3, 4, 5):
             et = rng.normal(size=d - 1)
-            fr = tangent_frame(et, 1.5, 0.8, d)
+            fr = tangent_frame(Frequency(0.8, et), 1.5, d)
             # The complement columns e[:, 1:] are their own duals.
             for i in range(1, d - 1):
                 for j in range(1, d - 1):
@@ -117,13 +117,13 @@ class TestTangentFrame:
 
     def test_zero_wavevector_rejected(self):
         with pytest.raises(DegeneracyError):
-            tangent_frame(np.array([0.0]), 1.0, 1.0, 2)
+            tangent_frame(Frequency(1.0, [0.0]), 1.0, 2)
 
     def test_upsilon_nonzero_at_nonzero_eta0(self):
         rng = np.random.default_rng(11)
         for d in (2, 3, 4):
             et = rng.normal(size=d - 1)
-            fr = tangent_frame(et, 1.5, 0.8, d)
+            fr = tangent_frame(Frequency(0.8, et), 1.5, d)
             assert fr.upsilon != 0.0
 
 
@@ -338,6 +338,10 @@ class TestFluxJacobians:
         expected = np.array([[0.0, 0.0, 1.0], [0.0, 0.9, 0.0], [3.19, 0.0, 1.8]])
         assert np.allclose(A[1], expected, rtol=0, atol=1e-15)
 
+    def test_dimension_validated(self):
+        with pytest.raises(ParameterError, match="at least 2"):
+            flux_jacobians(FluidState(rho=1.0, u=0.9, c2=4.0, pp=0.5), 1)
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_fd_oracle(self, d):
         state = FluidState(rho=1.3, u=0.7, c2=3.0, pp=0.4, p=0.2)
@@ -358,7 +362,7 @@ class TestFluxJacobians:
         pb = fixture_a_boundary()
         eta = Frequency(1.0, [1.0])
         m = normal_modes(pb, eta)
-        M = mode_matrix(pb.left, eta, m.beta_minus[0], "l")
+        M = mode_matrix(pb.left, eta, m.beta_minus[0], -1.0)
         r = m.R_minus[0, : pb.d + 1]
         assert np.linalg.norm(M @ r) <= 1e-12 * np.linalg.norm(r) * np.linalg.norm(M)
 
@@ -540,6 +544,15 @@ class TestSecondDifferentials:
         state = FluidState(rho=1.1, u=0.5, c2=2.0, pp=0.3)
         with pytest.raises(Exception):
             d2_flux_tangential(state, np.array([1.0]), np.ones(4), np.ones(4))
+
+    @pytest.mark.parametrize(
+        "d2", [lambda s, x, y: d2_flux_tangential(s, np.array([1.0]), x, y), d2_flux_normal],
+        ids=["tangential", "normal"],
+    )
+    def test_unequal_shapes_refused(self, d2):
+        state = FluidState(rho=1.1, u=0.5, c2=2.0, pp=0.3)
+        with pytest.raises(ParameterError, match="equal shapes"):
+            d2(state, np.ones(3), np.ones((3, 2)))
 
 
 # ---------------------------------------------------------------------------

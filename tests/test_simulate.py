@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +118,21 @@ class TestInitField:
         f = init_field(_cfg(init=InitSpec("gaussian_bump", amplitude=0.3, k0=1.0, width=0.4)))
         assert f.hermitian_deviation() == 0.0
 
+    @pytest.mark.parametrize(
+        "width, k0, nonzero", [(1e-300, 1.0, 2), (1e-160, 1.0, 2), (1.0, 1e300, 0)]
+    )
+    def test_extreme_bump_is_finite(self, width, k0, nonzero):
+        # The scaled distance is squared: 0 at |k| = k0 however narrow the
+        # bump (0/0 before), and too large to square elsewhere, where the
+        # bump is exactly 0.  No RuntimeWarning is raised.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            bump = InitSpec("gaussian_bump", amplitude=0.5, k0=k0, width=width)
+            f = init_field(_cfg(init=bump))
+        assert np.all(np.isfinite(f.what))
+        assert np.count_nonzero(f.what) == nonzero
+        assert nonzero == 0 or f.what[f.N + 10] == 0.5
+
     def test_unknown_profile_rejected(self):
         with pytest.raises(ParameterError):
             init_field(_cfg(init=InitSpec("square_wave", amplitude=1.0)))
@@ -144,6 +161,14 @@ class TestInitField:
             _cfg(T=-1.0)
         with pytest.raises(ParameterError):
             _cfg(output_every=0)
+
+    @pytest.mark.parametrize("dk", [1e60, 1e80, 1e300])
+    def test_overflowing_diagnostic_weight_refused(self, dk):
+        # The largest weight 2 dk (N dk)^4 of h2 is not finite at the shipped
+        # N = 128 (at dk = 1e60 and N = 32 it is 2.1e306, and accepted).
+        with pytest.raises(ParameterError, match=re.escape(f"dk={dk} and N=128 overflow")):
+            _cfg(dk=dk, N=128)
+        assert _cfg(dk=1e60).N == 32
 
 
 class TestConvolutionRhs:
@@ -553,6 +578,10 @@ class TestStepControl:
         assert res.steps_accepted == 0 and res.steps_rejected > 0
         assert res.rhs_calls == 1 + 4 * res.steps_rejected
         assert [r.tau for r in res.diagnostics] == [0.0]
+
+    @pytest.mark.parametrize("err", [math.inf, math.nan])
+    def test_nonfinite_estimate_gives_the_smallest_factor(self, err):
+        assert simulate._step_factor(err) == 0.2
 
     def test_zero_field_takes_no_rejected_step(self, kernel_and_alpha):
         kern, a0v = kernel_and_alpha
