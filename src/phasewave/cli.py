@@ -7,11 +7,11 @@ files are comma-separated with LF line endings.  Identical configuration and
 seed produce byte-identical outputs.
 
 The whole configuration is validated once, against the schema in
-`phasewave.config`, before any physics runs.  `eta_t` is always required;
-`scan` needs the `scan` section and `simulate` the `sim` section.  Exit
-codes: 0 success; 2 an unreadable file, malformed JSON, a schema problem (an
+`phasewave.config`, before any physics runs; the schema requires `eta_t`
+of every subcommand, `scan` of `scan` and `sim` of `simulate`.  Exit codes:
+0 success; 2 an unreadable file, malformed JSON, a schema problem (an
 unknown, missing or mistyped field at any level, `sim` and `sim.init`
-included, or a section the subcommand needs) or a negative --seed; 1 a
+included) or a negative --seed; 1 a
 physics or value-range failure (a failed invariant, an inadmissible state or
 parameter, no surface wave because floating point could not represent the
 root, an empty scan interval, a scan determinant that is not finite).  The
@@ -85,13 +85,16 @@ def _fmt(x: float) -> str:
 
 
 def _to_json(obj, indent: int = 0) -> str:
-    # The reports hold dicts, lists, str, bool, float and complex (numpy's
-    # float64 and complex128 are subclasses of the last two).  Complex and
-    # float values are most of every report, so they are tested first.
+    # The reports hold dicts, lists, arrays (written as nested lists), str,
+    # bool, float and complex (numpy's float64 and complex128 are subclasses
+    # of the last two).  Complex and float values are most of every report,
+    # so they are tested first.
     if isinstance(obj, complex):
         return f"[{_fmt(obj.real)}, {_fmt(obj.imag)}]"
     if isinstance(obj, float):
         return _fmt(obj)
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     pad = "  " * indent
     if isinstance(obj, dict):
         items = [
@@ -127,7 +130,7 @@ def _judge(command: str, path: Path, rows: List[Tuple[str, float, float]], extra
     residual, tol) row; print the verdict, naming the last failed row (the one
     an early exit appended); return the exit code."""
     invariants = [
-        {"name": name, "residual": float(res), "tol": float(tol), "pass": bool(res <= tol)}
+        {"name": name, "residual": res, "tol": tol, "pass": bool(res <= tol)}
         for name, res, tol in rows
     ]
     failed = [inv["name"] for inv in invariants if not inv["pass"]]
@@ -184,16 +187,13 @@ def cmd_check(cfg: dict, outdir: Path, seed: int) -> int:
         checks.append((f"{stage} ({exc})", math.inf, 0.0))
         return _judge("check", outdir / "check.json", checks, {})
 
-    def matrix(arr) -> list:
-        return [[complex(v) for v in row] for row in np.atleast_2d(arr)]
-
     debug = {
-        "eta0_root": float(root.eta.eta0),
-        "H": matrix(root.ops.H),
-        "R_minus": matrix(root.modes.R_minus),
-        "R_plus": matrix(root.modes.R_plus),
-        "L_minus": matrix(root.modes.L_minus),
-        "L_plus": matrix(root.modes.L_plus),
+        "eta0_root": root.eta.eta0,
+        "H": root.ops.H,
+        "R_minus": root.modes.R_minus,
+        "R_plus": root.modes.R_plus,
+        "L_minus": root.modes.L_minus,
+        "L_plus": root.modes.L_plus,
     }
     return _judge("check", outdir / "check.json", checks, {"debug": debug})
 
@@ -246,9 +246,9 @@ def cmd_scan(cfg: dict, outdir: Path, seed: int) -> int:
 def cmd_root(cfg: dict, outdir: Path, seed: int) -> int:
     root = _root(cfg)
     report = {
-        "eta0": float(root.eta.eta0),
-        "upsilon": float(root.modes.frame.upsilon),
-        "sigma_star": [complex(v) for v in root.sigma.sigma_star],
+        "eta0": root.eta.eta0,
+        "upsilon": root.modes.frame.upsilon,
+        "sigma_star": root.sigma.sigma_star,
         "gamma1": root.gamma1,
         "gamma2": root.gamma2,
     }
@@ -368,10 +368,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     command, needs = _COMMANDS[args.command]
 
     try:
-        cfg = load_config(args.config)
-        missing = [key for key in needs if key not in cfg]
-        if missing:
-            raise ConfigError(f"{args.command} needs the missing field(s) {missing}")
+        cfg = load_config(args.config, needs)
         outdir = Path(args.out if args.out is not None else cfg.get("output_dir", "."))
         outdir.mkdir(parents=True, exist_ok=True)
     except (ConfigError, OSError) as exc:

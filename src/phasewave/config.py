@@ -127,8 +127,9 @@ def _validate(obj, table: dict, path: str = "") -> None:
             raise ConfigError(f"{name} must be {spec[0]}")
 
 
-def load_config(path: str) -> dict:
-    """Read and validate a configuration file; raises ConfigError."""
+def load_config(path: str, needs: Tuple[str, ...] = ()) -> dict:
+    """Read and validate a configuration file, whose optional top-level
+    sections named in `needs` are then required; raises ConfigError."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -137,7 +138,8 @@ def load_config(path: str) -> dict:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON: {exc}") from exc
-    _validate(cfg, _EOS_TOP if type(cfg) is dict and "eos" in cfg else _RAW_TOP)
+    top = _EOS_TOP if type(cfg) is dict and "eos" in cfg else _RAW_TOP
+    _validate(cfg, _requiring(top, *needs))
     if len(cfg["eta_t"]) != cfg["d"] - 1:
         raise ConfigError(f"eta_t must have length d-1={cfg['d'] - 1}")
     return cfg

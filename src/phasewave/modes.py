@@ -102,8 +102,8 @@ def _complement_basis(eta_t: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of the hyperplane orthogonal to eta_t.
 
     A Householder reflection maps the largest-magnitude coordinate axis onto
-    the unit tangential direction; the remaining reflected axes, taken in
-    increasing index order and re-orthonormalized, span the complement.
+    the line of eta_t.  The reflection is orthogonal, so its remaining
+    columns, in increasing index order, are the basis as they stand.
     """
     m = eta_t.size
     if m == 1:
@@ -114,16 +114,7 @@ def _complement_basis(eta_t: np.ndarray) -> np.ndarray:
     v = n.copy()
     v[p] += s
     H = np.eye(m) - 2.0 * np.outer(v, v) / float(v @ v)
-    cols = [H[:, j] for j in range(m) if j != p]
-    # Modified Gram-Schmidt pass; the reflected axes are already orthonormal
-    # to rounding, this just tightens the duality identities.
-    basis = []
-    for w in cols:
-        w = w - n * float(n @ w)
-        for b in basis:
-            w = w - b * float(b @ w)
-        basis.append(w / np.linalg.norm(w))
-    return np.column_stack(basis)
+    return np.delete(H, p, axis=1)
 
 
 def tangent_frame(eta: Frequency, u_r: float, d: int) -> TangentFrame:

@@ -102,9 +102,10 @@ class SimConfig:
     spectrum, a diagnostics row at every `output_every` multiple of dt below
     T and the last row at T, and the optional snapshot and physical outputs.
     T need not be a whole number of dt.  dt also sets the first trial step,
-    but no floor: the error estimate chooses the steps.  A grid whose weight
-    2 dk (N dk)^4 overflows is refused.  `evolve` stops the run early at
-    breaking, by the test the module docstring states."""
+    but no floor: the error estimate chooses the steps.  A grid whose h2
+    weight 2 dk (N dk)^4 or energy weight 2 dk (n dk)^-1 overflows is
+    refused.  `evolve` stops the run early at breaking, by the test the
+    module docstring states."""
 
     dk: float
     N: int
@@ -126,10 +127,11 @@ class SimConfig:
             raise ParameterError(f"T must be positive, got {self.T}")
         if self.output_every < 1:
             raise ParameterError("output_every must be at least 1")
-        with np.errstate(over="ignore"):
-            top = _diag_weights(self.N, self.dk, 4)[-1]
-        if not math.isfinite(top):
-            raise ParameterError(f"dk={self.dk} and N={self.N} overflow the weight 2 dk (N dk)^4")
+        for s, weight in ((4, "2 dk (N dk)^4"), (-1, "2 dk (n dk)^-1")):
+            with np.errstate(over="ignore"):
+                finite = np.isfinite(_diag_weights(self.N, self.dk, s)).all()
+            if not finite:
+                raise ParameterError(f"dk={self.dk} and N={self.N} overflow the weight {weight}")
 
 
 @dataclass(eq=False)
@@ -157,14 +159,14 @@ class SpectralField:
         return complex(self.what[self.N])
 
     def l2(self) -> float:
-        return _weighted_sum(self.what[self.N :], _diag_weights(self.N, self.dk, 0))
+        return _weighted_square(np.abs(self.what[self.N :]), _diag_weights(self.N, self.dk, 0))
 
     def h2(self) -> float:
-        return _weighted_sum(self.what[self.N :], _diag_weights(self.N, self.dk, 4))
+        return _weighted_square(np.abs(self.what[self.N :]), _diag_weights(self.N, self.dk, 4))
 
     def energy(self) -> float:
         """Hdot^{-1/2} energy dk sum_{k != 0} |what_k|^2 / |k|."""
-        return _weighted_sum(self.what[self.N :], _diag_weights(self.N, self.dk, -1))
+        return _weighted_square(np.abs(self.what[self.N :]), _diag_weights(self.N, self.dk, -1))
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.what[self.N :])))
@@ -178,10 +180,6 @@ def _diag_weights(N: int, dk: float, s: int) -> np.ndarray:
     c[0] = dk if s == 0 else 0.0
     c[1:] = 2.0 * dk * (dk * np.arange(1, N + 1)) ** s
     return c
-
-
-def _weighted_sum(half: np.ndarray, weights: np.ndarray) -> float:
-    return _weighted_square(np.abs(half), weights)
 
 
 def _weighted_square(mag: np.ndarray, weights: np.ndarray) -> float:
@@ -226,7 +224,9 @@ def init_field(config: SimConfig, default_seed: int = 0) -> SpectralField:
         rng = np.random.default_rng(default_seed)
         phases = rng.uniform(0.0, 2.0 * np.pi, size=2 * N + 1)
         mags = rng.uniform(0.5, 1.0, size=2 * N + 1)
-        with np.errstate(divide="ignore"):
+        # |k|^-4 overflows for |k| below about 1e-77, where the cap at 1
+        # is exact anyway.
+        with np.errstate(divide="ignore", over="ignore"):
             envelope = np.where(k == 0.0, 0.0, np.abs(k) ** -4.0)
         envelope = np.minimum(envelope, 1.0)
         w = A * mags * envelope * np.exp(1j * phases)
@@ -479,14 +479,15 @@ def evolve(kernel: Kernel, alpha0: float, config: SimConfig, default_seed: int =
                 if not math.isfinite(size) or (h2_0 > 0.0 and h2 > _BLOWUP_FACTOR * h2_0):
                     breaking = t
             if not diag or t > diag[-1].tau:
+                mag = np.abs(half)
                 diag.append(
                     DiagRow(
                         t,
                         complex(half[0]),
-                        _weighted_sum(half, l2_w),
+                        _weighted_square(mag, l2_w),
                         h2,
                         size,
-                        _weighted_sum(half, energy_w),
+                        _weighted_square(mag, energy_w),
                         accepted - since,
                         worst,
                     )

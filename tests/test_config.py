@@ -156,10 +156,18 @@ def test_sim_field_exits_two_and_is_named(tmp_path, capsys, field, changes):
     assert field in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["check", "scan", "root", "coeffs", "simulate"])
-def test_missing_eta_t_is_a_schema_error(tmp_path, capsys, command):
-    assert run(tmp_path, command, eta_t=DELETE) == 2
-    assert "missing field(s) ['eta_t'] in configuration" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "command, field",
+    [
+        *(pytest.param(c, "eta_t", id=c) for c in ("check", "scan", "root", "coeffs", "simulate")),
+        # A section one subcommand needs is required by the same schema.
+        pytest.param("scan", "scan", id="scan-section"),
+        pytest.param("simulate", "sim", id="simulate-section"),
+    ],
+)
+def test_missing_eta_t_is_a_schema_error(tmp_path, capsys, command, field):
+    assert run(tmp_path, command, **{field: DELETE}) == 2
+    assert f"missing field(s) ['{field}'] in configuration" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -391,6 +399,13 @@ def test_nonpositive_wavenumber_step_exits_one(tmp_path, change):
             "simulate", RAW, {"sim__dk": 1e300, "eta_t": [0.0]}, 1,
             "", "simulate: dk=1e+300 and N=16 overflow the weight 2 dk (N dk)^4\n",
             id="overflowing-grid",
+        ),
+        # The energy weight 2 dk (n dk)^-1 overflows at n = 1 for dk below
+        # about 5.6e-309, where no energy cell could be finite.
+        pytest.param(
+            "simulate", RAW, {"sim__dk": 1e-310}, 1,
+            "", "simulate: dk=1e-310 and N=16 overflow the weight 2 dk (n dk)^-1\n",
+            id="tiny-dk",
         ),
         *(
             pytest.param(

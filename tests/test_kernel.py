@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 from phasewave import (
     DegeneracyError,
     DomainError,
+    Frequency,
     ParameterError,
     alpha0_abstract,
     alpha0_closed,
     alpha0_fd,
     build_kernel,
+    det_raw,
     dual_profile,
+    elliptic_eta0_max,
     find_root,
     kernel_constants,
     oracle_vs_closed,
@@ -32,7 +35,7 @@ from phasewave.kernel import (
 )
 from phasewave.modes import flux_jacobians
 
-from conftest import random_boundary, random_frequency, shipped_config
+from conftest import ETA_T, random_boundary, random_frequency, shipped_config
 
 # Fixture-level constants frozen after triple cross-validation (closed form,
 # abstract mode sum, and finite difference of the determinant).
@@ -528,6 +531,108 @@ class TestWavevectorScaling:
                 want = 2.0 ** (k * power) * np.asarray(base[key])
                 dev = np.max(np.abs(got[key] - want)) / np.max(np.abs(want))
                 assert dev <= self.BOUND, (key, k, dev)
+
+
+class TestCrossDimension:
+    """The whole d-dependence of alpha0 and Q_nat comes through Upsilon
+    (`modes.tangent_frame`).  A random boundary at d = 2 with eta_t = [1]
+    and at d = 3 and 4 with the copy-table wavevectors (|eta_t| = 1) gives
+    the same alpha0/Upsilon, Q_nat/Upsilon and q = Q_nat/alpha0 on the
+    closed routes, and the same alpha0_abstract/Upsilon and summed
+    q_oracle(2, -1)/Upsilon on the oracle routes.  Measured over 200
+    boundaries (closed) and the first 20 of them (oracle), on four seeds:
+    at most 5.0e-16, 7.4e-16 and 8.7e-16 (closed), 9.7e-15 and 2.2e-14
+    (oracle).  The law is stated through Upsilon, not as a power of
+    eta0 u_r, because Upsilon also carries the sign of det e."""
+
+    CLOSED_BOUND = 2e-15
+    ORACLE_BOUND = 1e-13
+
+    @pytest.fixture(scope="class")
+    def ratios(self):
+        rng = np.random.default_rng(0)
+        out = []
+        for i in range(200):
+            pb = random_boundary(rng, 2)
+            per_d = {}
+            for d, eta_t in ((2, [1.0]), (3, ETA_T[3]), (4, ETA_T[4])):
+                root = find_root(dataclasses.replace(pb, d=d), eta_t)
+                kc, ups = kernel_constants(root), root.modes.frame.upsilon
+                per_d[d] = {"alpha0": kc.alpha0 / ups, "Q_nat": kc.Q_nat / ups, "q": kc.Q_nat / kc.alpha0}
+                if i < 20:
+                    per_d[d]["alpha0_abstract"] = alpha0_abstract(root) / ups
+                    per_d[d]["q_oracle"] = sum(q_oracle(root, 2.0, -1.0)) / ups
+            out.append(per_d)
+        return out
+
+    @staticmethod
+    def _worst(ratios, key):
+        return max(
+            abs(per_d[d][key] - per_d[2][key]) / abs(per_d[2][key])
+            for per_d in ratios
+            if key in per_d[2]
+            for d in (3, 4)
+        )
+
+    @pytest.mark.parametrize("key", ["alpha0", "Q_nat", "q"])
+    def test_closed_routes(self, ratios, key):
+        assert self._worst(ratios, key) <= self.CLOSED_BOUND
+
+    @pytest.mark.parametrize("key", ["alpha0_abstract", "q_oracle"])
+    def test_oracle_routes(self, ratios, key):
+        assert self._worst(ratios, key) <= self.ORACLE_BOUND
+
+
+class TestGibbsGauge:
+    """mu, the common total enthalpy, is fixed only up to a constant c.
+    mu -> mu + c adds c times the mass row of H to its entropy row, so
+    alpha0, Q_nat and every sigma* entry but D1 keep their bits, D1 moves
+    by -c Dd2, and the raw determinant and the oracle routes agree to
+    rounding.  Measured on 60 random boundaries (d = 2-4, random eta_t,
+    c in [-10, 10]) on ten seeds: D1 to 4.2e-16 of max(|D1|, |c Dd2|),
+    det_raw on check's 20-point grid to 5.7e-14 of its largest value,
+    alpha0_abstract to 1.1e-13 of alpha0 and the summed q_oracle(2, -1) to
+    2.5e-13 of itself."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        rng = np.random.default_rng(1)
+        out = []
+        for _ in range(60):
+            d = int(rng.integers(2, 5))
+            pb = random_boundary(rng, d)
+            c = rng.uniform(-10.0, 10.0)
+            eta_t = rng.normal(size=d - 1)
+            shifted = dataclasses.replace(pb, mu=pb.mu + c)
+            out.append((c, eta_t, find_root(pb, eta_t), find_root(shifted, eta_t)))
+        return out
+
+    def test_closed_constants_keep_their_bits(self, pairs):
+        for _, _, root, moved in pairs:
+            kc, kc_moved = kernel_constants(root), kernel_constants(moved)
+            assert (kc.alpha0, kc.Q_nat) == (kc_moved.alpha0, kc_moved.Q_nat)
+
+    def test_sigma_moves_only_d1(self, pairs):
+        for c, _, root, moved in pairs:
+            s, m = root.sigma, moved.sigma
+            assert (s.Dt, s.Dd1, s.Dd2) == (m.Dt, m.Dd1, m.Dd2)
+            assert np.array_equal(s.sigma_star[1:], m.sigma_star[1:])
+            want = s.D1 - c * s.Dd2
+            assert abs(m.D1 - want) <= 2e-15 * max(abs(s.D1), abs(c * s.Dd2))
+
+    def test_raw_determinant(self, pairs):
+        for _, eta_t, root, moved in pairs:
+            pb = root.pb
+            grid = Frequency(np.linspace(0.05, 0.95, 20) * elliptic_eta0_max(pb, eta_t), eta_t)
+            a, b = det_raw(pb, grid), det_raw(moved.pb, grid)
+            assert np.max(np.abs(a - b)) <= 3e-13 * np.max(np.abs(a))
+
+    def test_oracle_routes(self, pairs):
+        for _, _, root, moved in pairs:
+            alpha0 = kernel_constants(root).alpha0
+            assert abs(alpha0_abstract(moved) - alpha0_abstract(root)) <= 5e-13 * abs(alpha0)
+            q, q_moved = sum(q_oracle(root, 2.0, -1.0)), sum(q_oracle(moved, 2.0, -1.0))
+            assert abs(q_moved - q) <= 1e-12 * abs(q)
 
 
 class TestCompletedKernel:

@@ -133,6 +133,17 @@ class TestInitField:
         assert np.count_nonzero(f.what) == nonzero
         assert nonzero == 0 or f.what[f.N + 10] == 0.5
 
+    def test_random_smooth_at_tiny_dk_is_finite(self):
+        # |k|^-4 overflows for |k| below about 1e-77, where the envelope's
+        # cap at 1 is exact: the spectrum is the one at dk = 1e-50, whose
+        # envelope is capped everywhere too.  No RuntimeWarning is raised.
+        spec = InitSpec("random_smooth", amplitude=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            f = init_field(_cfg(dk=1e-100, init=spec), 7)
+        assert np.all(np.isfinite(f.what))
+        assert np.array_equal(f.what, init_field(_cfg(dk=1e-50, init=spec), 7).what)
+
     def test_unknown_profile_rejected(self):
         with pytest.raises(ParameterError):
             init_field(_cfg(init=InitSpec("square_wave", amplitude=1.0)))
@@ -162,10 +173,11 @@ class TestInitField:
         with pytest.raises(ParameterError):
             _cfg(output_every=0)
 
-    @pytest.mark.parametrize("dk", [1e60, 1e80, 1e300])
+    @pytest.mark.parametrize("dk", [1e60, 1e80, 1e300, 1e-310])
     def test_overflowing_diagnostic_weight_refused(self, dk):
         # The largest weight 2 dk (N dk)^4 of h2 is not finite at the shipped
-        # N = 128 (at dk = 1e60 and N = 32 it is 2.1e306, and accepted).
+        # N = 128 (at dk = 1e60 and N = 32 it is 2.1e306, and accepted); at
+        # dk = 1e-310 the energy weight 2 dk (n dk)^-1 is not.
         with pytest.raises(ParameterError, match=re.escape(f"dk={dk} and N=128 overflow")):
             _cfg(dk=dk, N=128)
         assert _cfg(dk=1e60).N == 32
