@@ -40,8 +40,12 @@ right side at the new point, k5 = f(what_{n+1}), is the next step's k1, so
 RK4's third-order companion with weights (1, 2, 2, 0, 1)/6 is free, and
 their difference (h/6)(k4 - k5) estimates the step's error.  `evolve`
 accepts a step whose estimate, relative to max|what|, is below
-`_STEP_TOL`, and sizes the next by the standard controller.  The
-propagated solution is always the RK4 update.
+`_STEP_TOL`, and sizes the next by the standard controller; only T limits
+a step.  The propagated solution is always the RK4 update.  A row that
+falls strictly inside an accepted step [t, t + h] is written from the
+cubic Hermite interpolant of the step's two states and two slopes
+(what_n, k1, what_{n+1}, k5) at theta = (tau - t)/h (ibid., sec. II.6),
+which costs no RHS call; a row at a step's end is that step's state.
 
 Diagnostics: the mean mode, `l2` = dk sum |what|^2, the H2 proxy
 `h2` = dk sum k^4 |what|^2, `max_abs`, and the Hdot^{-1/2} energy
@@ -49,15 +53,17 @@ Diagnostics: the mean mode, `l2` = dk sum |what|^2, the H2 proxy
 2 sum_{n>=1} + (n = 0).  The truncated system conserves the energy exactly
 (the kernel's cyclic triad identity), so under RK4 it drifts only by the
 time-step error; `l2` and `h2` are not invariants.  Each row also holds the
-accepted steps since the previous row and their largest error estimate.
-`evolve` stops at the first accepted step where `h2` exceeds 1e6 times its
-initial value, at the first trial step where an amplitude is not finite, or
-at a rejected step whose successor h cannot move the time t_row of the row
-it heads for (t_row + h == t_row), and reports that time as breaking.
+count of accepted steps that meet the interval (previous row, row], so a
+step that covers several rows counts in each, and their largest error
+estimate.  `evolve` stops at the first accepted step where `h2` exceeds 1e6
+times its initial value, at the first trial step where an amplitude is not
+finite, or at a rejected step whose successor h cannot move the end time
+(T + h == T), and reports that time as breaking.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -79,6 +85,10 @@ _BLOWUP_FACTOR = 1e6
 # `evolve` accepts a step whose error estimate is below this fraction of
 # max|what|, the larger of the step's two ends.
 _STEP_TOL = 1e-10
+
+# `SimConfig` refuses a run that would write more diagnostics rows than
+# this: a diag.csv of about 200 MB.
+_MAX_ROWS = 10**6
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,10 +112,11 @@ class SimConfig:
     spectrum, a diagnostics row at every `output_every` multiple of dt below
     T and the last row at T, and the optional snapshot and physical outputs.
     T need not be a whole number of dt.  dt also sets the first trial step,
-    but no floor: the error estimate chooses the steps.  A grid whose h2
-    weight 2 dk (N dk)^4 or energy weight 2 dk (n dk)^-1 overflows is
-    refused.  `evolve` stops the run early at breaking, by the test the
-    module docstring states."""
+    but no floor: the error estimate chooses the steps.  A run of more than
+    10**6 rows, T / dt / output_every, is refused, as is a grid whose h2
+    weight 2 dk (N dk)^4 or energy weight 2 dk (n dk)^-1 overflows.
+    `evolve` stops the run early at breaking, by the test the module
+    docstring states."""
 
     dk: float
     N: int
@@ -127,6 +138,12 @@ class SimConfig:
             raise ParameterError(f"T must be positive, got {self.T}")
         if self.output_every < 1:
             raise ParameterError("output_every must be at least 1")
+        rows = self.T / self.dt / self.output_every
+        if not rows <= _MAX_ROWS:
+            raise ParameterError(
+                f"T={self.T}, dt={self.dt} and output_every={self.output_every} give"
+                f" {rows:.3g} diagnostics rows, more than {_MAX_ROWS}"
+            )
         for s, weight in ((4, "2 dk (N dk)^4"), (-1, "2 dk (n dk)^-1")):
             with np.errstate(over="ignore"):
                 finite = np.isfinite(_diag_weights(self.N, self.dk, s)).all()
@@ -408,6 +425,19 @@ class SimResult:
     steps_rejected: int
 
 
+def _hermite(
+    w0: np.ndarray, k1: np.ndarray, w1: np.ndarray, k5: np.ndarray, h: float, theta: float
+) -> np.ndarray:
+    """Cubic Hermite dense output of a step of length h from (w0, k1) to
+    (w1, k5), at t + theta h (Hairer, Norsett & Wanner, sec. II.6).  It is
+    written as w0 plus terms in the increment w1 - w0 and the two slopes, so
+    an entry whose increment and slopes are zero, the mean mode, keeps w0's
+    bits."""
+    d = w1 - w0
+    bend = (1.0 - 2.0 * theta) * d + ((theta - 1.0) * h) * k1 + (theta * h) * k5
+    return w0 + theta * d + (theta * (theta - 1.0)) * bend
+
+
 def evolve(kernel: Kernel, alpha0: float, config: SimConfig, default_seed: int = 0) -> SimResult:
     """Time-step an initial spectrum with a prebuilt kernel: the library's
     one simulation entry point, after `find_root` and `build_kernel`.
@@ -418,85 +448,92 @@ def evolve(kernel: Kernel, alpha0: float, config: SimConfig, default_seed: int =
     spectrum is mirrored only for snapshots and for the returned field.
 
     Each step is RK4, accepted or rejected by the error estimate of the
-    module docstring; the first trial step is dt.  A diagnostics row is
-    written at each tau = j * output_every * dt below T, at T (which need
-    not be a whole number of dt) and at the stop, and no step passes a row
-    time.  A row interval taken in one step is m * dt long, m its count of
-    dt (T/dt - j * output_every for the last), not the difference of its
-    two times, so a run whose rows are one accepted step each is iterated
-    `rk4_step` bit for bit.  Where T/dt rounds an ulp above a whole number
-    j, the row at j * dt is kept and one ulp-long step reaches T.  The
-    result counts the RHS calls and the accepted and rejected steps.  The
-    run stops early at breaking by the module docstring's test, whose step
-    floor does not scale with dt; an overflowing trial step stops it as a
-    non-finite field, without a RuntimeWarning.
+    module docstring; the first trial step is dt, and no step passes T,
+    which the last step reaches exactly.  A diagnostics row is written at
+    tau = 0, at each tau = j * output_every * dt below T, at T (which need
+    not be a whole number of dt) and at the stop.  A row at a step's end is
+    that step's state; a row inside an accepted step is its cubic Hermite
+    interpolant (`_hermite`), so rows cost no RHS call.  Row marks are
+    generated as the run reaches them.  The result counts the RHS calls and
+    the accepted and rejected steps.  The run stops early at breaking by the
+    module docstring's test, whose step floor does not scale with dt; an
+    overflowing trial step stops it as a non-finite field, without a
+    RuntimeWarning.
     """
-    N, dk, dt = config.N, config.dk, config.dt
+    N, dk, dt, T = config.N, config.dk, config.dt, config.T
     half = init_field(config, default_seed=default_seed).what[N:]
     weights = _rhs_weights(N, dk, kernel, alpha0)
     l2_w, h2_w, energy_w = (_diag_weights(N, dk, s) for s in (0, 4, -1))
-    q = config.T / dt
-    rows = [(m, m * dt) for m in range(0, math.ceil(q), config.output_every)] + [(q, config.T)]
+    every = config.output_every
+    ahead = itertools.chain((m * dt for m in range(every, math.ceil(T / dt), every)), (T,))
     diag: List[DiagRow] = []
     snaps: List[Tuple[float, np.ndarray]] = []
+
+    def write(tau: float, state: np.ndarray, steps: int, worst: float) -> None:
+        mag = np.abs(state)
+        diag.append(
+            DiagRow(
+                tau,
+                complex(state[0]),
+                _weighted_square(mag, l2_w),
+                _weighted_square(mag, h2_w),
+                float(np.max(mag)),
+                _weighted_square(mag, energy_w),
+                steps,
+                worst,
+            )
+        )
+        if config.snapshots:
+            snaps.append((tau, _mirror(state)))
+
     breaking: Optional[float] = None
     accepted = rejected = 0
     with np.errstate(over="ignore", invalid="ignore"):
         mag = np.abs(half)
-        size = float(np.max(mag))
-        h2_0 = h2 = _weighted_square(mag, h2_w)
+        size, h2_0 = float(np.max(mag)), _weighted_square(mag, h2_w)
         k1 = _half_rhs(half, weights)
         calls = 1
-        t, h, prev = 0.0, dt, 0
-        for mark, t_row in rows:
-            since, worst = accepted, 0.0
-            while t < t_row and breaking is None:
-                span = (mark - prev) * dt if accepted == since else t_row - t
-                step = min(h, span)
-                new, k4 = _rk4_stages(half, k1, weights, step)
-                calls += 3
-                mag = np.abs(new)
-                new_size = float(np.max(mag))
-                if math.isfinite(new_size):
-                    k5 = _half_rhs(new, weights)
-                    calls += 1
-                    diff = (step / 6.0) * float(np.max(np.abs(k4 - k5)))
-                    err = diff / max(size, new_size) if diff else 0.0  # not 0/0 at a zero field
-                    h = step * _step_factor(err)
-                    if not err < _STEP_TOL:
-                        # A rejected step shrinks, even at a zero estimate
-                        # that a zero tolerance rejects.
-                        rejected += 1
-                        h = min(h, 0.9 * step)
-                        if t_row + h == t_row:
-                            breaking = t
-                        continue
-                    accepted += 1
-                    worst = max(worst, err)
-                    k1 = k5
-                half, size, h2 = new, new_size, _weighted_square(mag, h2_w)
-                t = t_row if step == span else t + step
-                if not math.isfinite(size) or (h2_0 > 0.0 and h2 > _BLOWUP_FACTOR * h2_0):
-                    breaking = t
-            if not diag or t > diag[-1].tau:
-                mag = np.abs(half)
-                diag.append(
-                    DiagRow(
-                        t,
-                        complex(half[0]),
-                        _weighted_square(mag, l2_w),
-                        h2,
-                        size,
-                        _weighted_square(mag, energy_w),
-                        accepted - since,
-                        worst,
-                    )
-                )
-                if config.snapshots:
-                    snaps.append((t, _mirror(half)))
-            if breaking is not None:
+        write(0.0, half, 0, 0.0)
+        # The accepted steps that meet (previous row, tau], and their largest
+        # estimate: a step that covers several rows counts in each.
+        tau, steps, worst = next(ahead), 0, 0.0
+        t, h = 0.0, dt
+        while t < T and breaking is None:
+            step = min(h, T - t)
+            new, k4 = _rk4_stages(half, k1, weights, step)
+            calls += 3
+            mag = np.abs(new)
+            new_size = float(np.max(mag))
+            t_new = T if step == T - t else t + step
+            if not math.isfinite(new_size):
+                half, t, breaking = new, t_new, t_new
                 break
-            prev = mark
+            k5 = _half_rhs(new, weights)
+            calls += 1
+            diff = (step / 6.0) * float(np.max(np.abs(k4 - k5)))
+            err = diff / max(size, new_size) if diff else 0.0  # not 0/0 at a zero field
+            h = step * _step_factor(err)
+            if not err < _STEP_TOL:
+                # A rejected step shrinks, even at a zero estimate that a
+                # zero tolerance rejects.
+                rejected += 1
+                h = min(h, 0.9 * step)
+                if T + h == T:
+                    breaking = t
+                continue
+            accepted += 1
+            steps, worst = steps + 1, max(worst, err)
+            if h2_0 > 0.0 and _weighted_square(mag, h2_w) > _BLOWUP_FACTOR * h2_0:
+                breaking = t_new
+            while tau < t_new:
+                write(tau, _hermite(half, k1, new, k5, step, (tau - t) / step), steps, worst)
+                tau, steps, worst = next(ahead, math.inf), 1, err
+            if tau == t_new:
+                write(t_new, new, steps, worst)
+                tau, steps, worst = next(ahead, math.inf), 0, 0.0
+            half, size, k1, t = new, new_size, k5, t_new
+        if breaking is not None and t > diag[-1].tau:
+            write(t, half, steps, worst)
     return SimResult(
         field=SpectralField(dk=dk, what=_mirror(half)),
         diagnostics=diag,

@@ -394,6 +394,14 @@ def test_nonpositive_wavenumber_step_exits_one(tmp_path, change):
             "simulate: completed to tau = 2\n", "",
             id="huge-dt",
         ),
+        # fixture_a at dt = 1e-300 would write 1e299 rows; it is refused at
+        # once instead of hanging.
+        pytest.param(
+            "simulate", shipped_config("fixture_a"), {"sim__dt": 1e-300}, 1,
+            "", "simulate: T=2.0, dt=1e-300 and output_every=20 give 1e+299 diagnostics"
+            " rows, more than 1000000\n",
+            id="row-count",
+        ),
         # The sim section is judged before the boundary and eta_t (here 0).
         pytest.param(
             "simulate", RAW, {"sim__dk": 1e300, "eta_t": [0.0]}, 1,
