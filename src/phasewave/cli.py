@@ -142,9 +142,9 @@ def _judge(command: str, path: Path, rows: List[Tuple[str, float, float]], extra
 def cmd_check(cfg: dict, outdir: Path, seed: int) -> int:
     checks: List[Tuple[str, float, float]] = []
     # A step the library refuses (an inadmissible state or a jump condition
-    # the states miss, an eta_t that is zero or too large to square, no root, a root
-    # row's own linear algebra at the edge of floating point) ends check with
-    # one more, failed row `<stage> (<reason>)`; check.json is still written.
+    # the states miss, an eta_t that is zero or too large to square, no root
+    # or one whose sigma* underflows) ends check with one more, failed row
+    # `<stage> (<reason>)`; check.json is still written.
     stage = "phase-boundary"
     try:
         pb, eos = boundary_and_eos(cfg)
@@ -159,9 +159,12 @@ def cmd_check(cfg: dict, outdir: Path, seed: int) -> int:
         stage = "eigenvector-residual"
         eta_t = cfg["eta_t"]
         grid = Frequency(np.linspace(0.05, 0.95, 20) * elliptic_eta0_max(pb, eta_t), eta_t)
-        modes = normal_modes(pb, grid)
-        right, left = mode_residuals(modes)
-        disp = dispersion_residual(modes)
+        # As at the root: a mode that overflows (subnormal velocities) is
+        # non-finite, and so is its residual.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            modes = normal_modes(pb, grid)
+            right, left = mode_residuals(modes)
+            disp = dispersion_residual(modes)
         # np.max keeps a NaN residual, so a non-finite mode fails its row.
         checks.append(("eigenvector-residual", np.max(right), 1e-11))
         checks.append(("left-eigenvector-residual", np.max(left), 1e-11))
@@ -214,9 +217,9 @@ def cmd_scan(cfg: dict, outdir: Path, seed: int) -> int:
         return 1
     grid = np.linspace(lo, hi, sc["steps"])
     eta = Frequency(grid, eta_t)
-    # A determinant that overflows (a huge eta_t) is written as it is, and
-    # then fails the scan.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # A determinant that overflows (a huge eta_t) or divides by zero in its
+    # LU (subnormal velocities) is written as it is, and then fails the scan.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         raw, closed = det_raw(pb, eta), det_closed(pb, eta)
     table = np.column_stack([grid, raw.real, raw.imag, closed.real, closed.imag])
     _write_csv(

@@ -140,48 +140,6 @@ def dual_profile(root: RootData, k: float) -> ExpProfile:
     return ExpProfile(_plus_couplings(root) * np.conj(m.L_plus).T, -k * m.beta_plus)
 
 
-def _omegas(root: RootData) -> Tuple[complex, complex, complex]:
-    s = root.scalars
-    jr, ju, ups, e0 = s.jump_rho, s.jump_u, s.upsilon, s.e0
-    om1 = jr * ju * ups * (s.w2_r / s.w2_l) * 1j * s.vl.u * e0 * s.zr_m
-    om2 = jr * ju * ups * 1j * s.vr.u * e0 * s.zl_m
-    om3 = jr * ju**2 * ups * ((e0 * e0 - s.vl.u * s.vr.u * s.ht2) / s.w2_l) * s.zr_m
-    return complex(om1), complex(om2), complex(om3)
-
-
-def _ltilde_rows(root: RootData) -> np.ndarray:
-    """The packaged rows lt1, lt2, lt3 as full 2(d+1) rows: lt1 and lt3 in
-    the left block, lt2 in the right block."""
-    s, et = root.scalars, root.eta.eta_t
-    ul, e0 = s.vl.u, s.e0
-    b1p, b2p = root.modes.beta_plus[0], root.modes.beta_plus[1]
-    n = root.pb.d + 1
-    rows = np.zeros((3, 2 * n), dtype=complex)
-    rows[0, :n] = np.concatenate(([1j * e0 - 2.0 * ul * b1p], -1j * et, [b1p]))
-    rows[1, n:] = np.concatenate(([-1j * e0 - 2.0 * s.vr.u * b2p], 1j * et, [b2p]))
-    rows[2, :n] = np.concatenate(([-ul**2 * s.ht2], e0 * et, [ul * s.ht2]))
-    return rows
-
-
-def dual_profile_packaged(root: RootData, k: float) -> ExpProfile:
-    """The packaged three-term form of the dual profile.
-
-    Left rows lt1, lt3 carry weights omega1/gamma1 and omega3/gamma1, the
-    right row lt2 carries +omega2/gamma2 (the sign the mode sum and every
-    downstream integral actually require)."""
-    if k <= 0.0:
-        raise DomainError(f"dual profile requires k > 0, got {k}")
-    m = root.modes
-    om1, om2, om3 = _omegas(root)
-    lt1, lt2, lt3 = _ltilde_rows(root)
-    terms = [
-        (om1 / root.gamma1 * lt1, -k * m.beta_plus[0]),
-        (om3 / root.gamma1 * lt3, -k * m.beta_plus[2]),
-        (om2 / root.gamma2 * lt2, -k * m.beta_plus[1]),
-    ]
-    return ExpProfile.from_terms(terms)
-
-
 # ---------------------------------------------------------------------------
 # The five abstract kernels
 # ---------------------------------------------------------------------------

@@ -22,13 +22,14 @@ the minors, `gamma_linear_residual`) do not read it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Tuple, Union
 
 import numpy as np
 
 from .equilibrium import FluidState, PhaseBoundary
-from .errors import DegeneracyError, InconsistencyError, NoRootError
+from .errors import DegeneracyError, NoRootError
 from .modes import (
     BoundaryOperators,
     Frequency,
@@ -100,7 +101,7 @@ def det_methods_residual(pb: PhaseBoundary, eta: Frequency) -> Union[float, np.n
     """|det_raw - det_closed| relative to the larger of the two, at a float
     eta0 or at each eta0 of a 1-D array.  Where both determinants underflow
     to 0, or either overflows (a huge eta_t), the value is NaN."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         raw, closed = det_raw(pb, eta), det_closed(pb, eta)
         # np.hypot rounds as Python's complex abs does; np.abs does not.
         diff = raw - closed
@@ -213,17 +214,11 @@ def _sigma_closed(pb: PhaseBoundary, eta_t: np.ndarray, s: RootScalars) -> Sigma
 
 def _sigma_minors(pb: PhaseBoundary, modes: ModeSet, ops: BoundaryOperators) -> np.ndarray:
     """sigma* from first-column cofactors of the raw determinant: the d+2
-    matrices with e_m in column 0, in one stacked determinant call.
-
-    The columns grow at different powers of |eta_t|, so the rank test sees
-    each scaled exactly by its own power of two (`binary_scale`)."""
+    matrices with e_m in column 0, in one stacked determinant call."""
     n = pb.d + 2
-    cols = _boundary_columns(ops.H, modes.R_minus)
-    if np.linalg.matrix_rank(cols * binary_scale(cols.T).T) < n - 1:
-        raise InconsistencyError("boundary columns H R_j^- are rank deficient")
     M = np.empty((n, n, n), dtype=complex)
     M[:, :, 0] = np.eye(n)
-    M[:, :, 1:] = cols
+    M[:, :, 1:] = _boundary_columns(ops.H, modes.R_minus)
     return np.linalg.det(M)
 
 
@@ -282,9 +277,11 @@ def find_root(pb: PhaseBoundary, eta_t: np.ndarray) -> RootData:
 
     `Frequency` judges eta_t.  Raises NoRootError when floating point cannot
     deliver the root: eta0 is not strictly inside (0, elliptic_eta0_max), the
-    root-relation residual exceeds 1e-12, or a mode or sigma array at the
-    root is not finite.  Only the positive root is returned; the negative one
-    is its mirror image under conjugation.
+    root-relation residual exceeds 1e-12, a mode or sigma array at the root
+    is not finite, or sigma* underflows, one of Upsilon D1, Upsilon Dt,
+    Upsilon Dd1 and Upsilon Dd2 being 0 or subnormal (every closed form at
+    the root is built on sigma*).  Only the positive root is returned; the
+    negative one is its mirror image under conjugation.
     """
     eta = Frequency(0.0, eta_t)  # judges eta_t; the root's eta0 replaces 0.0
     vl, vr = pb.left, pb.right
@@ -314,6 +311,11 @@ def find_root(pb: PhaseBoundary, eta_t: np.ndarray) -> RootData:
     )
     if not all(np.isfinite(a).all() for a in arrays):
         raise NoRootError(f"mode or sigma data at the root eta0 = {e0!r} is not finite")
+    # The components, not the entries: Dt eta_t has a legitimate 0 wherever
+    # a component of eta_t is 0.
+    ups = scalars.upsilon
+    if min(abs(ups * D) for D in (sigma.D1, sigma.Dt, sigma.Dd1, sigma.Dd2)) < sys.float_info.min:
+        raise NoRootError(f"sigma* at the root eta0 = {e0!r} underflows")
     ops = boundary_operators(pb, eta)
     g1, g2 = _gamma_pair(scalars)
     return RootData(

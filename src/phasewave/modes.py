@@ -539,23 +539,3 @@ def mode_residuals(modes: ModeSet) -> Tuple[Union[float, np.ndarray], Union[floa
             right.append(_block_residual(M, np.moveaxis(R[..., j, :], -2, 0), blk, off, False))
             left.append(_block_residual(M, np.moveaxis(L[..., j, :], -2, 0), blk, off, True))
     return np.max(np.concatenate(right), axis=0), np.max(np.concatenate(left), axis=0)
-
-
-def biorthogonality_matrices(modes: ModeSet) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Diagnostic products (L_i^s)* Acheck^d R_j^s and the cross products.
-
-    Acheck^d is the block diagonal of the two one-sided normal flux Jacobians.
-    Returns (same-family minus, same-family plus, cross minus-plus).
-    """
-    d = modes.pb.d
-    Adl = flux_jacobians(modes.pb.left, d)[d - 1]
-    Adr = flux_jacobians(modes.pb.right, d)[d - 1]
-    Acheck = np.zeros((2 * (d + 1), 2 * (d + 1)))
-    Acheck[: d + 1, : d + 1] = Adl
-    Acheck[d + 1 :, d + 1 :] = Adr
-    Lm = np.conj(modes.L_minus)
-    Lp = np.conj(modes.L_plus)
-    same_minus = Lm @ Acheck @ modes.R_minus.T
-    same_plus = Lp @ Acheck @ modes.R_plus.T
-    cross = Lm @ Acheck @ modes.R_plus.T
-    return same_minus, same_plus, cross

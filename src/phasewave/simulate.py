@@ -280,41 +280,17 @@ def _fft_length(m: int) -> int:
     return 3 * L // 4 if 3 * L // 4 >= m else L
 
 
-def _add_bands(
-    p: np.ndarray, v: np.ndarray, conv: np.ndarray, corr: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Extend the base block's products `conv` = p*p and `corr`_n =
-    sum_j v_{n+j} conj(p_j) over modes 0..b to all modes 0..N, adding each
-    dyadic band (lo - 1, hi] = (b, 2b], (2b, 4b], ... by FFT.
-
-    Each self-convolution pair is grouped by the band of its larger index,
-    which gives p_B * (2 p_{<B} + p_B), and each correlation term by the band
-    of its v index.  The band sits at its own indices in a transform of
-    length L > 2 hi - lo, so neither product aliases onto the modes read."""
-    N = p.size - 1
-    full_conv = np.zeros(max(N + 1, conv.size), dtype=complex)
-    full_conv[: conv.size] = conv
-    full_corr = np.zeros(N + 1, dtype=complex)
-    full_corr[: corr.size] = corr
-    lo = corr.size
-    while lo <= N:
-        hi = min(2 * (lo - 1), N)
-        L = _fft_length(2 * hi - lo + 1)
-        x = np.zeros((3, L), dtype=complex)
-        x[0, : hi + 1] = p[: hi + 1]
-        x[1, lo : hi + 1] = p[lo : hi + 1]
-        x[2, lo : hi + 1] = v[lo : hi + 1]
-        P, X, V = np.fft.fft(x)
-        c, r = np.fft.ifft(np.stack((X * (2.0 * P - X), V * np.conj(P))))
-        top = min(2 * hi, N)
-        full_conv[lo : top + 1] += c[np.arange(lo, top + 1) % L]
-        full_corr[: hi + 1] += r[: hi + 1]
-        lo = hi + 1
-    return full_conv, full_corr
-
-
 def _half_rhs(half: np.ndarray, weights: Tuple[np.ndarray, ...]) -> np.ndarray:
-    """The right side on n = 0..N from the half spectrum n = 0..N."""
+    """The right side on n = 0..N from the half spectrum n = 0..N.
+
+    The base block's products `conv` = p*p and `corr`_n = sum_j v_{n+j}
+    conj(p_j) over modes 0..b are direct; above N = b they are padded to
+    modes 0..N and each dyadic band (lo - 1, hi] = (b, 2b], (2b, 4b], ... is
+    added by FFT.  Each self-convolution pair is grouped by the band of its
+    larger index, which gives p_B * (2 p_{<B} + p_B), and each correlation
+    term by the band of its v index.  The band sits at its own indices in a
+    transform of length L > 2 hi - lo, so neither product aliases onto the
+    modes read."""
     inv_m, w_conv, w_mixed, w_axis = weights
     N = half.size - 1
     p = half.copy()
@@ -325,7 +301,28 @@ def _half_rhs(half: np.ndarray, weights: Tuple[np.ndarray, ...]) -> np.ndarray:
     conv = np.convolve(base, base)
     corr = np.correlate(v[: b + 1], base, "full")[b:]
     if N > b:
-        conv, corr = _add_bands(p, v, conv, corr)
+        full_conv = np.zeros(max(N + 1, conv.size), dtype=complex)
+        full_conv[: conv.size] = conv
+        full_corr = np.zeros(N + 1, dtype=complex)
+        full_corr[: corr.size] = corr
+        conv, corr = full_conv, full_corr
+    lo = b + 1
+    while lo <= N:
+        hi = min(2 * (lo - 1), N)
+        L = _fft_length(2 * hi - lo + 1)
+        x = np.zeros((3, L), dtype=complex)
+        x[0, : hi + 1] = p[: hi + 1]
+        x[1, lo : hi + 1] = p[lo : hi + 1]
+        x[2, lo : hi + 1] = v[lo : hi + 1]
+        P, X, V = np.fft.fft(x)
+        c, r = np.fft.ifft(np.stack((X * (2.0 * P - X), V * np.conj(P))))
+        top = min(2 * hi, N)
+        conv[lo : top + 1] += c[np.arange(lo, top + 1) % L]
+        corr[: hi + 1] += r[: hi + 1]
+        lo = hi + 1
+        # Freed before the next band's arrays and the weighted sum are
+        # allocated, so that those can reuse the memory.
+        del x, P, X, V, c, r
     rhs = w_conv * conv[: N + 1] + w_mixed * corr + (half[0] * w_axis) * p
     rhs[0] = 0.0  # also where a product overflowed: 0 * inf would be nan
     return rhs

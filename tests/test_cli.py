@@ -245,9 +245,9 @@ class TestCoeffs:
         assert "no surface wave" in capsys.readouterr().out
 
     def test_vanishing_constants_are_a_failed_row(self, tmp_path, capsys):
-        # fixture_a scaled to u_l = 1e-150: the root is representable, but
-        # alpha0 and Q_nat underflow to 0 there.
-        u_l = 1e-150
+        # fixture_a scaled to u_l = 1e-75: the root and sigma* are
+        # representable, but alpha0 and Q_nat underflow to 0 there.
+        u_l = 1e-75
         cfg = write_config(
             tmp_path, overrides={"left.u": u_l, "right.u": u_l / 0.45}
         )

@@ -322,8 +322,8 @@ def test_overflowing_wavevector_square_exits_one(tmp_path, capsys, command):
 )
 def test_wavevector_scale_is_judged(tmp_path, capsys, command, eta_t, rc, verdict):
     # fixture_a at tiny and huge tangential wavevectors.  The boundary
-    # columns of the sigma minors grow at different powers of |eta_t|, and
-    # the rank test scales each on its own, so check passes.  At 1e100
+    # columns of the sigma minors grow at different powers of |eta_t|, yet
+    # check passes, the minors' row included.  At 1e100
     # scan's determinants overflow: scan.csv is still written, and the scan
     # fails naming the first eta0 instead of reporting no sign change.
     with warnings.catch_warnings():
@@ -530,21 +530,84 @@ def test_mode_residual_norms_do_not_overflow(tmp_path, capsys, u_l):
     assert rc == 1
     report = json.loads((tmp_path / "out" / "check.json").read_text())
     rows = {item["name"]: item for item in report["invariants"]}
-    for name in ("eigenvector-residual", "left-eigenvector-residual"):
-        assert math.isfinite(float(rows[name]["residual"])) or not rows[name]["pass"]
+    # Each row passes (about 2e-17, 2e-16 and 4e-16): a scaling lost would
+    # no longer raise, the checked overflow being ignored, but would fail
+    # these rows.
+    for name in ("eigenvector-residual", "left-eigenvector-residual", "dispersion-residual"):
+        assert rows[name]["pass"] is True, rows[name]
     captured = capsys.readouterr()
     assert captured.out.startswith("check: FAIL (surface-wave-root (") and captured.err == ""
 
 
-def test_rank_deficient_root_row_named_by_check(tmp_path, capsys):
-    # At u_l = 1e-150 find_root succeeds, but the boundary columns H R_j^-
-    # that the sigma minors need are rank deficient in floating point; check
-    # reports that row as its last, failed one and still writes check.json.
-    u_l = 1e-150
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_subnormal_velocities_are_failed_rows_in_check(tmp_path, capsys, d):
+    # At u_l = 9e-309 the grid's modes overflow (eta0/u); check writes them
+    # as NaN rows and ends on the root floating point cannot represent,
+    # instead of dying on a RuntimeWarning.
+    eta_t = {2: [1.0], 3: [0.6, 0.8], 4: [0.36, 0.48, 0.8]}[d]
+    u_l = 9e-309
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = run(tmp_path, "check", d=d, eta_t=eta_t, left__u=u_l, right__u=u_l / 0.45)
+    assert rc == 1
+    report = json.loads((tmp_path / "out" / "check.json").read_text())
+    rows = {item["name"]: item for item in report["invariants"]}
+    for name in ("eigenvector-residual", "left-eigenvector-residual"):
+        assert math.isnan(float(rows[name]["residual"])) and rows[name]["pass"] is False
+    captured = capsys.readouterr()
+    assert captured.out.strip() == (
+        "check: FAIL (surface-wave-root (floating point cannot represent the root (eta0 = 0.0)))"
+    )
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("u_l", [9e-307, 9e-308])
+def test_subnormal_velocities_fail_the_scan(tmp_path, capsys, u_l):
+    # At d = 3 the LU of the raw determinant divides by zero on fixture_a's
+    # 100-point scan; the scan writes its table and refuses the non-finite
+    # determinant.
+    changes = dict(d=3, eta_t=[0.6, 0.8], left__u=u_l, right__u=u_l / 0.45, scan__steps=100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = run(tmp_path, "scan", **changes)
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out.strip() == "scan: determinant not finite at eta0 = 0.083333333333333343"
+    assert captured.err == ""
+    assert (tmp_path / "out" / "scan.csv").is_file()
+
+
+@pytest.mark.parametrize("u_l", [1e-20, 1e-75])
+def test_sigma_minors_judged_at_tiny_velocities(tmp_path, capsys, u_l):
+    # sigma* is normal there, so check judges the minors against the closed
+    # form (about 9e-15 and 3e-14); the verdict names the determinant row,
+    # whose relative gap reads 1.0 at this low Mach number.
     assert run(tmp_path, "check", left__u=u_l, right__u=u_l / 0.45) == 1
     report = json.loads((tmp_path / "out" / "check.json").read_text())
-    assert report["pass"] is False
+    rows = {item["name"]: item for item in report["invariants"]}
+    minors = rows["sigma-minors-vs-closed"]
+    assert minors["pass"] is True and minors["residual"] <= 1e-10
+    assert rows["delta-raw-vs-closed"]["residual"] == pytest.approx(1.0, abs=1e-9)
+    assert [name for name, row in rows.items() if not row["pass"]] == ["delta-raw-vs-closed"]
+    assert capsys.readouterr().out.strip() == "check: FAIL (delta-raw-vs-closed)"
+
+
+UNDERFLOW_U = 1e-100
+
+
+@pytest.mark.parametrize("command", ["root", "coeffs", "simulate"])
+def test_underflowed_sigma_is_no_surface_wave(tmp_path, capsys, command):
+    # At u_l = 1e-100 eta0 is representable, but sigma* underflows.
+    assert run(tmp_path, command, left__u=UNDERFLOW_U, right__u=UNDERFLOW_U / 0.45) == 1
+    out = capsys.readouterr().out.strip()
+    assert out.startswith(f"{command}: no surface wave (sigma* at the root eta0 = ")
+    assert out.endswith(" underflows)")
+
+
+def test_underflowed_sigma_named_by_check(tmp_path, capsys):
+    assert run(tmp_path, "check", left__u=UNDERFLOW_U, right__u=UNDERFLOW_U / 0.45) == 1
+    report = json.loads((tmp_path / "out" / "check.json").read_text())
     last = report["invariants"][-1]
-    assert last["name"].startswith("sigma-minors-vs-closed (") and last["pass"] is False
-    assert "rank deficient" in last["name"]
+    assert last["name"].startswith("surface-wave-root (sigma* at the root eta0 = ")
+    assert last["name"].endswith(" underflows)") and last["pass"] is False
     assert capsys.readouterr().out.strip() == f"check: FAIL ({last['name']})"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from typing import Tuple
 
 import numpy as np
 import pytest
@@ -25,14 +26,9 @@ from phasewave import (
     trace_profile,
 )
 from phasewave.config import build_boundary
-from phasewave.expsum import pair_dot
-from phasewave.kernel import (
-    _omegas,
-    b_identity_values,
-    dual_profile_packaged,
-    final_simplification_residual,
-    q_grid,
-)
+from phasewave.expsum import ExpProfile, pair_dot
+from phasewave.kernel import b_identity_values, final_simplification_residual, q_grid
+from phasewave.lopatinskii import RootData
 from phasewave.modes import flux_jacobians
 
 from conftest import ETA_T, random_boundary, random_frequency, shipped_config
@@ -41,6 +37,53 @@ from conftest import ETA_T, random_boundary, random_frequency, shipped_config
 # abstract mode sum, and finite difference of the determinant).
 FIXTURE_A_ALPHA0 = 537.6313768647351
 FIXTURE_A_Q_NAT = 714.4246912296815 + 292.40997572001135j
+
+
+# The packaged three-term dual profile, an oracle only these tests read:
+# its weights omega1..omega3 and rows lt1..lt3 against the mode sum of
+# `dual_profile` and the kernel constants.
+
+
+def _omegas(root: RootData) -> Tuple[complex, complex, complex]:
+    s = root.scalars
+    jr, ju, ups, e0 = s.jump_rho, s.jump_u, s.upsilon, s.e0
+    om1 = jr * ju * ups * (s.w2_r / s.w2_l) * 1j * s.vl.u * e0 * s.zr_m
+    om2 = jr * ju * ups * 1j * s.vr.u * e0 * s.zl_m
+    om3 = jr * ju**2 * ups * ((e0 * e0 - s.vl.u * s.vr.u * s.ht2) / s.w2_l) * s.zr_m
+    return complex(om1), complex(om2), complex(om3)
+
+
+def _ltilde_rows(root: RootData) -> np.ndarray:
+    """The packaged rows lt1, lt2, lt3 as full 2(d+1) rows: lt1 and lt3 in
+    the left block, lt2 in the right block."""
+    s, et = root.scalars, root.eta.eta_t
+    ul, e0 = s.vl.u, s.e0
+    b1p, b2p = root.modes.beta_plus[0], root.modes.beta_plus[1]
+    n = root.pb.d + 1
+    rows = np.zeros((3, 2 * n), dtype=complex)
+    rows[0, :n] = np.concatenate(([1j * e0 - 2.0 * ul * b1p], -1j * et, [b1p]))
+    rows[1, n:] = np.concatenate(([-1j * e0 - 2.0 * s.vr.u * b2p], 1j * et, [b2p]))
+    rows[2, :n] = np.concatenate(([-ul**2 * s.ht2], e0 * et, [ul * s.ht2]))
+    return rows
+
+
+def dual_profile_packaged(root: RootData, k: float) -> ExpProfile:
+    """The packaged three-term form of the dual profile.
+
+    Left rows lt1, lt3 carry weights omega1/gamma1 and omega3/gamma1, the
+    right row lt2 carries +omega2/gamma2 (the sign the mode sum and every
+    downstream integral actually require)."""
+    if k <= 0.0:
+        raise DomainError(f"dual profile requires k > 0, got {k}")
+    m = root.modes
+    om1, om2, om3 = _omegas(root)
+    lt1, lt2, lt3 = _ltilde_rows(root)
+    terms = [
+        (om1 / root.gamma1 * lt1, -k * m.beta_plus[0]),
+        (om3 / root.gamma1 * lt3, -k * m.beta_plus[2]),
+        (om2 / root.gamma2 * lt2, -k * m.beta_plus[1]),
+    ]
+    return ExpProfile.from_terms(terms)
 
 
 class TestAlpha0:
@@ -476,8 +519,6 @@ class TestConstants:
     def test_omega_row_products(self, root_a):
         pb, m, eta = root_a.pb, root_a.modes, root_a.eta
         om1, om2, om3 = _omegas(root_a)
-        from phasewave.kernel import _ltilde_rows
-
         lt1, lt2, lt3 = _ltilde_rows(root_a)
         d = pb.d
         Adl = flux_jacobians(pb.left, d)[d - 1]

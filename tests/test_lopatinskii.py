@@ -35,7 +35,7 @@ from phasewave.modes import dispersion_residual, incoming_modes, mode_residuals
 from phasewave.config import build_boundary
 from phasewave.kernel import alpha0_closed
 
-from conftest import FIXTURE_A, fixture_a_boundary, random_boundary, random_frequency, shipped_config
+from conftest import ETA_T, FIXTURE_A, fixture_a_boundary, random_boundary, random_frequency, shipped_config
 
 # Root of the canonical configuration, frozen after cross-validation against
 # the raw determinant, the minors functional, and the abstract alpha0 sum.
@@ -265,21 +265,50 @@ class TestFindRoot:
     @pytest.mark.parametrize("d,eta_t", [(2, [1.0]), (3, [0.6, 0.8])])
     def test_tiny_velocities(self, d, eta_t):
         # fixture_a with both velocities scaled down at fixed density ratio.
-        # At u_l = 1e-150 the root is still representable.  At 1e-155 eta0 is,
-        # but the left eigenvectors l^+ and l^- overflow; at 1e-160 the
-        # products u_l*u_r underflow.  Both roots are refused, not reported.
+        # At u_l = 1e-70 (d = 2) and 1e-45 (d = 3) the root is representable.
+        # At 1e-100 and 1e-150 eta0 is, but sigma* underflows.  At 1e-155 the
+        # left eigenvectors l^+ and l^- overflow; at 1e-160 the products
+        # u_l*u_r underflow.  Those roots are refused, not reported.
         def boundary(u_l):
             left = FluidState(**{**FIXTURE_A["left"], "u": u_l})
             right = FluidState(**{**FIXTURE_A["right"], "u": u_l / 0.45})
             return make_phase_boundary(left, right, d, FIXTURE_A["mu"])
 
-        root = find_root(boundary(1e-150), eta_t)
+        root = find_root(boundary({2: 1e-70, 3: 1e-45}[d]), eta_t)
         assert 0.0 < root.eta.eta0 < elliptic_eta0_max(root.pb, eta_t)
         assert root_relation_residual(root) <= 1e-12
+        for u_l in (1e-100, 1e-150):
+            with pytest.raises(NoRootError, match="underflows"):
+                find_root(boundary(u_l), eta_t)
         with pytest.raises(NoRootError, match="not finite"):
             find_root(boundary(1e-155), eta_t)
         with pytest.raises(NoRootError):
             find_root(boundary(1e-160), eta_t)
+
+    @pytest.mark.parametrize(
+        "d,u_l,eta_t",
+        [(3, 1e-60, ETA_T[3]), (4, 1e-45, ETA_T[4]), (2, 0.9, [1e-78])],
+        ids=["d3-u_l-1e-60", "d4-u_l-1e-45", "d2-eta_t-1e-78"],
+    )
+    def test_underflowed_sigma_is_refused(self, d, u_l, eta_t):
+        # fixture_a with both velocities scaled at fixed density ratio, or at
+        # a tiny eta_t: eta0 is representable, but a component of sigma* is
+        # 0 or subnormal (about 5e-310 at eta_t = [1e-78]).
+        left = FluidState(**{**FIXTURE_A["left"], "u": u_l})
+        right = FluidState(**{**FIXTURE_A["right"], "u": u_l / 0.45})
+        pb = make_phase_boundary(left, right, d, FIXTURE_A["mu"])
+        with pytest.raises(NoRootError, match="sigma\\* at the root eta0 = .* underflows"):
+            find_root(pb, eta_t)
+
+    @pytest.mark.parametrize("eta_t", [[1.0, 0.0], [0.0, 1.0]])
+    def test_zero_component_of_eta_t_is_not_an_underflow(self, eta_t):
+        # An entry Dt * eta_t[k] of sigma* is an exact 0 where eta_t[k] is;
+        # the refusal reads the components Upsilon*D, so the root stands.
+        root = find_root(fixture_a_boundary(d=3), eta_t)
+        sig = np.abs(root.sigma.sigma_star)
+        assert list(sig == 0.0) == [False] + [x == 0.0 for x in eta_t] + [False, False]
+        assert np.min(sig[sig > 0.0]) > 400.0
+        assert root_relation_residual(root) <= 1e-12
 
     def test_root_relation(self, root_a):
         assert root_relation_residual(root_a) <= 1e-12
@@ -336,13 +365,24 @@ class TestGamma:
         root = dataclasses.replace(root_a, gamma2=complex(math.nan))
         assert math.isnan(gamma_forms_residual(root))
 
-    @pytest.mark.parametrize("u_l", [1e-50, 1e-100, 1e-150])
-    def test_linear_relation_tiny_states(self, u_l):
-        # fixture_a with both velocities scaled down at fixed density ratio.
-        # At 1e-150 the residual's entries are about 1e-166, and their squares
-        # would underflow to an exact 0 inside an unscaled norm.
-        left = FluidState(**{**FIXTURE_A["left"], "u": u_l})
-        right = FluidState(**{**FIXTURE_A["right"], "u": u_l / 0.45})
+    @pytest.mark.parametrize(
+        "u_l,rho",
+        [
+            pytest.param(1e-50, 1.0, id="1e-50"),
+            pytest.param(0.9, 1e-160, id="rho-1e-160"),
+            pytest.param(0.9, 1e-200, id="rho-1e-200"),
+            pytest.param(0.9, 1e-300, id="rho-1e-300"),
+        ],
+    )
+    def test_linear_relation_tiny_states(self, u_l, rho):
+        # fixture_a with both velocities scaled down at fixed density ratio,
+        # or both densities scaled by rho at the shipped velocities.  With
+        # rho = 1e-160 and below, |J(v)eta| is about 1e-160 to 1e-300 while
+        # sigma* stays normal (min |sigma*| = 234), and the squares of the
+        # residual's entries would underflow to an exact 0 inside an
+        # unscaled norm.
+        left = FluidState(**{**FIXTURE_A["left"], "u": u_l, "rho": rho})
+        right = FluidState(**{**FIXTURE_A["right"], "u": u_l / 0.45, "rho": 0.45 * rho})
         root = find_root(make_phase_boundary(left, right, 2, FIXTURE_A["mu"]), [1.0])
         assert 0.0 < gamma_linear_residual(root) <= 1e-10
 

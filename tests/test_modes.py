@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from pathlib import Path
+from typing import Tuple
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from phasewave import (
 )
 from phasewave.config import build_boundary, load_config
 from phasewave.modes import (
-    biorthogonality_matrices,
+    ModeSet,
     dg0,
     dispersion_residual,
     mode_matrix,
@@ -33,6 +34,31 @@ from phasewave.modes import (
 )
 
 from conftest import ETA_T, fixture_a_boundary, random_boundary, random_frequency
+
+
+# ---------------------------------------------------------------------------
+# The biorthogonality products, a diagnostic only these tests read.
+# ---------------------------------------------------------------------------
+
+
+def biorthogonality_matrices(modes: ModeSet) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagnostic products (L_i^s)* Acheck^d R_j^s and the cross products.
+
+    Acheck^d is the block diagonal of the two one-sided normal flux Jacobians.
+    Returns (same-family minus, same-family plus, cross minus-plus).
+    """
+    d = modes.pb.d
+    Adl = flux_jacobians(modes.pb.left, d)[d - 1]
+    Adr = flux_jacobians(modes.pb.right, d)[d - 1]
+    Acheck = np.zeros((2 * (d + 1), 2 * (d + 1)))
+    Acheck[: d + 1, : d + 1] = Adl
+    Acheck[d + 1 :, d + 1 :] = Adr
+    Lm = np.conj(modes.L_minus)
+    Lp = np.conj(modes.L_plus)
+    same_minus = Lm @ Acheck @ modes.R_minus.T
+    same_plus = Lp @ Acheck @ modes.R_plus.T
+    cross = Lm @ Acheck @ modes.R_plus.T
+    return same_minus, same_plus, cross
 
 
 # ---------------------------------------------------------------------------

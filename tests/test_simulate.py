@@ -246,13 +246,14 @@ class TestConvolutionRhs:
         "profile, N",
         [
             (p, n)
-            for n in (64, 256, 257, 1024, 2048)
+            for n in (64, 256, 257, 700, 1024, 2048)
             for p in ("random_smooth", "gaussian_bump", "evolved")
         ],
     )
     def test_matches_vectorized_brute_force_at_scale(self, kernel_and_alpha, profile, N):
-        # N = 257 is the smallest grid with an FFT band (of one mode); 1024
-        # and 2048 add two and three dyadic bands to the direct base block.
+        # N = 257 is the smallest grid with an FFT band (of one mode); 700
+        # ends inside its second band, and 1024 and 2048 add two and three
+        # full dyadic bands to the direct base block.
         kern, a0v = kernel_and_alpha
         bump = InitSpec("gaussian_bump", amplitude=0.5, k0=1.0, width=0.5)
         if profile == "random_smooth":
