@@ -116,7 +116,9 @@ class SigmaData:
 
     `sigma_star` is the linear functional X -> det(X, H R_1^-, ...), so that
     sigma itself is its complex conjugate.  The scalar components are stored
-    alongside: sigma* = Upsilon (D1, Dt*eta_t^T, Dd1, Dd2).
+    alongside: sigma* = Upsilon (D1, Dt*eta_t^T, Dd1, Dd2).  `D1_mu_free` =
+    D1 + mu*Dd2 is the part of D1 that does not depend on mu, as the closed
+    form computes it before D1.
     """
 
     sigma_star: np.ndarray
@@ -124,6 +126,7 @@ class SigmaData:
     Dt: complex
     Dd1: complex
     Dd2: complex
+    D1_mu_free: complex
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,7 +212,9 @@ def _sigma_closed(pb: PhaseBoundary, eta_t: np.ndarray, s: RootScalars) -> Sigma
     )
     D1 = d1_plus_mu_dd2 - pb.mu * Dd2
     sigma_star = s.upsilon * np.concatenate(([D1], Dt * eta_t, [Dd1, Dd2]))
-    return SigmaData(sigma_star=sigma_star, D1=D1, Dt=Dt, Dd1=Dd1, Dd2=Dd2)
+    return SigmaData(
+        sigma_star=sigma_star, D1=D1, Dt=Dt, Dd1=Dd1, Dd2=Dd2, D1_mu_free=d1_plus_mu_dd2
+    )
 
 
 def _sigma_minors(pb: PhaseBoundary, modes: ModeSet, ops: BoundaryOperators) -> np.ndarray:
@@ -376,8 +381,12 @@ def dd1_factorization_residual(root: RootData) -> float:
 
 
 def sigma_r3_residual(root: RootData) -> float:
-    """Residual of D1 + eta0*Dt + 2 u_r Dd1 + (mu + u_r^2) Dd2 = 0."""
+    """Residual of D1 + eta0*Dt + 2 u_r Dd1 + (mu + u_r^2) Dd2 = 0, written
+    as (D1 + mu*Dd2) + eta0*Dt + 2 u_r Dd1 + u_r^2 Dd2 and relative to the
+    largest of those four terms.  At low Mach number the last three shrink
+    with the velocities while D1 and mu*Dd2 stay large and cancel, so the
+    row reads the mu-free part as `_sigma_closed` computed it: rebuilt from
+    D1, it would carry D1's rounding into the sum."""
     sig, e0, ur = root.sigma, root.scalars.e0, root.scalars.vr.u
-    val = sig.D1 + e0 * sig.Dt + 2.0 * ur * sig.Dd1 + (root.pb.mu + ur**2) * sig.Dd2
-    scale = max(abs(sig.D1), abs(sig.Dd1), abs(sig.Dd2), abs(sig.Dt) * max(abs(e0), 1.0))
-    return abs(val) / scale
+    terms = (sig.D1_mu_free, e0 * sig.Dt, 2.0 * ur * sig.Dd1, ur**2 * sig.Dd2)
+    return abs(sum(terms)) / max(abs(t) for t in terms)

@@ -27,23 +27,27 @@ norm: the small high modes carry a small absolute error.  One FFT over the
 whole spectrum would instead put an eps ||p||^2 error into every mode, which
 the weight k_n amplifies where the true high modes are tiny.
 
-The evolution state is that half spectrum.  `evolve` validates alpha0 and
-folds the region factors and -i k/alpha0 * dk/(4 pi) into three O(N) weight
-arrays once per run, steps the n = 0..N vector with RK4, and mirrors it as
+The evolution state is that half spectrum, and its right side is one
+`_Rhs` per grid.  At construction it validates alpha0, folds the region
+factors and -i k/alpha0 * dk/(4 pi) into three O(N) weight arrays, lays out
+the bands and allocates their work arrays; a call only computes.  `evolve`
+builds one per run, steps the n = 0..N vector with RK4, and mirrors it as
 its exact conjugate only where the full spectrum leaves the library: the
 snapshots and the returned field.  The public `convolution_rhs` and
-`rk4_step` take and return full spectra and wrap the same core; `rk4_step`
-is the fixed-step reference for `evolve`.
+`rk4_step` take and return full spectra and build their own `_Rhs` per
+call, so they keep no state; `rk4_step` is the fixed-step reference for
+`evolve`.
 
 Step control (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4): the
 right side at the new point, k5 = f(what_{n+1}), is the next step's k1, so
 RK4's third-order companion with weights (1, 2, 2, 0, 1)/6 is free, and
 their difference (h/6)(k4 - k5) estimates the step's error.  `evolve`
-accepts a step whose estimate, relative to max|what|, is below
-`_STEP_TOL`, and sizes the next by the standard controller; only T limits
-a step.  The propagated solution is always the RK4 update.  A row that
-falls strictly inside an accepted step [t, t + h] is written from the
-cubic Hermite interpolant of the step's two states and two slopes
+accepts a step whose estimate, relative to max|what_n| over n >= 1, is
+below `_STEP_TOL`, and sizes the next by the standard controller; only T
+limits a step.  The mean mode what_0 never moves, so it carries no error
+and sets no scale.  The propagated solution is always the RK4 update.  A
+row that falls strictly inside an accepted step [t, t + h] is written from
+the cubic Hermite interpolant of the step's two states and two slopes
 (what_n, k1, what_{n+1}, k5) at theta = (tau - t)/h (ibid., sec. II.6),
 which costs no RHS call; a row at a step's end is that step's state.
 
@@ -83,7 +87,7 @@ _DIRECT_MODES = 256
 _BLOWUP_FACTOR = 1e6
 
 # `evolve` accepts a step whose error estimate is below this fraction of
-# max|what|, the larger of the step's two ends.
+# max|what_n| over n >= 1, the larger of the step's two ends.
 _STEP_TOL = 1e-10
 
 # `SimConfig` refuses a run that would write more diagnostics rows than
@@ -255,92 +259,98 @@ def init_field(config: SimConfig, default_seed: int = 0) -> SpectralField:
     return SpectralField(dk=dk, what=_mirror(half))
 
 
-def _rhs_weights(N: int, dk: float, kernel: Kernel, alpha0: float) -> Tuple[np.ndarray, ...]:
-    """Validate alpha0 and build the O(N) arrays of the half-spectrum RHS.
-
-    Returns 1/max(n, 1) and the weights of the three regions' products, each
-    the scale -i k_n/alpha0 * dk/(4 pi) times the region's factor: Q_nat,
-    2 conj(Q_nat) n and 2 Re(Q_nat).  Every weight is zero at n = 0.
-    """
-    a0 = complex(alpha0)
-    if a0.imag != 0.0 or not np.isfinite(a0.real):
-        raise ParameterError(f"alpha0 must be a finite real number, got {alpha0!r}")
-    if a0.real == 0.0:
-        raise DegeneracyError("alpha0 must be nonzero")
-    Qn = kernel.constants.Q_nat
-    n = np.arange(N + 1)
-    scale = -1j * n * dk / a0.real * (dk / (4.0 * np.pi))
-    inv_m = 1.0 / np.maximum(n, 1)
-    return inv_m, Qn * scale, (2.0 * np.conj(Qn)) * n * scale, (2.0 * Qn.real) * scale
-
-
 def _fft_length(m: int) -> int:
     """The smallest 2^a or 3 * 2^a that is at least m (m >= 3)."""
     L = 1 << (m - 1).bit_length()
     return 3 * L // 4 if 3 * L // 4 >= m else L
 
 
-def _half_rhs(half: np.ndarray, weights: Tuple[np.ndarray, ...]) -> np.ndarray:
-    """The right side on n = 0..N from the half spectrum n = 0..N.
+class _Rhs:
+    """The right side on n = 0..N of one grid, called on the half spectrum
+    n = 0..N.
 
-    The base block's products `conv` = p*p and `corr`_n = sum_j v_{n+j}
-    conj(p_j) over modes 0..b are direct; above N = b they are padded to
-    modes 0..N and each dyadic band (lo - 1, hi] = (b, 2b], (2b, 4b], ... is
-    added by FFT.  Each self-convolution pair is grouped by the band of its
-    larger index, which gives p_B * (2 p_{<B} + p_B), and each correlation
-    term by the band of its v index.  The band sits at its own indices in a
-    transform of length L > 2 hi - lo, so neither product aliases onto the
-    modes read."""
-    inv_m, w_conv, w_mixed, w_axis = weights
-    N = half.size - 1
-    p = half.copy()
-    p[0] = 0.0
-    v = p * inv_m
-    b = min(N, _DIRECT_MODES)
-    base = p[: b + 1]
-    conv = np.convolve(base, base)
-    corr = np.correlate(v[: b + 1], base, "full")[b:]
-    if N > b:
-        full_conv = np.zeros(max(N + 1, conv.size), dtype=complex)
-        full_conv[: conv.size] = conv
-        full_corr = np.zeros(N + 1, dtype=complex)
-        full_corr[: corr.size] = corr
-        conv, corr = full_conv, full_corr
-    lo = b + 1
-    while lo <= N:
-        hi = min(2 * (lo - 1), N)
-        L = _fft_length(2 * hi - lo + 1)
-        x = np.zeros((3, L), dtype=complex)
-        x[0, : hi + 1] = p[: hi + 1]
-        x[1, lo : hi + 1] = p[lo : hi + 1]
-        x[2, lo : hi + 1] = v[lo : hi + 1]
-        P, X, V = np.fft.fft(x)
-        c, r = np.fft.ifft(np.stack((X * (2.0 * P - X), V * np.conj(P))))
-        top = min(2 * hi, N)
-        conv[lo : top + 1] += c[np.arange(lo, top + 1) % L]
-        corr[: hi + 1] += r[: hi + 1]
-        lo = hi + 1
-        # Freed before the next band's arrays and the weighted sum are
-        # allocated, so that those can reuse the memory.
-        del x, P, X, V, c, r
-    rhs = w_conv * conv[: N + 1] + w_mixed * corr + (half[0] * w_axis) * p
-    rhs[0] = 0.0  # also where a product overflowed: 0 * inf would be nan
-    return rhs
+    Construction validates alpha0 and folds the scale -i k_n/alpha0 *
+    dk/(4 pi) into the weights of the three regions' products: Q_nat,
+    2 conj(Q_nat) n and 2 Re(Q_nat), each zero at n = 0.  It also lays out
+    the base block, modes 0..b with b = min(N, 256), and each dyadic band
+    (lo - 1, hi] = (b, 2b], (2b, 4b], ... above it: the band's transform
+    length L > 2 hi - lo, the indices that scatter its convolution onto
+    modes lo..min(2 hi, N), and its (3, L) input array, whose entries
+    outside the band stay zero.
+
+    A call writes the base products `conv` = p*p and `corr`_n = sum_j
+    v_{n+j} conj(p_j) into arrays the object owns, directly, and on a grid
+    with bands clears their band region.  Each band then adds by FFT the self-convolution
+    pairs whose larger index it holds, p_B * (2 p_{<B} + p_B), and the
+    correlation terms whose v index it holds.  The band sits at its own
+    indices in its transform, so neither product aliases onto the modes
+    read.  A call overwrites every owned entry that it reads, and a band's
+    input is zero outside the band at every call, so the result depends on
+    the argument alone."""
+
+    def __init__(self, N: int, dk: float, kernel: Kernel, alpha0: float) -> None:
+        a0 = complex(alpha0)
+        if a0.imag != 0.0 or not np.isfinite(a0.real):
+            raise ParameterError(f"alpha0 must be a finite real number, got {alpha0!r}")
+        if a0.real == 0.0:
+            raise DegeneracyError("alpha0 must be nonzero")
+        Qn = kernel.constants.Q_nat
+        n = np.arange(N + 1)
+        scale = -1j * n * dk / a0.real * (dk / (4.0 * np.pi))
+        inv_m = 1.0 / np.maximum(n, 1)
+        self.weights = inv_m, Qn * scale, (2.0 * np.conj(Qn)) * n * scale, (2.0 * Qn.real) * scale
+        self.b = b = min(N, _DIRECT_MODES)
+        conv = np.empty(max(N + 1, 2 * b + 1), dtype=complex)
+        self.corr = corr = np.empty(N + 1, dtype=complex)
+        # Views fixed once, so that a call on a grid without bands costs no
+        # more than the bare products: the modes 0..N that the weighted sum
+        # reads, the base products' place and the band region they leave.
+        self.conv = conv[: N + 1]
+        self.base = conv[: 2 * b + 1], corr[: b + 1]
+        self.rest = conv[2 * b + 1 :], corr[b + 1 :]
+        self.bands = []
+        lo = b + 1
+        while lo <= N:
+            hi = min(2 * (lo - 1), N)
+            L = _fft_length(2 * hi - lo + 1)
+            scatter = np.arange(lo, min(2 * hi, N) + 1) % L
+            self.bands.append((lo, hi, scatter, np.zeros((3, L), dtype=complex)))
+            lo = hi + 1
+
+    def __call__(self, half: np.ndarray) -> np.ndarray:
+        inv_m, w_conv, w_mixed, w_axis = self.weights
+        b, conv, corr, (conv_base, corr_base) = self.b, self.conv, self.corr, self.base
+        p = half.copy()
+        p[0] = 0.0
+        v = p * inv_m
+        base = p[: b + 1]
+        conv_base[...] = np.convolve(base, base)
+        corr_base[...] = np.correlate(v[: b + 1], base, "full")[b:]
+        if self.bands:
+            for region in self.rest:
+                region[...] = 0.0
+        for lo, hi, scatter, x in self.bands:
+            x[0, : hi + 1] = p[: hi + 1]
+            x[1, lo : hi + 1] = p[lo : hi + 1]
+            x[2, lo : hi + 1] = v[lo : hi + 1]
+            P, X, V = np.fft.fft(x)
+            c, r = np.fft.ifft(np.stack((X * (2.0 * P - X), V * np.conj(P))))
+            conv[lo : lo + scatter.size] += c[scatter]
+            corr[: hi + 1] += r[: hi + 1]
+        rhs = w_conv * conv + w_mixed * corr + (half[0] * w_axis) * p
+        rhs[0] = 0.0  # also where a product overflowed: 0 * inf would be nan
+        return rhs
 
 
 def _rk4_stages(
-    half: np.ndarray, k1: np.ndarray, weights: Tuple[np.ndarray, ...], dt: float
+    half: np.ndarray, k1: np.ndarray, rhs: _Rhs, dt: float
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One classical RK4 step from `half`, whose right side `k1` is given:
     the new half spectrum and the last stage k4."""
-    k2 = _half_rhs(half + 0.5 * dt * k1, weights)
-    k3 = _half_rhs(half + 0.5 * dt * k2, weights)
-    k4 = _half_rhs(half + dt * k3, weights)
+    k2 = rhs(half + 0.5 * dt * k1)
+    k3 = rhs(half + 0.5 * dt * k2)
+    k4 = rhs(half + dt * k3)
     return half + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), k4
-
-
-def _half_rk4(half: np.ndarray, weights: Tuple[np.ndarray, ...], dt: float) -> np.ndarray:
-    return _rk4_stages(half, _half_rhs(half, weights), weights, dt)[0]
 
 
 def _step_factor(err: float) -> float:
@@ -383,20 +393,20 @@ def convolution_rhs(field: SpectralField, kernel: Kernel, alpha0: float) -> Spec
 
     The output is exactly zero at k = 0, and its negative half is the exact
     conjugate mirror of the half computed, so rhs(-k) = conj(rhs(k)) holds
-    by construction.  `evolve` uses the same half-spectrum core with weights
-    built once per run.
+    by construction.  `evolve` uses the same right side, `_Rhs`, built once
+    per run.
     """
     N = field.N
-    weights = _rhs_weights(N, field.dk, kernel, alpha0)
-    return SpectralField(dk=field.dk, what=_mirror(_half_rhs(field.what[N:], weights)))
+    rhs = _Rhs(N, field.dk, kernel, alpha0)
+    return SpectralField(dk=field.dk, what=_mirror(rhs(field.what[N:])))
 
 
 def rk4_step(field: SpectralField, kernel: Kernel, alpha0: float, dt: float) -> SpectralField:
     """One classical fourth-order step of the half spectrum n = 0..N; the
     result is its exact conjugate mirror, so it is exactly Hermitian."""
     N = field.N
-    weights = _rhs_weights(N, field.dk, kernel, alpha0)
-    return SpectralField(dk=field.dk, what=_mirror(_half_rk4(field.what[N:], weights, dt)))
+    half, rhs = field.what[N:], _Rhs(N, field.dk, kernel, alpha0)
+    return SpectralField(dk=field.dk, what=_mirror(_rk4_stages(half, rhs(half), rhs, dt)[0]))
 
 
 @dataclass(frozen=True)
@@ -441,8 +451,9 @@ def evolve(kernel: Kernel, alpha0: float, config: SimConfig, default_seed: int =
 
     The initial spectrum is `init_field(config, default_seed)`, so
     'random_smooth' draws from the run's seed.  The state is the half
-    spectrum n = 0..N, and the RHS weights are built once per run.  The full
-    spectrum is mirrored only for snapshots and for the returned field.
+    spectrum n = 0..N, and its right side, `_Rhs`, is built once per run.
+    The full spectrum is mirrored only for snapshots and for the returned
+    field.
 
     Each step is RK4, accepted or rejected by the error estimate of the
     module docstring; the first trial step is dt, and no step passes T,
@@ -459,7 +470,7 @@ def evolve(kernel: Kernel, alpha0: float, config: SimConfig, default_seed: int =
     """
     N, dk, dt, T = config.N, config.dk, config.dt, config.T
     half = init_field(config, default_seed=default_seed).what[N:]
-    weights = _rhs_weights(N, dk, kernel, alpha0)
+    rhs = _Rhs(N, dk, kernel, alpha0)
     l2_w, h2_w, energy_w = (_diag_weights(N, dk, s) for s in (0, 4, -1))
     every = config.output_every
     ahead = itertools.chain((m * dt for m in range(every, math.ceil(T / dt), every)), (T,))
@@ -468,17 +479,9 @@ def evolve(kernel: Kernel, alpha0: float, config: SimConfig, default_seed: int =
 
     def write(tau: float, state: np.ndarray, steps: int, worst: float) -> None:
         mag = np.abs(state)
+        l2, h2, energy = (_weighted_square(mag, c) for c in (l2_w, h2_w, energy_w))
         diag.append(
-            DiagRow(
-                tau,
-                complex(state[0]),
-                _weighted_square(mag, l2_w),
-                _weighted_square(mag, h2_w),
-                float(np.max(mag)),
-                _weighted_square(mag, energy_w),
-                steps,
-                worst,
-            )
+            DiagRow(tau, complex(state[0]), l2, h2, float(np.max(mag)), energy, steps, worst)
         )
         if config.snapshots:
             snaps.append((tau, _mirror(state)))
@@ -487,8 +490,9 @@ def evolve(kernel: Kernel, alpha0: float, config: SimConfig, default_seed: int =
     accepted = rejected = 0
     with np.errstate(over="ignore", invalid="ignore"):
         mag = np.abs(half)
-        size, h2_0 = float(np.max(mag)), _weighted_square(mag, h2_w)
-        k1 = _half_rhs(half, weights)
+        # The error scale leaves out the mean mode, which no step moves.
+        size, h2_0 = float(np.max(mag[1:])), _weighted_square(mag, h2_w)
+        k1 = rhs(half)
         calls = 1
         write(0.0, half, 0, 0.0)
         # The accepted steps that meet (previous row, tau], and their largest
@@ -497,15 +501,15 @@ def evolve(kernel: Kernel, alpha0: float, config: SimConfig, default_seed: int =
         t, h = 0.0, dt
         while t < T and breaking is None:
             step = min(h, T - t)
-            new, k4 = _rk4_stages(half, k1, weights, step)
+            new, k4 = _rk4_stages(half, k1, rhs, step)
             calls += 3
             mag = np.abs(new)
-            new_size = float(np.max(mag))
+            new_size = float(np.max(mag[1:]))
             t_new = T if step == T - t else t + step
-            if not math.isfinite(new_size):
+            if not (math.isfinite(new_size) and math.isfinite(mag[0])):
                 half, t, breaking = new, t_new, t_new
                 break
-            k5 = _half_rhs(new, weights)
+            k5 = rhs(new)
             calls += 1
             diff = (step / 6.0) * float(np.max(np.abs(k4 - k5)))
             err = diff / max(size, new_size) if diff else 0.0  # not 0/0 at a zero field

@@ -656,7 +656,7 @@ class TestGibbsGauge:
     def test_sigma_moves_only_d1(self, pairs):
         for c, _, root, moved in pairs:
             s, m = root.sigma, moved.sigma
-            assert (s.Dt, s.Dd1, s.Dd2) == (m.Dt, m.Dd1, m.Dd2)
+            assert (s.Dt, s.Dd1, s.Dd2, s.D1_mu_free) == (m.Dt, m.Dd1, m.Dd2, m.D1_mu_free)
             assert np.array_equal(s.sigma_star[1:], m.sigma_star[1:])
             want = s.D1 - c * s.Dd2
             assert abs(m.D1 - want) <= 2e-15 * max(abs(s.D1), abs(c * s.Dd2))

@@ -354,6 +354,22 @@ class TestSigma:
         for root in (root_a, root_a3):
             assert sigma_r3_residual(root) <= 1e-10
 
+    @pytest.mark.parametrize("u_l", [0.9, 1e-5, 1e-20])
+    def test_sigma_r3_relation_sees_a_wrong_term_at_low_mach(self, u_l):
+        # fixture_a with both velocities scaled, u_r = u_l/0.45.  Each term
+        # is judged at its own size: the row reads at most 2.1e-16 from
+        # u_l = 0.9 down to 1e-50, a doubled Dt 0.075 at 0.9 and 0.127 below,
+        # a doubled Dd1 0.5.  Scaled by max(|D1|, |Dd1|, |Dd2|, |Dt|) instead,
+        # whose mu-parts cancel, the doubled rows read 9.1e-11 and 7.2e-10
+        # at u_l = 1e-5 and 9.1e-41 and 1.9e-56 at 1e-20.
+        left = FluidState(**{**FIXTURE_A["left"], "u": u_l})
+        right = FluidState(**{**FIXTURE_A["right"], "u": u_l / 0.45})
+        root = find_root(make_phase_boundary(left, right, 2, FIXTURE_A["mu"]), [1.0])
+        assert sigma_r3_residual(root) <= 1e-10
+        for name in ("Dt", "Dd1"):
+            sigma = dataclasses.replace(root.sigma, **{name: 2.0 * getattr(root.sigma, name)})
+            assert sigma_r3_residual(dataclasses.replace(root, sigma=sigma)) > 1e-10
+
 
 class TestGamma:
     def test_linear_relation(self, root_a):

@@ -27,10 +27,9 @@ from phasewave.simulate import (
     SpectralField,
     _BLOWUP_FACTOR,
     _STEP_TOL,
-    _half_rhs,
-    _half_rk4,
+    _Rhs,
     _hermite,
-    _rhs_weights,
+    _rk4_stages,
     physical_reconstruction,
 )
 
@@ -281,7 +280,7 @@ class TestConvolutionRhs:
             init = InitSpec("random_smooth", amplitude=0.01)
             cfg = _cfg(dk=0.05, N=N, T=0.5, init=init, output_every=10**9)
             f = evolve(kern, a0v, cfg, default_seed=5).field
-        inv_m, w_conv, w_mixed, w_axis = _rhs_weights(N, f.dk, kern, a0v)
+        inv_m, w_conv, w_mixed, w_axis = _Rhs(N, f.dk, kern, a0v).weights
         half = f.what[N:]
         got = convolution_rhs(f, kern, a0v).what[N:]
         # Reference: the direct products in extended precision (80-bit long
@@ -312,7 +311,7 @@ class TestConvolutionRhs:
         kern, a0v = kernel_and_alpha
         f = init_field(_cfg(dk=0.05, N=N, init=InitSpec("random_smooth", amplitude=1.0)), 5)
         f.what[N] = 0.3
-        inv_m, w_conv, w_mixed, w_axis = _rhs_weights(N, f.dk, kern, a0v)
+        inv_m, w_conv, w_mixed, w_axis = _Rhs(N, f.dk, kern, a0v).weights
         half = f.what[N:]
         p = half.copy()
         p[0] = 0.0
@@ -351,6 +350,41 @@ class TestConvolutionRhs:
             tracemalloc.stop()
         assert np.all(np.isfinite(rhs.what))
         assert peak < 8 * 2**20
+
+
+class TestOwnedArrays:
+    """`_Rhs` owns its product and band arrays across calls, and `evolve`
+    builds one per run: neither may carry a value from one call or run to
+    the next."""
+
+    @pytest.mark.parametrize("N", [64, 300, 1024])
+    def test_one_rhs_on_two_fields_matches_fresh_calls(self, kernel_and_alpha, N):
+        kern, a0v = kernel_and_alpha
+        cfg = _cfg(dk=0.05, N=N, init=InitSpec("random_smooth", amplitude=1.0))
+        fields = [init_field(cfg, seed) for seed in (1, 2)]
+        fields[1].what[N] = 0.3
+        fresh = [convolution_rhs(f, kern, a0v).what for f in fields]
+        rhs = _Rhs(N, cfg.dk, kern, a0v)
+        for f, want in zip(fields + fields, fresh + fresh):
+            assert np.array_equal(rhs(f.what[N:]), want[N:])
+        assert not np.array_equal(fresh[0], fresh[1])
+
+    def test_reruns_and_other_grids_between_keep_the_bits(self, kernel_and_alpha):
+        kern, a0v = kernel_and_alpha
+
+        def run(N):
+            init = InitSpec("random_smooth", amplitude=0.01)
+            cfg = _cfg(dk=0.05, N=N, T=0.05, init=init, output_every=1, snapshots=True)
+            return evolve(kern, a0v, cfg, default_seed=4)
+
+        first, again, _, last = (run(N) for N in (1024, 1024, 300, 1024))
+        assert first.steps_accepted > 1
+        for res in (again, last):
+            assert np.array_equal(res.field.what, first.field.what)
+            assert res.diagnostics == first.diagnostics
+            assert [t for t, _ in res.snapshots] == [t for t, _ in first.snapshots]
+            for (_, got), (_, want) in zip(res.snapshots, first.snapshots, strict=True):
+                assert np.array_equal(got, want)
 
 
 class TestEnergy:
@@ -550,6 +584,37 @@ class TestStepControl:
             assert len(res.diagnostics) == 200 // every + 1
             counts.add((res.rhs_calls, res.steps_accepted, res.steps_rejected))
         assert counts == {(681, 170, 0)}
+
+    # Measured: 3.5e-11, 3.2e-10 and 1.7e-9 in 685, 801 and 2065 RHS calls
+    # (673 at mean 0).  With max|what| over every mode as the error scale,
+    # the mean loosened the steps: 3.5e-11, 2.5e-9 and 8.1e-8 in 685, 509
+    # and 737 calls.
+    @pytest.mark.parametrize("mean, bound", [(0.3, 1e-10), (3.0, 1e-9), (30.0, 5e-9)])
+    def test_mean_mode_is_a_translation(self, kernel_and_alpha, monkeypatch, mean, bound):
+        """No step moves the mean mode, so its axis term is linear with a
+        constant coefficient: what_n(tau) = exp(-i n c tau) v_n(tau), with v
+        the mean-0 solution and c = 2 Re(Q_nat) what_0 dk^2/(4 pi alpha0) in
+        index units.  The bump above with its mean set, against the rotated
+        mean-0 run at T, relative to max|v_n| over n >= 1."""
+        kern, a0v = kernel_and_alpha
+        bump = InitSpec("gaussian_bump", amplitude=0.5, k0=1.0, width=1.0)
+        cfg = SimConfig(dk=0.1, N=512, dt=0.01, T=2.0, init=bump, output_every=10**9)
+        N = cfg.N
+
+        def at_mean(m):
+            def init(config, default_seed=0):
+                field = init_field(config, default_seed)
+                field.what[N] = m
+                return field
+
+            monkeypatch.setattr(simulate, "init_field", init)
+            return evolve(kern, a0v, cfg).field.what[N:]
+
+        v, w = at_mean(0.0), at_mean(mean)
+        c = 2.0 * kern.constants.Q_nat.real * mean * cfg.dk**2 / (4.0 * math.pi * a0v)
+        rotated = np.exp(-1j * np.arange(N + 1) * c * cfg.T) * v
+        assert w[0] == mean
+        assert np.max(np.abs(w[1:] - rotated[1:])) <= bound * np.max(np.abs(v[1:]))
 
     # (RHS calls, accepted and rejected steps) and each row's steps.
     SHIPPED_WORK = {
@@ -819,26 +884,29 @@ class TestRunSimulation:
         assert w[f.N] == pytest.approx(float(np.real(np.sum(f.what))) * f.dk, rel=1e-12)
 
 
-def _mixed_weight_mutant(half, weights):
-    """A test-only copy of `_half_rhs` (direct products over every mode) with
-    the mixed-region weight j/(n+j) in place of n/(n+j): it breaks the
-    kernel's symmetry and nothing else."""
-    inv_m, w_conv, w_mixed, w_axis = weights
-    p = half.copy()
-    p[0] = 0.0
-    v = p * inv_m
-    conv = np.convolve(p, p)[: p.size]
-    corr = np.correlate(v, np.arange(p.size) * p, "full")[p.size - 1 :]
-    rhs = w_conv * conv + (w_mixed * inv_m) * corr + (half[0] * w_axis) * p
-    rhs[0] = 0.0
-    return rhs
+class _MixedWeightMutant(_Rhs):
+    """A test-only copy of `_Rhs` (direct products over every mode, on the
+    same weights) with the mixed-region weight j/(n+j) in place of n/(n+j):
+    it breaks the kernel's symmetry and nothing else."""
+
+    def __call__(self, half):
+        inv_m, w_conv, w_mixed, w_axis = self.weights
+        p = half.copy()
+        p[0] = 0.0
+        v = p * inv_m
+        conv = np.convolve(p, p)[: p.size]
+        corr = np.correlate(v, np.arange(p.size) * p, "full")[p.size - 1 :]
+        rhs = w_conv * conv + (w_mixed * inv_m) * corr + (half[0] * w_axis) * p
+        rhs[0] = 0.0
+        return rhs
 
 
-def _perturbation_rate(rhs, kernel, K: int, tau: float = 0.5, steps: int = 100) -> float:
+def _perturbation_rate(right_side, kernel, K: int, tau: float = 0.5, steps: int = 100) -> float:
     """log(|delta(tau)|/|delta(0)|)/tau for a 1e-10 perturbation at mode K of
-    the background p_1 = 0.5, on dk = 1 with N = 4K, both evolved by RK4."""
+    the background p_1 = 0.5, on dk = 1 with N = 4K, both evolved by RK4
+    with the right side that the class `right_side` builds for that grid."""
     N = 4 * K
-    weights = _rhs_weights(N, 1.0, kernel, kernel.constants.alpha0)
+    rhs = right_side(N, 1.0, kernel, kernel.constants.alpha0)
     base = np.zeros(N + 1, dtype=complex)
     base[1] = 0.5
     pert = base.copy()
@@ -846,10 +914,10 @@ def _perturbation_rate(rhs, kernel, K: int, tau: float = 0.5, steps: int = 100) 
     dt = tau / steps
 
     def rk4(h):
-        k1 = rhs(h, weights)
-        k2 = rhs(h + 0.5 * dt * k1, weights)
-        k3 = rhs(h + 0.5 * dt * k2, weights)
-        k4 = rhs(h + dt * k3, weights)
+        k1 = rhs(h)
+        k2 = rhs(h + 0.5 * dt * k1)
+        k3 = rhs(h + 0.5 * dt * k2)
+        k4 = rhs(h + dt * k3)
         return h + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     for _ in range(steps):
@@ -876,8 +944,8 @@ class TestHadamardContrast:
         cfg = load_config(CONFIGS / f"{name}.json")
         kernel = build_kernel(find_root(build_boundary(cfg), np.asarray(cfg["eta_t"], dtype=float)))
         modes = (16, 32, 64)
-        shipped = [_perturbation_rate(_half_rhs, kernel, K) for K in modes]
-        mutated = [_perturbation_rate(_mixed_weight_mutant, kernel, K) for K in modes]
+        shipped = [_perturbation_rate(_Rhs, kernel, K) for K in modes]
+        mutated = [_perturbation_rate(_MixedWeightMutant, kernel, K) for K in modes]
         assert 0.0 < min(shipped) and max(shipped) <= self.SHIPPED_BOUND[name]
         assert shipped[-1] <= 1.05 * shipped[0]
         assert all(hi >= 2.0 * lo for lo, hi in zip(mutated, mutated[1:]))
@@ -900,9 +968,9 @@ class TestPhaseSymmetries:
     FFT_BOUND = 1e-18
 
     @staticmethod
-    def _steps(half, weights, steps=20, dt=0.01):
+    def _steps(half, rhs, steps=20, dt=0.01):
         for _ in range(steps):
-            half = _half_rk4(half, weights, dt)
+            half = _rk4_stages(half, rhs(half), rhs, dt)[0]
         return half
 
     @pytest.mark.parametrize("N", [64, 300, 1024])
@@ -910,8 +978,8 @@ class TestPhaseSymmetries:
         kern, a0v = kernel_and_alpha
         half = init_field(_cfg(N=N, init=InitSpec("random_smooth", amplitude=0.5)), 3).what[N:]
         flipped = _with_q_nat(kern, -kern.constants.Q_nat)
-        base = self._steps(half, _rhs_weights(N, 0.1, kern, a0v))
-        negated = self._steps(-half, _rhs_weights(N, 0.1, flipped, a0v))
+        base = self._steps(half, _Rhs(N, 0.1, kern, a0v))
+        negated = self._steps(-half, _Rhs(N, 0.1, flipped, a0v))
         assert np.max(np.abs(base)) > 0.1
         assert np.array_equal(negated, -base)
 
@@ -920,8 +988,8 @@ class TestPhaseSymmetries:
         kern, a0v = kernel_and_alpha
         half = init_field(_cfg(N=N, init=InitSpec("random_smooth", amplitude=0.5)), 3).what[N:]
         mirrored = _with_q_nat(kern, -kern.constants.Q_nat.conjugate())
-        base = self._steps(half, _rhs_weights(N, 0.1, kern, a0v))
-        reflected = self._steps(np.conj(half), _rhs_weights(N, 0.1, mirrored, a0v))
+        base = self._steps(half, _Rhs(N, 0.1, kern, a0v))
+        reflected = self._steps(np.conj(half), _Rhs(N, 0.1, mirrored, a0v))
         if N <= 256:
             assert np.array_equal(reflected, np.conj(base))
         else:
