@@ -241,12 +241,16 @@ def _newton2(
     each is halved (up to 40 times) until the residual norm decreases, and
     iterates are clamped to the brackets.  Convergence is declared when the
     residual norm drops below 1e-13 times the pressure scale; otherwise, or
-    when the Jacobian is singular, NoSolutionError is raised.  The iterate,
-    the residual, its norm and the 2x2 step, solved by Cramer's rule, are
-    Python floats.
+    when the Jacobian is singular, NoSolutionError is raised.  The Jacobian
+    divides by each density's cube, so a starting point where a cube
+    underflows to 0 raises NoSolutionError too, and a trial point where one
+    does fails as one that does not descend.  The iterate, the residual, its
+    norm and the 2x2 step, solved by Cramer's rule, are Python floats.
     """
     scale = max(1.0, abs(eos.pressure(0.5 * (bl[0] + bl[1]))))
     x0, x1 = float(rho_l), float(rho_r)
+    if min(x0, x1) ** 3 == 0.0:
+        raise NoSolutionError(f"the cube of the density {min(x0, x1)!r} underflows")
     r0, r1 = jump_residuals(eos, x0, x1, j)
     norm = math.hypot(r0, r1)
     for _ in range(200):
@@ -263,11 +267,12 @@ def _newton2(
         for _ in range(40):
             t0 = min(max(x0 + lam * s0, bl[0]), bl[1])
             t1 = min(max(x1 + lam * s1, br[0]), br[1])
-            tr0, tr1 = jump_residuals(eos, t0, t1, j)
-            trial_norm = math.hypot(tr0, tr1)
-            if trial_norm < norm:
-                x0, x1, r0, r1, norm = t0, t1, tr0, tr1, trial_norm
-                break
+            if min(t0, t1) ** 3 > 0.0:
+                tr0, tr1 = jump_residuals(eos, t0, t1, j)
+                trial_norm = math.hypot(tr0, tr1)
+                if trial_norm < norm:
+                    x0, x1, r0, r1, norm = t0, t1, tr0, tr1, trial_norm
+                    break
             lam *= 0.5
         else:
             break

@@ -22,6 +22,13 @@ Hamiltonian symmetry).  `oracle_vs_closed` judges the summed oracle against
 `q_grid` and checks that symmetry on the oracle.  The closed forms read the
 root quantities (w^2, the acoustic factors z and x) from `RootData.scalars`,
 defined in `lopatinskii.RootScalars`; the oracle routes do not.
+
+Two routes to one value are compared by `lopatinskii.relative_gap`, which
+reads NaN where a route overflows: alpha0 against `alpha0_abstract` and
+`alpha0_fd`, and the summed oracle against `q_grid` at every sample.  The
+relation rows `final_simplification_residual` and `b_identity_residual`,
+the imaginary part of `alpha0_abstract`, and the spreads (`_spread`) keep
+their own scales.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import numpy as np
 
 from .errors import DegeneracyError, DomainError, ParameterError
 from .expsum import ExpProfile, pair_bilinear, pair_dot
-from .lopatinskii import RootData, det_closed
+from .lopatinskii import RootData, det_closed, relative_gap
 from .modes import (
     Frequency,
     d2_flux_normal,
@@ -97,11 +104,13 @@ def alpha0_fd(root: RootData) -> complex:
 
 
 def alpha0_residuals(root: RootData, alpha0: float) -> Tuple[float, float, float]:
-    """Relative residuals: the imaginary part of `alpha0_abstract`, and the
-    closed value alpha0 against `alpha0_abstract` and against `alpha0_fd`."""
-    a_abstract, a_fd, scale = alpha0_abstract(root), alpha0_fd(root), abs(alpha0)
+    """Relative residuals: the imaginary part of `alpha0_abstract` against its
+    modulus, and the `relative_gap` of the closed value alpha0 and
+    `alpha0_abstract` and of alpha0 and `alpha0_fd`."""
+    a_abstract, a_fd = alpha0_abstract(root), alpha0_fd(root)
     imag = abs(a_abstract.imag) / abs(a_abstract)
-    return imag, abs(alpha0 - a_abstract) / scale, abs(alpha0 - a_fd) / scale
+    vs_abstract, vs_fd = relative_gap(alpha0, np.array([a_abstract, a_fd]))
+    return imag, vs_abstract, vs_fd
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +292,9 @@ class KernelConstants:
 
 def kernel_constants(root: RootData) -> KernelConstants:
     """Evaluate every closed-form kernel constant at the root.  Raises
-    DegeneracyError when alpha0 or Q_nat, the scales of their residuals, is 0
-    or not finite."""
+    DegeneracyError when the modulus of alpha0 or Q_nat, the scales of their
+    residuals, is 0 or not finite: Q_nat's parts can be finite while its
+    modulus overflows."""
     s, m, g1, g2 = root.scalars, root.modes, root.gamma1, root.gamma2
     vl, vr, e0, ht2, al, ar = s.vl, s.vr, s.e0, s.ht2, s.a_l, s.a_r
     jr, ju, ups, w2l, w2r = s.jump_rho, s.jump_u, s.upsilon, s.w2_l, s.w2_r
@@ -313,8 +323,9 @@ def kernel_constants(root: RootData) -> KernelConstants:
             + Q_sharp
         )
         a0 = alpha0_closed(root)
+        sizes = {"alpha0": np.hypot(a0.real, a0.imag), "Q_nat": np.hypot(Q_nat.real, Q_nat.imag)}
     for fault, hit in (("vanished", lambda v: v == 0), ("not finite", lambda v: not np.isfinite(v))):
-        named = [name for name, value in (("alpha0", a0), ("Q_nat", Q_nat)) if hit(value)]
+        named = [name for name, size in sizes.items() if hit(size)]
         if named:
             raise DegeneracyError(f"{' and '.join(named)} {fault} at the root eta0 = {e0!r}")
     return KernelConstants(
@@ -410,50 +421,50 @@ def oracle_vs_closed(root: RootData, kc: KernelConstants, samples: Iterable[Tupl
     over samples, and check the oracle's own Hamiltonian symmetry.
 
     The samples lie where the oracle is stated, k, k' != 0 with k + k' > 0.
-    Returns the maximum relative deviation from `q_grid` (NaN if any
-    deviation is), the region-constancy and mixed-region proportionality
-    spreads, the conjugation of Q that q5 follows at the first mixed-region
-    sample, and the Hamiltonian-symmetry spread: that of Lambda(k1, k2, k3)
-    = q(k1, k2)/|k3| over the cyclic shifts of the triad (1, 2, -3),
-    relative to max |Lambda|, with q the summed oracle completed only by
-    reality.  The shift (2, -3, 1) reads (-2, 3), in the index-swapped
+    Returns the largest `relative_gap` of the oracle and `q_grid` over the
+    samples (NaN if any gap is), the region-constancy and mixed-region
+    proportionality spreads, the conjugation of Q that q5 follows at the
+    first mixed-region sample, and the Hamiltonian-symmetry spread: that of
+    Lambda(k1, k2, k3) = q(k1, k2)/|k3| over the cyclic shifts of the triad
+    (1, 2, -3), relative to max |Lambda|, with q the summed oracle completed
+    only by reality.  The shift (2, -3, 1) reads (-2, 3), in the index-swapped
     region.  The oracle is one `q_oracle` call over the samples and the
     triad points, and the closed values one `q_grid` call over the samples.
     """
     samples = list(samples)
     points = samples + [p for p in _TRIAD_POINTS if p not in samples]
     K, KP = np.array(points, dtype=float).T
-    # An oracle that overflows (a huge eta_t) gives NaN deviations.
+    n = len(samples)
+    k, kp = K[:n], KP[:n]
+    region1 = (k > 0.0) & (kp > 0.0)
+    mixed = np.flatnonzero(~region1)
+    # An oracle or a closed value that overflows (a huge eta_t, a huge
+    # Q_nat) gives NaN deviations and spreads.
     with np.errstate(over="ignore", invalid="ignore"):
         qs = q_oracle(root, K, KP)
-    totals = qs[0] + qs[1] + qs[2] + qs[3] + qs[4]
-    sums = {p: complex(total) for p, total in zip(points, totals)}
-    closed_vals = q_grid(Kernel(constants=kc), K[: len(samples)], KP[: len(samples)])
-    devs = []
-    region1_vals = []
-    region2_ratios = []
-    pattern = None
-    for i, (k, kp) in enumerate(samples):
-        total, closed = sums[(k, kp)], complex(closed_vals[i])
-        devs.append(abs(total - closed) / max(abs(total), abs(closed), 1e-300))
-        if k > 0 and kp > 0:
-            region1_vals.append(total)
-        else:
-            region2_ratios.append(total / (1.0 + kp / k))
-            if pattern is None:
-                # Reported, not fixed: the integrals give conj(Q) k'/k.
-                q5 = complex(qs[4][i])
-                dev_plain = abs(q5 - kc.Q * (kp / k))
-                dev_conj = abs(q5 - np.conj(kc.Q) * (kp / k))
-                pattern = "conjugate" if dev_conj <= dev_plain else "plain"
+        closed = q_grid(Kernel(constants=kc), k, kp)
+        totals = qs[0] + qs[1] + qs[2] + qs[3] + qs[4]
+        sums = {p: complex(total) for p, total in zip(points, totals)}
 
-    def q(k: float, kp: float) -> complex:
-        return sums[(k, kp)] if k + kp > 0.0 else np.conj(sums[(-k, -kp)])
+        def q(k: float, kp: float) -> complex:
+            return sums[(k, kp)] if k + kp > 0.0 else np.conj(sums[(-k, -kp)])
 
-    return {
-        "max_relative_deviation": float(np.max(devs)) if devs else 0.0,
-        "region1_constancy": _spread(region1_vals),
-        "region2_proportionality": _spread(region2_ratios),
-        "hamiltonian_symmetry": _spread([q(k1, k2) / abs(k3) for k1, k2, k3 in _TRIADS]),
-        "q5_conjugation_pattern": pattern,
-    }
+        at = totals[:n]
+        # Part by part, as Python divides a complex by a float: numpy's
+        # complex division multiplies by a reciprocal, which rounds differently.
+        stretch = 1.0 + kp / k
+        ratios = (at.real / stretch + 1j * (at.imag / stretch))[mixed]
+        pattern = None
+        for i in mixed[:1]:
+            # At the first mixed-region sample.  Reported, not fixed: the
+            # integrals give conj(Q) k'/k.
+            dev = qs[4][i] - np.array([kc.Q, np.conj(kc.Q)]) * (kp[i] / k[i])
+            dev_plain, dev_conj = np.hypot(dev.real, dev.imag)
+            pattern = "conjugate" if dev_conj <= dev_plain else "plain"
+        return {
+            "max_relative_deviation": float(np.max(relative_gap(at, closed))) if n else 0.0,
+            "region1_constancy": _spread(at[region1]),
+            "region2_proportionality": _spread(ratios),
+            "hamiltonian_symmetry": _spread([q(k1, k2) / abs(k3) for k1, k2, k3 in _TRIADS]),
+            "q5_conjugation_pattern": pattern,
+        }

@@ -17,6 +17,15 @@ raw determinant and compares the two.  Every closed form at the root, here
 and in `kernel`, reads the root quantities from one `RootScalars`, built
 once by `find_root`, whose docstring defines them; the oracles (`det_raw`,
 the minors, `gamma_linear_residual`) do not read it.
+
+Every row that compares two routes to one scalar value reads one rule,
+`relative_gap(a, b)` = |a - b| / max(|a|, |b|), NaN where it cannot be
+computed: `det_methods_residual`, `gamma_forms_residual`,
+`lemma4_residuals`, `dd1_factorization_residual`, and in `kernel`
+`alpha0_residuals` and `oracle_vs_closed`.  The relation rows, which test
+that a sum of terms vanishes (`root_relation_residual`,
+`sigma_r3_residual`), and the vector rows (`sigma_methods_residual`,
+`gamma_linear_residual`) keep their own scales.
 """
 
 from __future__ import annotations
@@ -97,17 +106,24 @@ def det_raw(pb: PhaseBoundary, eta: Frequency) -> Union[complex, np.ndarray]:
     return _per_frequency(np.linalg.det(M))
 
 
-def det_methods_residual(pb: PhaseBoundary, eta: Frequency) -> Union[float, np.ndarray]:
-    """|det_raw - det_closed| relative to the larger of the two, at a float
-    eta0 or at each eta0 of a 1-D array.  Where both determinants underflow
-    to 0, or either overflows (a huge eta_t), the value is NaN."""
+def relative_gap(a, b) -> Union[float, np.ndarray]:
+    """|a - b| / max(|a|, |b|), elementwise over complex scalars or arrays:
+    the rule that judges every scalar two-route row here and in `kernel`.
+    The value is NaN where both vanish, where either is NaN or where either
+    modulus overflows; no exception or RuntimeWarning is raised."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        raw, closed = det_raw(pb, eta), det_closed(pb, eta)
         # np.hypot rounds as Python's complex abs does; np.abs does not.
-        diff = raw - closed
-        gap = np.hypot(diff.real, diff.imag)
-        size = np.maximum(np.hypot(raw.real, raw.imag), np.hypot(closed.real, closed.imag))
-        return gap / size
+        diff = a - b
+        size = np.maximum(np.hypot(a.real, a.imag), np.hypot(b.real, b.imag))
+        return np.where(size < np.inf, np.hypot(diff.real, diff.imag) / size, np.nan)[()]
+
+
+def det_methods_residual(pb: PhaseBoundary, eta: Frequency) -> Union[float, np.ndarray]:
+    """`relative_gap` of det_raw and det_closed, at a float eta0 or at each
+    eta0 of a 1-D array: NaN where both determinants underflow to 0 or
+    either overflows (a huge eta_t)."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return relative_gap(det_raw(pb, eta), det_closed(pb, eta))
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,14 +268,10 @@ def gamma_alternative_forms(root: RootData) -> Tuple[complex, complex]:
 
 
 def gamma_forms_residual(root: RootData) -> float:
-    """Largest relative gap between the two printed forms of gamma_1, gamma_2;
-    a NaN in either gap gives NaN."""
-    h1, h2 = gamma_alternative_forms(root)
-    return float(
-        np.maximum(
-            abs(root.gamma1 - h1) / abs(root.gamma1), abs(root.gamma2 - h2) / abs(root.gamma2)
-        )
-    )
+    """Largest `relative_gap` between the two printed forms of gamma_1,
+    gamma_2; a NaN in either gap gives NaN."""
+    gammas = np.array([root.gamma1, root.gamma2])
+    return float(np.max(relative_gap(gammas, np.array(gamma_alternative_forms(root)))))
 
 
 def find_root(pb: PhaseBoundary, eta_t: np.ndarray) -> RootData:
@@ -353,7 +365,8 @@ def gamma_linear_residual(root: RootData) -> float:
 
 
 def lemma4_residuals(root: RootData) -> np.ndarray:
-    """Relative residuals of the six closed products gamma_i * D-component."""
+    """`relative_gap` of each of the six products gamma_i * D-component and
+    its closed form."""
     s, g1, g2, sig = root.scalars, root.gamma1, root.gamma2, root.sigma
     jr, ju, ur, e0, ht2, w2 = s.jump_rho, s.jump_u, s.vr.u, s.e0, s.ht2, s.w2_r
     pairs = [
@@ -364,20 +377,15 @@ def lemma4_residuals(root: RootData) -> np.ndarray:
         (g1 * sig.Dd2, jr * w2 * s.zr_p - jr * ju * ur * ht2 * s.zr_m),
         (g2 * sig.Dd2, jr * w2 * s.zl_p + jr * ju * ur * ht2 * s.zl_m),
     ]
-    return np.array(
-        [abs(lhs - rhs) / max(abs(lhs), abs(rhs)) for lhs, rhs in pairs]
-    )
+    return relative_gap(*np.array(pairs).T)
 
 
 def dd1_factorization_residual(root: RootData) -> float:
-    """Both factorizations of eta0 * D_{d+1} must agree at the root; a NaN in
-    any of them gives NaN."""
+    """Both factorizations of eta0 * D_{d+1} must agree with it at the root:
+    the larger `relative_gap`; a NaN in any of them gives NaN."""
     s = root.scalars
-    lhs = -s.w2_r * s.xl_m * s.xr_p
-    rhs = s.w2_r * s.xl_p * s.xr_m
-    target = s.e0 * root.sigma.Dd1
-    scale = np.maximum(abs(lhs), abs(target))
-    return float(np.maximum(abs(lhs - target), abs(rhs - target)) / scale)
+    factored = np.array([-s.w2_r * s.xl_m * s.xr_p, s.w2_r * s.xl_p * s.xr_m])
+    return float(np.max(relative_gap(factored, s.e0 * root.sigma.Dd1)))
 
 
 def sigma_r3_residual(root: RootData) -> float:

@@ -271,7 +271,8 @@ class _Rhs:
 
     Construction validates alpha0 and folds the scale -i k_n/alpha0 *
     dk/(4 pi) into the weights of the three regions' products: Q_nat,
-    2 conj(Q_nat) n and 2 Re(Q_nat), each zero at n = 0.  It also lays out
+    2 conj(Q_nat) n and 2 Re(Q_nat), each zero at n = 0; a weight that
+    overflows is refused with ParameterError.  It also lays out
     the base block, modes 0..b with b = min(N, 256), and each dyadic band
     (lo - 1, hi] = (b, 2b], (2b, 4b], ... above it: the band's transform
     length L > 2 hi - lo, the indices that scatter its convolution onto
@@ -296,9 +297,16 @@ class _Rhs:
             raise DegeneracyError("alpha0 must be nonzero")
         Qn = kernel.constants.Q_nat
         n = np.arange(N + 1)
-        scale = -1j * n * dk / a0.real * (dk / (4.0 * np.pi))
         inv_m = 1.0 / np.maximum(n, 1)
-        self.weights = inv_m, Qn * scale, (2.0 * np.conj(Qn)) * n * scale, (2.0 * Qn.real) * scale
+        # The finiteness test below reports an overflow here as ParameterError.
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = -1j * n * dk / a0.real * (dk / (4.0 * np.pi))
+            w_mixed = (2.0 * np.conj(Qn)) * n * scale
+            self.weights = inv_m, Qn * scale, w_mixed, (2.0 * Qn.real) * scale
+        if not all(np.isfinite(w).all() for w in self.weights):
+            raise ParameterError(
+                f"Q_nat/alpha0, N={N} and dk={dk} overflow the right side's weights"
+            )
         self.b = b = min(N, _DIRECT_MODES)
         conv = np.empty(max(N + 1, 2 * b + 1), dtype=complex)
         self.corr = corr = np.empty(N + 1, dtype=complex)

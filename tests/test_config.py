@@ -341,6 +341,7 @@ def test_wavevector_scale_is_judged(tmp_path, capsys, command, eta_t, rc, verdic
         pytest.param(RAW, OVERFLOW, id="mass-flux-overflow"),
         pytest.param(RAW, {"right": RAW["left"]}, id="equal-states"),
         pytest.param(EOS, {"eos__RT": -1}, id="eos-negative-RT"),
+        pytest.param(EOS, {"brackets": [[1e-300, 1e-299], [2.3, 2.99]]}, id="eos-tiny-density"),
     ],
 )
 def test_boundary_failure_is_one_phase_boundary_row(tmp_path, capsys, base, changes):
@@ -427,6 +428,40 @@ def test_nonpositive_wavenumber_step_exits_one(tmp_path, change):
             "root", EOS, {"brackets": [[5e-4, 0.5], [2.3, 2.99]]}, 1,
             "", "root: bracket endpoints must lie where c^2 > 0\n",
             id="bracket-past-spinodal",
+        ),
+        # right.pp = +-1e308: Q_nat's parts are finite but its modulus
+        # overflows, so kernel_constants refuses it.
+        pytest.param(
+            "coeffs", RAW, {"right__pp": 1e308}, 1,
+            "coeffs: FAIL (kernel-constants (Q_nat not finite at the root"
+            " eta0 = 0.9563775980592719))\n", "",
+            id="q-nat-modulus-coeffs",
+        ),
+        pytest.param(
+            "simulate", RAW, {"right__pp": -1e308}, 1,
+            "", "simulate: Q_nat not finite at the root eta0 = 0.9563775980592719\n",
+            id="q-nat-modulus-simulate",
+        ),
+        # right.pp = 1e306: Q_nat is finite, but the mixed-region weight
+        # 2 conj(Q_nat) n * (-i n dk^2/(4 pi alpha0)) overflows at N = 128.
+        pytest.param(
+            "simulate", shipped_config("fixture_a"), {"right__pp": 1e306}, 1,
+            "", "simulate: Q_nat/alpha0, N=128 and dk=0.05 overflow the right side's weights\n",
+            id="overflowing-rhs-weight",
+        ),
+        # A vapour bracket whose densities' cubes underflow, so the Newton
+        # Jacobian would divide by zero.  The bracket's low end alone is no
+        # refusal: [1e-150, 0.01] solves.
+        pytest.param(
+            "root", EOS, {"brackets": [[1e-110, 1e-109], [2.3, 2.99]]}, 1,
+            "", "root: no coexistence pair in (1e-110, 1e-109) x (2.3, 2.99): the cube of"
+            " the density 5.5e-110 underflows\n",
+            id="vdw-density-cube-underflows",
+        ),
+        pytest.param(
+            "root", EOS, {"brackets": [[1e-150, 0.01], [2.3, 2.99]]}, 0,
+            "root: eta0 = 0.0070830962512489293\n", "",
+            id="vdw-tiny-bracket-end",
         ),
     ],
 )

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from phasewave.lopatinskii import (
     gamma_forms_residual,
     gamma_linear_residual,
     lemma4_residuals,
+    relative_gap,
     root_factor,
     root_relation_residual,
     sigma_r3_residual,
@@ -40,6 +42,43 @@ from conftest import ETA_T, FIXTURE_A, fixture_a_boundary, random_boundary, rand
 # Root of the canonical configuration, frozen after cross-validation against
 # the raw determinant, the minors functional, and the abstract alpha0 sum.
 FIXTURE_A_ETA0 = 0.9563775980592719
+
+
+class TestRelativeGap:
+    def test_rounds_as_python_abs(self):
+        # Pairs near each other and far apart, moduli from 1e-150 to 1e150,
+        # and exact zeros on one side.
+        rng = np.random.default_rng(38)
+        n = 400
+        a = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.uniform(-150, 150, n)
+        b = np.where(
+            rng.uniform(size=n) < 0.5,
+            a * (1.0 + 1e-12 * rng.normal(size=n)),
+            (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.uniform(-150, 150, n),
+        )
+        b[:10] = 0.0
+        expected = [abs(x - y) / max(abs(x), abs(y)) for x, y in zip(a.tolist(), b.tolist())]
+        assert relative_gap(a, b).tolist() == expected
+        assert [relative_gap(x, y) for x, y in zip(a.tolist(), b.tolist())] == expected
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            pytest.param(0j, 0j, id="both-zero"),
+            pytest.param(complex(math.inf), 1 + 0j, id="inf"),
+            pytest.param(1.5e308 + 1.5e308j, 1 + 0j, id="modulus-overflows"),
+            pytest.param(1.5e308 + 1.5e308j, 1.5e308 + 1.5e308j, id="equal-overflowing-moduli"),
+            pytest.param(complex(math.nan), 1 + 0j, id="nan"),
+        ],
+    )
+    def test_nan_without_a_warning(self, a, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert math.isnan(relative_gap(a, b))
+            assert np.isnan(relative_gap(np.array([a, 1j]), np.array([b, 1j]))).tolist() == [
+                True,
+                False,
+            ]
 
 
 class TestDeterminant:
